@@ -80,7 +80,7 @@ def main() -> None:
     # --- MST occupancy -------------------------------------------------
     capacity = mst_capacity(4, optimized=True)
     mst = MetaStateTable(n_levels=10, capacity=capacity)
-    peak = max(ev.pool_size for ev in stats.batches)
+    peak = max(stats.batches.pools)
     print(
         f"\nMST: provisioned {capacity} slots/level "
         f"({mst.storage_bits(10, 4) / 8 / 1024:.0f} KiB total); this decode "

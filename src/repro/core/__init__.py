@@ -12,7 +12,7 @@ import warnings
 
 from repro.core.gemm import ChannelKernel, GemmEvaluator
 from repro.core.nodepool import NodePool, extend_paths
-from repro.core.stats import BatchEvent, DecodeStats
+from repro.core.stats import BatchEvent, BatchTrace, DecodeStats
 from repro.core.tree import SearchNode, path_symbols
 from repro.core.radius import (
     RadiusPolicy,
@@ -53,6 +53,7 @@ __all__ = [
     "NodePool",
     "extend_paths",
     "BatchEvent",
+    "BatchTrace",
     "DecodeStats",
     "SearchNode",
     "path_symbols",

@@ -48,7 +48,7 @@ The kernels do not touch :class:`~repro.core.stats.DecodeStats` (a
 Python object) on the hot path. Instead they return flat recordings —
 per-expansion ``(level, pool)`` pairs, radius improvements, per-level
 prune counts — from which :meth:`CompiledTraversalEngine` rebuilds all
-nine counters, the :class:`~repro.core.stats.BatchEvent` trace, the
+nine counters, the :class:`~repro.core.stats.BatchTrace`, the
 radius trace and the :class:`~repro.core.traversal.LevelAccumulator`
 rows *exactly* (same totals, same event order). The only telemetry the
 compiled engine does not produce is the sampled ``sd.batch`` tracer
@@ -88,7 +88,6 @@ import numpy as np
 
 from repro.core.gemm import FLOPS_PER_CMAC, ChannelKernel
 from repro.core.radius import babai_point
-from repro.core.stats import BatchEvent
 from repro.core.traversal import BestFirstPolicy, DfsPolicy, TraversalEngine
 from repro.obs.tracer import NULL_TRACER
 from repro.util.validation import check_in, check_vector
@@ -878,10 +877,7 @@ class CompiledTraversalEngine(TraversalEngine):
         stats.max_list_size = max(stats.max_list_size, int(max_list))
         stats.truncated += int(trunc)
         if self.record_trace and b_pools.size:
-            stats.batches.extend(
-                BatchEvent(level=lv, pool_size=b)
-                for lv, b in zip(b_levels.tolist(), b_pools.tolist())
-            )
+            stats.batches.extend(b_levels.tolist(), b_pools.tolist())
         if acc is not None:
             exps_lv = np.bincount(b_levels, minlength=n_tx)
             nodes_lv = np.bincount(b_levels, weights=b_pools, minlength=n_tx)

@@ -10,11 +10,11 @@ compatibility.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class BatchEvent(NamedTuple):
-    """One batched node-expansion step.
+    """One batched node-expansion step, as :class:`BatchTrace` yields it.
 
     Attributes
     ----------
@@ -31,6 +31,68 @@ class BatchEvent(NamedTuple):
     pool_size: int
 
 
+def _check_columns(levels: Sequence[int], pools: Sequence[int]) -> None:
+    if len(levels) != len(pools):
+        raise ValueError(
+            f"trace columns differ in length: {len(levels)} levels, "
+            f"{len(pools)} pools"
+        )
+
+
+@dataclass(slots=True)
+class BatchTrace:
+    """The per-expansion batch trace of one decode, as two int columns.
+
+    ``levels[i]`` and ``pools[i]`` are the tree level and pool size of
+    the ``i``-th expansion batch, in the order the search ran them.
+    Producers append plain Python ints to the columns, so recording a
+    trace builds no per-event object; iterating yields
+    :class:`BatchEvent` records for readers. ``+`` and ``+=``
+    concatenate, which is how :meth:`DecodeStats.merge` and
+    :meth:`DecodeStats.merge_all` fold traces.
+    """
+
+    levels: list[int] = field(default_factory=list)
+    pools: list[int] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        _check_columns(self.levels, self.pools)
+
+    @classmethod
+    def from_events(cls, events: Iterable[tuple[int, int]]) -> "BatchTrace":
+        """Trace of ``(level, pool_size)`` pairs such as :class:`BatchEvent`."""
+        trace = cls()
+        for level, pool in events:
+            trace.append(level, pool)
+        return trace
+
+    def append(self, level: int, pool: int) -> None:
+        """Record one batch of ``pool`` nodes expanded at ``level``."""
+        self.levels.append(level)
+        self.pools.append(pool)
+
+    def extend(self, levels: Sequence[int], pools: Sequence[int]) -> None:
+        """Record a run of batches given column-wise (plain-int sequences,
+        e.g. ``ndarray.tolist()``)."""
+        _check_columns(levels, pools)
+        self.levels += levels
+        self.pools += pools
+
+    def __len__(self) -> int:
+        return len(self.levels)
+
+    def __iter__(self) -> Iterator[BatchEvent]:
+        return map(BatchEvent, self.levels, self.pools)
+
+    def __add__(self, other: "BatchTrace") -> "BatchTrace":
+        return BatchTrace(self.levels + other.levels, self.pools + other.pools)
+
+    def __iadd__(self, other: "BatchTrace") -> "BatchTrace":
+        self.levels += other.levels
+        self.pools += other.pools
+        return self
+
+
 @dataclass
 class DecodeStats:
     """Work performed by one ``detect`` call of a tree-search detector.
@@ -45,7 +107,7 @@ class DecodeStats:
     Merging is **order-independent** for every scalar field (sums and
     maxima commute and associate), so cross-process aggregation needs no
     global frame order: ``a.merge(b)`` equals ``b.merge(a)`` field-wise
-    except for the list fields (``batches``, ``radius_trace``), which
+    except for the sequence fields (``batches``, ``radius_trace``), which
     concatenate left-to-right. Callers that shard frames across workers
     therefore merge worker results in deterministic shard order (see
     :mod:`repro.mimo.parallel_mc`) so the concatenated traces reproduce
@@ -74,7 +136,9 @@ class DecodeStats:
     #: time, so first-call JIT compilation never lands here.
     gemm_time_s: float = 0.0
     truncated: int = 0
-    batches: list[BatchEvent] = field(default_factory=list)
+    #: One entry per expansion batch; recorded only when the decoder
+    #: runs with ``record_trace=True``. The FPGA pipeline model prices it.
+    batches: BatchTrace = field(default_factory=BatchTrace)
     radius_trace: list[float] = field(default_factory=list)
 
     @property
@@ -118,8 +182,8 @@ class DecodeStats:
             mine, theirs = getattr(self, f.name), getattr(other, f.name)
             rule = f.metadata.get("merge")
             if rule is None:
-                if isinstance(mine, (int, float)) or isinstance(mine, list):
-                    rule = "sum"  # numeric add / list concatenation
+                if isinstance(mine, (int, float, list, BatchTrace)):
+                    rule = "sum"  # numeric add / sequence concatenation
                 else:
                     raise TypeError(
                         f"DecodeStats.{f.name}: no default merge rule for "
@@ -141,7 +205,7 @@ class DecodeStats:
         """Fold many stats records into one in linear time.
 
         Equivalent to chaining :meth:`merge` pairwise left-to-right but
-        without the quadratic list re-concatenation — the form the
+        without the quadratic sequence re-concatenation — the form the
         Monte Carlo engine and the process-sharded sweep runner use to
         aggregate thousands of per-frame records.
         """
@@ -155,8 +219,7 @@ class DecodeStats:
                 rule = f.metadata.get("merge")
                 if rule == "max":
                     total[f.name] = max(total[f.name], value)
-                elif isinstance(value, list):
-                    total[f.name].extend(value)
                 else:
+                    # In place for the fresh lists and trace of ``merged``.
                     total[f.name] += value
         return cls(**total)

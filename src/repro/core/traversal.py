@@ -35,8 +35,8 @@ are evaluated*. This module is that separation made concrete:
     Binds a constellation, a policy and a radius policy. The detector
     classes in :mod:`repro.detectors` are thin configurations of this
     engine; all of them emit the uniform
-    :class:`~repro.core.stats.BatchEvent` trace the FPGA pipeline
-    simulator replays.
+    :class:`~repro.core.stats.BatchTrace` the FPGA pipeline
+    simulator prices.
 
 Frontier storage is the structure-of-arrays
 :class:`~repro.core.nodepool.NodePool`: nodes are rows of preallocated
@@ -70,7 +70,7 @@ from repro.core.lockstep import ExpandRequest, drive_lockstep, drive_serial
 from repro.core.metric import resolve_metric
 from repro.core.nodepool import NodePool, extend_paths
 from repro.core.radius import babai_point
-from repro.core.stats import BatchEvent, DecodeStats
+from repro.core.stats import DecodeStats
 from repro.obs.log import get_logger
 from repro.obs.tracer import NULL_TRACER
 from repro.util.validation import check_in, check_positive_int
@@ -289,7 +289,7 @@ class _PooledTreePolicy(TraversalPolicy):
             stats.gemm_flops += FLOPS_PER_CMAC * b * depth
         stats.gemm_flops += engine.metric.flops_per_norm * b * order
         if engine.record_trace:
-            stats.batches.append(BatchEvent(level=level, pool_size=b))
+            stats.batches.append(level, b)
         hook = engine.expand_hook
         if hook is not None:
             hook(level, b)
@@ -585,9 +585,7 @@ class BfsPolicy(TraversalPolicy):
                 stats.gemm_flops += FLOPS_PER_CMAC * frontier * depth
             stats.gemm_flops += engine.metric.flops_per_norm * frontier * p
             if engine.record_trace:
-                stats.batches.append(
-                    BatchEvent(level=level, pool_size=frontier)
-                )
+                stats.batches.append(level, frontier)
             keep_n, keep_c = np.nonzero(child_pds < radius_sq)
             stats.nodes_pruned += frontier * p - keep_n.size
             acc = engine.level_acc
@@ -672,7 +670,7 @@ class _SweepPolicy(TraversalPolicy):
                 stats.gemm_flops += FLOPS_PER_CMAC * width * depth
             stats.gemm_flops += engine.metric.flops_per_norm * width * p
             if engine.record_trace:
-                stats.batches.append(BatchEvent(level=level, pool_size=width))
+                stats.batches.append(level, width)
             pruned_before = stats.nodes_pruned
             keep_n, keep_c, pds = self._select(level, n_tx, child_pds, stats)
             acc = engine.level_acc
@@ -871,7 +869,7 @@ class TraversalEngine:
         accounting and the radius policy, so every traversal policy
         composes with every metric.
     record_trace:
-        Keep the per-expansion :class:`BatchEvent` list in the stats.
+        Keep the per-expansion :class:`BatchTrace` in the stats.
 
     When :attr:`level_acc` is set to a :class:`LevelAccumulator` (the
     detector layer does this when a metrics registry is live), every

@@ -7,7 +7,13 @@ picklable across process pools. Direct class construction remains fine
 for library use.
 """
 
-from repro.detectors.base import Detector, DetectionResult, DecodeStats, BatchEvent
+from repro.detectors.base import (
+    BatchEvent,
+    BatchTrace,
+    DecodeStats,
+    DetectionResult,
+    Detector,
+)
 from repro.detectors.engine import EngineDetector
 from repro.detectors.linear import ZeroForcingDetector, MMSEDetector, MRCDetector
 from repro.detectors.ml import MLDetector
@@ -34,6 +40,7 @@ __all__ = [
     "DetectionResult",
     "DecodeStats",
     "BatchEvent",
+    "BatchTrace",
     "EngineDetector",
     "ZeroForcingDetector",
     "MMSEDetector",

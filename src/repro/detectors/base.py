@@ -10,15 +10,16 @@ deployment (and the paper's FPGA host flow):
 
 Tree-search detectors additionally emit a :class:`DecodeStats` record of
 how much work the search performed: node counts, GEMM calls/FLOPs and the
-per-expansion :class:`BatchEvent` trace. That trace is what the
-cycle-approximate FPGA pipeline simulator and the CPU/GPU cost models
-consume — the *algorithm* produces the work schedule, the *platform
-models* turn it into time.
+per-expansion :class:`BatchTrace` (two int columns, level and pool size;
+iterating it yields :class:`BatchEvent` records). The cycle-approximate
+FPGA pipeline simulator prices that trace and the CPU/GPU cost models
+price the counters — the *algorithm* produces the work schedule, the
+*platform models* turn it into time.
 
-:class:`BatchEvent` and :class:`DecodeStats` are defined in
-:mod:`repro.core.stats` (the traversal engine produces them); they are
-re-exported here unchanged since this is where the rest of the codebase
-historically imports them from.
+:class:`BatchEvent`, :class:`BatchTrace` and :class:`DecodeStats` are
+defined in :mod:`repro.core.stats` (the traversal engine produces them);
+they are re-exported here unchanged since this is where the rest of the
+codebase historically imports them from.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.stats import BatchEvent, DecodeStats
+from repro.core.stats import BatchEvent, BatchTrace, DecodeStats
 
 __all__ = [
     "BatchEvent",
+    "BatchTrace",
     "DecodeStats",
     "DetectionResult",
     "Detector",

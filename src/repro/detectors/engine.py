@@ -15,8 +15,8 @@ policy choice plus a handful of class attributes.
 
 A consequence the registry relies on: every engine detector gets the
 cross-frame fused ``decode_batch`` path and emits the uniform
-:class:`~repro.core.stats.BatchEvent` trace the FPGA pipeline simulator
-replays — including K-best and FSD, which previously had neither.
+:class:`~repro.core.stats.BatchTrace` the FPGA pipeline simulator
+prices — including K-best and FSD, which previously had neither.
 """
 
 from __future__ import annotations

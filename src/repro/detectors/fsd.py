@@ -37,7 +37,7 @@ class FixedComplexityDecoder(EngineDetector):
         Number of fully-enumerated levels (``P^rho`` candidate paths).
         The classic choice for square systems is small (1 or 2).
     record_trace:
-        Keep per-level :class:`BatchEvent` records.
+        Keep the per-level :class:`BatchTrace`.
     """
 
     name = "fsd"

@@ -29,7 +29,7 @@ Unlike the other tree-search detectors this one is *not* a
 cooperative round-robin schedule interleaves per-PE expansions with
 shared-bound broadcasts, which does not fit the one-generator-per-frame
 ``ExpandRequest`` protocol. It stays a direct :class:`Detector` and
-still emits the standard :class:`BatchEvent` trace.
+still emits the standard :class:`BatchTrace`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from repro.core.gemm import GemmEvaluator
 from repro.core.radius import BabaiRadius, RadiusPolicy, babai_point
 from repro.core.tree import SearchNode, path_to_level_indices
-from repro.detectors.base import BatchEvent, DecodeStats, DetectionResult, Detector
+from repro.detectors.base import DecodeStats, DetectionResult, Detector
 from repro.mimo.constellation import Constellation
 from repro.mimo.preprocessing import QRResult, effective_receive, qr_decompose
 from repro.util.timing import Timer
@@ -133,9 +133,7 @@ class PartitionedSphereDecoder(Detector):
             stats.nodes_expanded += len(pools)
             stats.nodes_generated += len(pools) * evaluator.order
             if self.record_trace:
-                stats.batches.append(
-                    BatchEvent(level=level, pool_size=len(pools))
-                )
+                stats.batches.append(level, len(pools))
             frontier = []
             for i, (path, _pd) in enumerate(pools):
                 for c in range(evaluator.order):
@@ -223,9 +221,7 @@ class PartitionedSphereDecoder(Detector):
                     stats.nodes_expanded += 1
                     stats.nodes_generated += evaluator.order
                     if self.record_trace:
-                        stats.batches.append(
-                            BatchEvent(level=node.level, pool_size=1)
-                        )
+                        stats.batches.append(node.level, 1)
                     if node.level == 0:
                         in_sphere = child_pds < bound
                         stats.leaves_reached += int(np.count_nonzero(in_sphere))

@@ -18,7 +18,7 @@ can render an always-current capability table.
 
 Adding a detector is a one-file change: implement the class, register a
 kind here, and it automatically gets CLI access, batch decoding,
-sharded Monte Carlo and — if it emits :class:`BatchEvent` traces —
+sharded Monte Carlo and — if it emits a :class:`BatchTrace` —
 FPGA pipeline replay.
 """
 
@@ -69,8 +69,8 @@ class DetectorEntry:
     batch:
         Supports the cross-frame fused ``decode_batch`` path.
     fpga_replayable:
-        Emits a :class:`~repro.core.stats.BatchEvent` trace the FPGA
-        pipeline simulator can replay.
+        Emits a :class:`~repro.core.stats.BatchTrace` the FPGA
+        pipeline simulator can price.
     metric:
         Partial-distance metric of the node kernel (``"l2"`` exact ML
         reference, ``"linf"`` max/compare). Approximate metrics imply

@@ -11,8 +11,8 @@ than 1% of the number of explored nodes" (section IV-F).
 
 The sweep itself is :class:`~repro.core.traversal.BfsPolicy`: the whole
 frontier lives in flat arrays and each level is one
-:class:`ExpandRequest`, so the :class:`~repro.core.stats.BatchEvent`
-trace has exactly one event per level with ``pool_size`` = frontier
+:class:`ExpandRequest`, so the :class:`~repro.core.stats.BatchTrace`
+has exactly one event per level with ``pool_size`` = frontier
 width — precisely the workload shape the GPU cost model expects. This
 class is the detector shell binding that policy to plain-QR
 preprocessing and the ``bfs.*`` obs vocabulary.
@@ -45,7 +45,7 @@ class GemmBfsDecoder(EngineDetector):
         truncation). ``None`` keeps every in-sphere node, as in [1] —
         exact *within the sphere* but memory-hungry for 16-QAM.
     record_trace:
-        Keep per-level :class:`BatchEvent` records.
+        Keep the per-level :class:`BatchTrace`.
     """
 
     name = "sphere-gemm-bfs"

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.gemm import GemmEvaluator
 from repro.core.radius import NoiseScaledRadius, RadiusPolicy
-from repro.detectors.base import BatchEvent, DecodeStats, DetectionResult, Detector
+from repro.detectors.base import DecodeStats, DetectionResult, Detector
 from repro.mimo.constellation import Constellation
 from repro.mimo.preprocessing import QRResult, effective_receive, qr_decompose
 from repro.util.timing import Timer
@@ -109,7 +109,7 @@ class SoftOutputSphereDetector(Detector):
             child_pds = evaluator.expand(level, paths, pds)
             stats.nodes_expanded += paths.shape[0]
             stats.nodes_generated += paths.shape[0] * p
-            stats.batches.append(BatchEvent(level=level, pool_size=paths.shape[0]))
+            stats.batches.append(level, paths.shape[0])
             keep_n, keep_c = np.nonzero(child_pds < radius_sq)
             stats.nodes_pruned += paths.shape[0] * p - keep_n.size
             if keep_n.size == 0:

@@ -30,10 +30,11 @@ Both facts are property-tested against brute force in
 
 Instrumentation
 ---------------
-Every expansion appends a :class:`~repro.core.stats.BatchEvent` to the
-decode's :class:`~repro.core.stats.DecodeStats`. The FPGA pipeline
-simulator replays those events through its module cycle models; the
-CPU/GPU models consume the aggregate counters.
+Every expansion appends its ``(level, pool)`` to the decode's
+:class:`~repro.core.stats.BatchTrace` in
+:class:`~repro.core.stats.DecodeStats`. The FPGA pipeline simulator
+prices that trace through its module cycle models; the CPU/GPU models
+consume the aggregate counters.
 
 When an ambient :class:`repro.obs.Tracer` is installed
 (:func:`repro.obs.use_tracer`), each decode additionally emits nested
@@ -99,7 +100,7 @@ class SphereDecoder(EngineDetector):
         (stacked real decomposition) or ``"real-reordered"`` (Azzam &
         Ayanoglu interleaving). Real lattices need square QAM.
     record_trace:
-        Keep the per-expansion :class:`BatchEvent` list in the stats.
+        Keep the per-expansion :class:`BatchTrace` in the stats.
     engine:
         Traversal engine: ``"numpy"`` (reference), ``"compiled"``
         (fused Numba kernels, bit-identical) or ``None`` (default) to

@@ -5,10 +5,12 @@ The accelerator is a chain of HLS dataflow modules::
     branching -> prefetch/double-buffer -> GEMM engine -> NORM -> sort/prune
 
 driven by the search-list controller, with the tree held in the MST. The
-simulator replays a decoder's :class:`~repro.detectors.base.BatchEvent`
-trace — one event per (level, pool) expansion the *actual algorithm*
+simulator prices a decoder's :class:`~repro.detectors.base.BatchTrace` —
+one ``(level, pool)`` entry per expansion the *actual algorithm*
 performed — through per-module cycle models and reports decode time at
-the configured clock.
+the configured clock. A batch's cycles depend only on its ``(level,
+pool)`` and the fixed build, so each distinct pair is priced once per
+pipeline and every decode sums count x cycles over its distinct pairs.
 
 Two presets mirror the paper's designs:
 
@@ -22,6 +24,7 @@ Two presets mirror the paper's designs:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import log2
 
@@ -42,6 +45,14 @@ PIPELINE_STAGES = ("branch", "prefetch", "gemm", "norm", "prune")
 #: Non-module buckets of the exact attribution: dataflow fill bubbles,
 #: control/round-trip, radius updates, per-decode setup, host transfer.
 OVERHEAD_BUCKETS = ("fill", "control", "radius", "setup", "transfer")
+
+#: Busy-cycle keys one batch contributes to ``PipelineReport.breakdown``,
+#: and the attribution keys it contributes to ``attributed``, in report
+#: order. A priced table row is ``(total, *busy, *charged)``.
+_BUSY_KEYS = (
+    "branch", "prefetch", "gemm", "evaluate", "norm", "prune", "control",
+)
+_CHARGED_KEYS = PIPELINE_STAGES + ("fill", "control")
 
 #: NORM-module micro-architectures. ``"mac"`` is the paper's fp32
 #: multiply-accumulate datapath for the ℓ₂-squared partial distance;
@@ -283,7 +294,12 @@ class PipelineReport:
 
 
 class FPGAPipeline:
-    """Replays decode traces through the module cycle models."""
+    """Prices decode traces through the module cycle models.
+
+    The config and geometry are fixed at construction: the pipeline keeps
+    a table of priced ``(level, pool)`` batches, filled the first time
+    :meth:`decode_report` meets each pair.
+    """
 
     def __init__(
         self,
@@ -304,6 +320,9 @@ class FPGAPipeline:
                 f"config clock {config.freq_mhz} MHz exceeds device limit "
                 f"{device.max_freq_mhz} MHz"
             )
+        # (level, pool) -> (total, *busy, *charged) cycles of one batch.
+        self._rows: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._transfer: int | None = None
 
     # ------------------------------------------------------------------
     # Per-module cycle models
@@ -424,43 +443,57 @@ class FPGAPipeline:
         return hbm_stream_cycles(words, self.device.hbm_channels)
 
     # ------------------------------------------------------------------
-    # Trace replay
+    # Trace pricing
     # ------------------------------------------------------------------
+
+    def _price(self, level: int, pool: int) -> tuple[int, ...]:
+        """Table row of one ``(level, pool)`` batch, priced on first sight.
+
+        :meth:`batch_cycles` validates the pair, so the level-range and
+        pool-size checks run once per distinct pair; a rejected pair
+        raises and is never cached.
+        """
+        cycles = self.batch_cycles(BatchEvent(level, pool))
+        charged = self._attribute(cycles)
+        row = (
+            cycles["total"],
+            *(cycles[key] for key in _BUSY_KEYS),
+            *(charged[key] for key in _CHARGED_KEYS),
+        )
+        self._rows[level, pool] = row
+        return row
 
     def decode_report(self, stats: DecodeStats) -> PipelineReport:
         """Total decode time for one decode's statistics record.
 
         Requires the per-expansion batch trace (``record_trace=True`` on
-        the decoder).
+        the decoder). The trace is folded into distinct ``(level, pool)``
+        counts, each priced from the pipeline's table; the result equals
+        summing :meth:`batch_cycles` / :meth:`batch_attribution` over
+        every event.
         """
-        if not stats.batches:
+        trace = stats.batches
+        if not trace:
             raise ValueError(
                 "stats has no batch trace; run the decoder with record_trace=True"
             )
         tracer = current_tracer()
         with tracer.span(
-            "fpga.decode_report", config=self.config.name, batches=len(stats.batches)
+            "fpga.decode_report", config=self.config.name, batches=len(trace)
         ):
-            breakdown: dict[str, int] = {
-                "branch": 0,
-                "prefetch": 0,
-                "gemm": 0,
-                "evaluate": 0,
-                "norm": 0,
-                "prune": 0,
-                "control": 0,
-            }
+            rows = self._rows
+            sums = [0] * (1 + len(_BUSY_KEYS) + len(_CHARGED_KEYS))
+            for key, n in Counter(zip(trace.levels, trace.pools)).items():
+                row = rows.get(key)
+                if row is None:
+                    row = self._price(*key)
+                sums = [acc + n * v for acc, v in zip(sums, row)]
+            total = sums[0]
+            breakdown = dict(zip(_BUSY_KEYS, sums[1:]))
             attributed: dict[str, int] = dict.fromkeys(
                 PIPELINE_STAGES + OVERHEAD_BUCKETS, 0
             )
-            total = 0
-            for event in stats.batches:
-                cycles = self.batch_cycles(event)
-                for key, value in self._attribute(cycles).items():
-                    attributed[key] += value
-                total += cycles.pop("total")
-                for key, value in cycles.items():
-                    breakdown[key] += value
+            attributed.update(zip(_CHARGED_KEYS, sums[1 + len(_BUSY_KEYS):]))
             radius = stats.radius_updates * self.config.radius_update_cycles
             breakdown["radius"] = radius
             attributed["radius"] = radius
@@ -468,7 +501,9 @@ class FPGAPipeline:
             breakdown["setup"] = self.config.setup_cycles
             attributed["setup"] = self.config.setup_cycles
             total += self.config.setup_cycles
-            transfer = self.transfer_cycles()
+            if self._transfer is None:
+                self._transfer = self.transfer_cycles()
+            transfer = self._transfer
             total += transfer
             breakdown["transfer"] = transfer
             attributed["transfer"] = transfer
@@ -496,7 +531,7 @@ class FPGAPipeline:
             freq_mhz=self.config.freq_mhz,
             total_cycles=total,
             transfer_cycles=transfer,
-            batches=len(stats.batches),
+            batches=len(trace),
             breakdown=breakdown,
             attributed=attributed,
         )

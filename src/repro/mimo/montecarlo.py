@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.detectors.base import DecodeStats, Detector
+from repro.detectors.base import BatchTrace, DecodeStats, Detector
 from repro.mimo.metrics import ErrorCounter
 from repro.mimo.system import MIMOSystem
 from repro.obs.log import get_logger
@@ -162,7 +162,7 @@ def _run_block(
             if result.stats is not None:
                 st = result.stats
                 if not keep_traces:
-                    st.batches = []
+                    st.batches = BatchTrace()
                 stats.append(st)
     if tracer.enabled:
         tracer.count("mc.frames", frames)
@@ -213,7 +213,7 @@ class MonteCarloEngine:
         for that point are skipped (serial mode only; ignored — with a
         warning — when blocks are sharded over workers).
     keep_traces:
-        Keep per-expansion :class:`BatchEvent` traces in the stats (needed
+        Keep the per-expansion :class:`BatchTrace` in the stats (needed
         by the FPGA pipeline simulator; disable to save memory on very
         long BER runs).
     heartbeat_every:

@@ -12,7 +12,7 @@ from repro.util.validation import check_positive_int
 class CPUCostModel:
     """Time model for the paper's optimised CPU sphere decoder.
 
-    Consumes the same decode traces as the FPGA pipeline simulator, so
+    Consumes the same decode statistics as the FPGA pipeline simulator, so
     CPU-vs-FPGA comparisons hold the algorithmic work constant and vary
     only the platform — matching the paper's statement that the hardware
     design "mimics the execution profile and operational sequence of the
@@ -39,13 +39,16 @@ class CPUCostModel:
         return 2 * (self.n_rx + 1)
 
     def decode_seconds(self, stats: DecodeStats) -> float:
-        """Execution time for one decode's work trace."""
+        """Execution time for one decode's work counters.
+
+        One dispatch per expansion batch: ``stats.gemm_calls``, which
+        equals the batch-trace length whenever a trace is recorded.
+        """
         p = self.params
-        batches = len(stats.batches) if stats.batches else stats.gemm_calls
         per_child = p.child_s + p.word_s * self.words_per_child
         return (
             p.setup_s
-            + batches * p.dispatch_s
+            + stats.gemm_calls * p.dispatch_s
             + stats.nodes_generated * per_child
             + stats.gemm_flops / p.flop_rate
         )

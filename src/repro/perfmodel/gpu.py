@@ -25,17 +25,16 @@ class GPUCostModel:
         self.params = params
 
     def decode_seconds(self, stats: DecodeStats) -> float:
-        """Execution time for one decode's work trace.
+        """Execution time for one decode's work counters.
 
-        Each :class:`BatchEvent` of the BFS decoder is one tree level
-        (one kernel launch + sync); radius escalations simply append more
-        level events, so they are charged automatically.
+        Each GEMM call of the BFS decoder is one tree level (one kernel
+        launch + sync); radius escalations simply add more level calls,
+        so they are charged automatically.
         """
         p = self.params
-        levels = len(stats.batches) if stats.batches else stats.gemm_calls
         return (
             p.setup_s
-            + levels * p.sync_per_level_s
+            + stats.gemm_calls * p.sync_per_level_s
             + stats.nodes_generated * p.node_s
             + stats.gemm_flops / p.flop_rate
         )

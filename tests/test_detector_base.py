@@ -1,11 +1,18 @@
 """Tests for repro.detectors.base: stats records and the Detector ABC."""
 
+import pickle
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 import pytest
 
-from repro.detectors.base import BatchEvent, DecodeStats, DetectionResult, Detector
+from repro.detectors.base import (
+    BatchEvent,
+    BatchTrace,
+    DecodeStats,
+    DetectionResult,
+    Detector,
+)
 
 
 class TestBatchEvent:
@@ -18,11 +25,63 @@ class TestBatchEvent:
         assert tuple(BatchEvent(1, 2)) == (1, 2)
 
 
+class TestBatchTrace:
+    def test_append_extend_len_and_iteration(self):
+        trace = BatchTrace()
+        trace.append(3, 8)
+        trace.extend([2, 1], [4, 1])
+        assert len(trace) == 3
+        assert trace.levels == [3, 2, 1]
+        assert trace.pools == [8, 4, 1]
+        assert list(trace) == [BatchEvent(3, 8), BatchEvent(2, 4), BatchEvent(1, 1)]
+        assert all(type(ev) is BatchEvent for ev in trace)
+
+    def test_equality_and_from_events(self):
+        events = [BatchEvent(3, 8), BatchEvent(2, 4)]
+        assert BatchTrace.from_events(events) == BatchTrace([3, 2], [8, 4])
+        assert BatchTrace.from_events([(3, 8), (2, 4)]) == BatchTrace([3, 2], [8, 4])
+        assert BatchTrace([3], [8]) != BatchTrace([3], [7])
+        assert BatchTrace([3], [8]) != BatchTrace([3, 3], [8, 8])
+        assert not BatchTrace()
+
+    def test_columns_must_match(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            BatchTrace([1, 2], [1])
+        with pytest.raises(ValueError, match="differ in length"):
+            BatchTrace().extend([1], [])
+
+    def test_merge_concatenates_without_aliasing(self):
+        a = DecodeStats(batches=BatchTrace([1, 4], [1, 2]))
+        b = DecodeStats(batches=BatchTrace([0], [3]))
+        m = a.merge(b)
+        assert m.batches == BatchTrace([1, 4, 0], [1, 2, 3])
+        m.batches.append(9, 9)
+        assert a.batches == BatchTrace([1, 4], [1, 2])
+        assert b.batches == BatchTrace([0], [3])
+
+    def test_merge_all_keeps_input_order(self):
+        records = [
+            DecodeStats(batches=BatchTrace([lv, lv], [lv + 1, 1]))
+            for lv in (2, 7, 5)
+        ]
+        merged = DecodeStats.merge_all(records)
+        assert merged.batches.levels == [2, 2, 7, 7, 5, 5]
+        assert merged.batches.pools == [3, 1, 8, 1, 6, 1]
+        assert records[0].batches == BatchTrace([2, 2], [3, 1])
+
+    def test_pickle_round_trip(self):
+        st = DecodeStats(nodes_expanded=3, batches=BatchTrace([2, 1, 0], [1, 2, 1]))
+        back = pickle.loads(pickle.dumps(st))
+        assert back == st
+        assert back.batches == st.batches
+        assert back.batches is not st.batches
+
+
 class TestDecodeStats:
     def test_defaults_zero(self):
         st = DecodeStats()
         assert st.nodes_expanded == 0
-        assert st.batches == []
+        assert len(st.batches) == 0
         assert st.truncated == 0
 
     def test_merge_sums_counters(self):
@@ -39,10 +98,10 @@ class TestDecodeStats:
         assert a.merge(b).max_list_size == 10
 
     def test_merge_concatenates_traces(self):
-        a = DecodeStats(batches=[BatchEvent(1, 1)], radius_trace=[5.0])
-        b = DecodeStats(batches=[BatchEvent(0, 2)], radius_trace=[3.0])
+        a = DecodeStats(batches=BatchTrace([1], [1]), radius_trace=[5.0])
+        b = DecodeStats(batches=BatchTrace([0], [2]), radius_trace=[3.0])
         m = a.merge(b)
-        assert m.batches == [BatchEvent(1, 1), BatchEvent(0, 2)]
+        assert list(m.batches) == [BatchEvent(1, 1), BatchEvent(0, 2)]
         assert m.radius_trace == [5.0, 3.0]
 
     def test_merge_does_not_mutate(self):
@@ -68,7 +127,7 @@ class TestDecodeStats:
             kwargs = {}
             for i, f in enumerate(fields(DecodeStats)):
                 if f.name == "batches":
-                    kwargs[f.name] = [BatchEvent(offset, i + 1)]
+                    kwargs[f.name] = BatchTrace([offset], [i + 1])
                 elif f.name == "radius_trace":
                     kwargs[f.name] = [float(offset + i)]
                 elif f.type == "float" or f.name == "wall_time_s":
@@ -161,7 +220,7 @@ class TestMergeAll:
             nodes_expanded=i,
             gemm_calls=2 * i,
             max_list_size=i * i,
-            batches=[BatchEvent(level=i, pool_size=i + 1)],
+            batches=BatchTrace([i], [i + 1]),
             radius_trace=[float(i)],
         )
 

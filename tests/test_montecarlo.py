@@ -118,7 +118,7 @@ class TestStatsCollection:
         )
         sweep = engine.run(lambda: SphereDecoder(const), [10.0])
         for st in sweep.points[0].frame_stats:
-            assert st.batches == []
+            assert len(st.batches) == 0
 
     def test_decode_time_accumulated(self):
         system = _system()

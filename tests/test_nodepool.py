@@ -255,17 +255,13 @@ def test_registry_bit_identity_vs_golden(golden, traversal_engine):
 
 def test_golden_batch_traces_replayable(golden):
     """Recorded batch schedules still drive the FPGA pipeline model."""
-    from repro.core.stats import BatchEvent, DecodeStats
+    from repro.core.stats import BatchTrace, DecodeStats
     from repro.fpga.pipeline import FPGAPipeline, PipelineConfig
 
     for label, scenario in golden["scenarios"].items():
         n = scenario["n_antennas"]
         rec = scenario["detectors"]["sd"]["per_frame"][0]
-        stats = DecodeStats(
-            batches=[
-                BatchEvent(level=lv, pool_size=ps) for lv, ps in rec["batches"]
-            ]
-        )
+        stats = DecodeStats(batches=BatchTrace.from_events(rec["batches"]))
         pipe = FPGAPipeline(
             PipelineConfig.optimized(4), n_tx=n, n_rx=n, order=4
         )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.detectors.base import BatchEvent, DecodeStats
+from repro.detectors.base import BatchTrace, DecodeStats
 from repro.perfmodel import (
     CPU_DEFAULTS,
     GPU_DEFAULTS,
@@ -24,7 +24,7 @@ def stats_with(batches=10, generated=40, flops=1000):
         nodes_generated=generated,
         gemm_calls=batches,
         gemm_flops=flops,
-        batches=[BatchEvent(0, 1)] * batches,
+        batches=BatchTrace([0] * batches, [1] * batches),
     )
 
 

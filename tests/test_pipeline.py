@@ -2,12 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from repro.core.radius import NoiseScaledRadius
 from repro.core.sphere_decoder import SphereDecoder
-from repro.detectors.base import BatchEvent, DecodeStats
+from repro.detectors.base import BatchEvent, BatchTrace, DecodeStats
 from repro.fpga.device import AlveoU280
-from repro.fpga.pipeline import FPGAPipeline, PipelineConfig
+from repro.fpga.pipeline import (
+    OVERHEAD_BUCKETS,
+    PIPELINE_STAGES,
+    FPGAPipeline,
+    PipelineConfig,
+)
 from repro.mimo.system import MIMOSystem
 
 
@@ -297,7 +304,7 @@ class TestStageBreakdownProperty:
             nodes_expanded=depth,
             nodes_generated=sum(b.pool_size for b in batches),
             radius_updates=int(rng.integers(0, 20)),
-            batches=batches,
+            batches=BatchTrace.from_events(batches),
         )
 
     @pytest.mark.parametrize("seed", range(20))
@@ -327,3 +334,90 @@ class TestStageBreakdownProperty:
                 config, n_tx=6, n_rx=6, order=order
             ).decode_report(stats)
             assert sum(report.stage_breakdown().values()) == report.total_cycles
+
+
+def _replay_reference(pipe, stats):
+    """``(total, breakdown, attributed)`` by per-event replay.
+
+    Sums :meth:`FPGAPipeline.batch_cycles` / ``batch_attribution`` over
+    every event, then adds the radius, setup and transfer terms, with
+    the key order the report has always had.
+    """
+    cfg = pipe.config
+    breakdown = dict.fromkeys(
+        ("branch", "prefetch", "gemm", "evaluate", "norm", "prune", "control"), 0
+    )
+    attributed = dict.fromkeys(PIPELINE_STAGES + OVERHEAD_BUCKETS, 0)
+    total = 0
+    for event in stats.batches:
+        cycles = pipe.batch_cycles(event)
+        total += cycles.pop("total")
+        for key, value in cycles.items():
+            breakdown[key] += value
+        for key, value in pipe.batch_attribution(event).items():
+            attributed[key] += value
+    for bucket, value in (
+        ("radius", stats.radius_updates * cfg.radius_update_cycles),
+        ("setup", cfg.setup_cycles),
+        ("transfer", pipe.transfer_cycles()),
+    ):
+        breakdown[bucket] = value
+        attributed[bucket] = value
+        total += value
+    return total, breakdown, attributed
+
+
+@hst.composite
+def _traces(draw):
+    """``(n_tx, events, radius_updates, bad_at)`` for one random decode."""
+    n_tx = draw(hst.integers(min_value=4, max_value=20))
+    events = draw(
+        hst.lists(
+            hst.tuples(
+                hst.integers(min_value=0, max_value=n_tx - 1),
+                hst.integers(min_value=1, max_value=64),
+            ),
+            min_size=1,
+            max_size=400,
+        )
+    )
+    radius = draw(hst.integers(min_value=0, max_value=50))
+    bad_at = draw(hst.integers(min_value=0, max_value=len(events)))
+    return n_tx, events, radius, bad_at
+
+
+class TestTablePricing:
+    """decode_report prices each distinct (level, pool) once from a
+    table; the report must equal per-event replay exactly."""
+
+    @pytest.mark.parametrize("order", [4, 16])
+    @pytest.mark.parametrize("norm_kind", ["mac", "compare"])
+    @pytest.mark.parametrize("preset", ["baseline", "optimized"])
+    @given(case=_traces())
+    @settings(max_examples=25, deadline=None)
+    def test_equals_per_event_replay(self, preset, norm_kind, order, case):
+        n_tx, events, radius, bad_at = case
+        config = getattr(PipelineConfig, preset)(order, norm_kind=norm_kind)
+        pipe = FPGAPipeline(config, n_tx=n_tx, n_rx=n_tx, order=order)
+        stats = DecodeStats(
+            radius_updates=radius, batches=BatchTrace.from_events(events)
+        )
+        total, breakdown, attributed = _replay_reference(pipe, stats)
+        for _ in range(2):  # the second pass prices from the filled table
+            report = pipe.decode_report(stats)
+            assert report.total_cycles == total
+            assert list(report.breakdown.items()) == list(breakdown.items())
+            assert list(report.attributed.items()) == list(attributed.items())
+            assert report.batches == len(events)
+        with pytest.raises(ValueError):
+            pipe.decode_report(DecodeStats())
+        # Invalid events raise even once the table holds valid rows, and
+        # stay rejected on a second try (a rejected key is never cached).
+        for bad in ((n_tx, 1), (-1, 1), (events[0][0], 0)):
+            poisoned = events[:bad_at] + [bad] + events[bad_at:]
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    pipe.decode_report(
+                        DecodeStats(batches=BatchTrace.from_events(poisoned))
+                    )
+        assert pipe.decode_report(stats).total_cycles == total

@@ -8,9 +8,9 @@ The registry's contract (see ``repro.detectors.registry``):
   across a real ``ProcessPoolExecutor`` — and the rebuilt spec produces
   a detector whose ``detect()`` output is bit-identical to direct
   construction.
-- Every entry flagged ``fpga_replayable`` emits a BatchEvent trace the
-  FPGA pipeline simulator accepts, with the per-stage cycle breakdown
-  summing exactly to the total.
+- Every entry flagged ``fpga_replayable`` emits a batch trace the FPGA
+  pipeline simulator accepts, with the per-stage cycle breakdown summing
+  exactly to the total, and one trace event per GEMM call.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class TestFpgaReplay:
         result = _decode(spec(kind, const)(), frame)
         stats = result.stats
         assert stats is not None
-        assert stats.batches, f"{kind} produced no BatchEvent trace"
+        assert stats.batches, f"{kind} produced no batch trace"
         if detector_entry(kind).lattice != "complex":
             # Real-lattice representations search a 2M-level tree over
             # the per-dimension PAM alphabet.
@@ -142,6 +142,30 @@ class TestFpgaReplay:
         report = pipe.decode_report(stats)
         breakdown = report.stage_breakdown()
         assert sum(breakdown.values()) == report.total_cycles
+
+    @pytest.mark.parametrize("snr_db", [2.0, 8.0, 14.0])
+    @pytest.mark.parametrize(
+        "kind",
+        [e.kind for e in detector_entries() if e.fpga_replayable],
+    )
+    def test_one_gemm_call_per_trace_event(self, kind, snr_db):
+        # The CPU/GPU models charge one dispatch per GEMM call; that is
+        # the trace length whenever a trace is recorded.
+        system = MIMOSystem(N_ANT, N_ANT, "4qam")
+        rng = np.random.default_rng(5)
+        frame = system.random_frame(snr_db, rng)
+        other = system.random_frame(snr_db, rng, channel=frame.channel)
+        detector = spec(kind, system.constellation)()
+        detector.prepare(frame.channel, noise_var=frame.noise_var)
+        results = [detector.detect(f.received) for f in (frame, other)]
+        if detector_entry(kind).batch:
+            results += detector.decode_batch(
+                np.stack([frame.received, other.received])
+            )
+        for result in results:
+            stats = result.stats
+            assert len(stats.batches) > 0
+            assert stats.gemm_calls == len(stats.batches), kind
 
     @pytest.mark.parametrize("kind", ["kbest", "fsd"])
     def test_sweep_decoders_batch_matches_sequential(self, kind):

@@ -140,4 +140,4 @@ class TestContract:
         system = MIMOSystem(4, 4, "4qam")
         decoder = GemmBfsDecoder(system.constellation, record_trace=False)
         _, bfs, _ = run_pair(system, decoder, 10.0, 0)
-        assert bfs.stats.batches == []
+        assert len(bfs.stats.batches) == 0
