@@ -89,7 +89,6 @@ import numpy as np
 from repro.core.gemm import FLOPS_PER_CMAC, ChannelKernel
 from repro.core.radius import babai_point
 from repro.core.traversal import BestFirstPolicy, DfsPolicy, TraversalEngine
-from repro.obs.tracer import NULL_TRACER
 from repro.util.validation import check_in, check_vector
 
 __all__ = [
@@ -712,27 +711,13 @@ def warmup_kernels() -> None:
 # ----------------------------------------------------------------------
 
 
-class _CompiledBatchBackend:
-    """Backend facade returned by the compiled ``solve_batch``.
-
-    The compiled engine decodes batch frames sequentially (each frame's
-    whole search is one fused kernel; there is no cross-frame GEMM to
-    fuse), so ``fused_gemm_calls`` reports the summed per-frame kernel
-    batch count — the per-frame ``DecodeStats`` stay bit-identical to
-    per-frame :meth:`solve`.
-    """
-
-    def __init__(self, fused_gemm_calls: int) -> None:
-        self.fused_gemm_calls = fused_gemm_calls
-
-
 class CompiledTraversalEngine(TraversalEngine):
     """Drop-in :class:`TraversalEngine` running fused nopython searches.
 
     The pooled policies (:class:`BestFirstPolicy`, :class:`DfsPolicy`)
     under the ℓ₂/ℓ∞ metrics run through :func:`_best_first_kernel` /
     :func:`_dfs_kernel`; everything else — the level-synchronous sweep
-    policies (BFS/K-best/FSD), custom metrics, explicit backends —
+    policies (BFS/K-best/FSD), Best-FS under a custom metric —
     delegates to the inherited NumPy path, whose per-level frontier
     sweeps are already vectorised GEMMs with negligible per-node Python
     work (the honest JIT boundary: only the interpreter-bound loop is
@@ -754,34 +739,16 @@ class CompiledTraversalEngine(TraversalEngine):
             return None
         return policy
 
-    def solve(self, r, ybar, noise_var, stats, tracer, backend=None, *, kernel=None):
+    def solve(self, r, ybar, noise_var, stats, tracer, *, kernel=None):
         policy = self._fused_policy()
-        if policy is None or backend is not None:
-            return super().solve(
-                r, ybar, noise_var, stats, tracer, backend, kernel=kernel
-            )
+        if policy is None:
+            return super().solve(r, ybar, noise_var, stats, tracer, kernel=kernel)
         return self._solve_fused(policy, r, ybar, noise_var, stats, tracer, kernel)
 
-    def solve_batch(self, r, ybars, noise_var, stats_list, backend=None, *, kernel=None):
-        policy = self._fused_policy()
-        if policy is None or backend is not None:
-            return super().solve_batch(
-                r, ybars, noise_var, stats_list, backend, kernel=kernel
-            )
-        # Sequential per-frame fused solves: bit-identical to per-frame
-        # ``solve`` (the documented decode_batch contract), each frame's
-        # kernel time attributed to its own stats (no even split needed).
-        outcomes = [
-            self._solve_fused(
-                policy, r, ybars[f], noise_var, stats_list[f], NULL_TRACER,
-                kernel,
-            )
-            for f in range(ybars.shape[0])
-        ]
-        backend = _CompiledBatchBackend(
-            sum(st.gemm_calls for st in stats_list)
-        )
-        return outcomes, backend
+    def _frame_by_frame(self) -> bool:
+        # Each frame's whole search is one fused kernel call; there is
+        # no cross-frame GEMM to fuse.
+        return self._fused_policy() is not None or super()._frame_by_frame()
 
     # ------------------------------------------------------------------
 

@@ -92,9 +92,15 @@ class ChannelKernel:
     The kernel also pins the partial-distance ``metric`` the channel was
     prepared for (default ℓ₂): evaluators built on the kernel inherit
     it, and requesting a different metric from the same kernel raises.
+
+    :meth:`scalar_tables` hands the scalar DFS loop the same tables as
+    Python lists, built on first use and kept for the block.
     """
 
-    __slots__ = ("n_tx", "r", "constellation", "diag_points", "rows", "metric")
+    __slots__ = (
+        "n_tx", "r", "constellation", "diag_points", "rows", "metric",
+        "_scalar_tables",
+    )
 
     def __init__(
         self,
@@ -117,6 +123,24 @@ class ChannelKernel:
             [self.r[k, k] * points for k in range(self.n_tx)]
         )  # (M, P)
         self.rows = [self.r[k, k + 1 :] for k in range(self.n_tx)]
+        self._scalar_tables = None
+
+    def scalar_tables(self) -> tuple[list, list, list]:
+        """``(points, rows, diag_points)`` as lists of Python complexes.
+
+        ``.tolist()`` copies of the arrays the evaluators index, so the
+        scalar DFS loop sees the same values without per-node NumPy
+        dispatch. The points are cast to complex128 first, exactly as
+        :func:`_stacked_gemv` casts real PAM points inside ``einsum``.
+        """
+        tables = self._scalar_tables
+        if tables is None:
+            tables = self._scalar_tables = (
+                self.constellation.points.astype(np.complex128).tolist(),
+                [row.tolist() for row in self.rows],
+                self.diag_points.tolist(),
+            )
+        return tables
 
 
 class GemmEvaluator:

@@ -1,11 +1,11 @@
 """Lockstep scheduling of concurrent frame searches over fused GEMMs.
 
-The tree-search detectors express their traversal as *search
-generators*: plain Python generators that yield an :class:`ExpandRequest`
-whenever they need child partial distances and receive the ``(B, P)``
-result back at the ``yield``. The search logic (pruning, incumbent
-updates, stats accounting) lives entirely inside the generator; *who*
-evaluates the GEMM is the driver's choice:
+The pooled tree searches — Best-FS, BFS, K-best and FSD — express their
+traversal as *search generators*: plain Python generators that yield an
+:class:`ExpandRequest` whenever they need child partial distances and
+receive the ``(B, P)`` result back at the ``yield``. The search logic
+(pruning, incumbent updates, stats accounting) lives entirely inside the
+generator; *who* evaluates the GEMM is the driver's choice:
 
 * :func:`drive_serial` — one frame, one
   :class:`~repro.core.gemm.GemmEvaluator`; reproduces the classic
@@ -18,6 +18,10 @@ evaluates the GEMM is the driver's choice:
   sees bit-identical child PDs — rows of the fused product are the
   same independent dot products the serial evaluator computes — so
   batched decoding never changes a decode result or a node count.
+
+Sorted DFS is not a generator client: its expansions are single nodes,
+so :class:`~repro.core.traversal.DfsPolicy` computes its own partial
+distances in a scalar loop and its batches decode frame by frame.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ is just a row number. Consequences:
   write (:meth:`append_children`) instead of a per-child Python loop;
 * the ``(B, d)`` parent-index operand of a GEMM is a row selection of
   the path matrix (:meth:`path_block`) — a zero-copy view when the rows
-  are contiguous (always true for DFS single-node expansion), one
-  vectorised gather otherwise;
+  are contiguous (single-node pools, freshly admitted sibling blocks),
+  one vectorised gather otherwise;
 * growth doubles the arrays and preserves live rows, so pool identity
   (row numbers) is stable for the lifetime of a search.
 
@@ -135,7 +135,7 @@ class NodePool:
 
     def append_children(
         self,
-        parent_rows: np.ndarray | int,
+        parent_rows: np.ndarray,
         child_cols: np.ndarray,
         child_pds: np.ndarray,
         level: int,
@@ -145,8 +145,7 @@ class NodePool:
         Parameters
         ----------
         parent_rows:
-            ``(K,)`` parent row per child (repeats allowed), or one
-            scalar row shared by every child (DFS single-node pools).
+            ``(K,)`` parent row per child (repeats allowed).
         child_cols:
             ``(K,)`` constellation index each child assigns.
         child_pds:

@@ -124,7 +124,8 @@ class DecodeStats:
     max_list_size: int = field(default=0, metadata={"merge": "max"})
     wall_time_s: float = 0.0
     #: Seconds spent inside the evaluator's GEMM + NORM arithmetic
-    #: (:meth:`repro.core.gemm.GemmEvaluator.expand_unchecked`); the
+    #: (:meth:`repro.core.gemm.GemmEvaluator.expand_unchecked`, or the
+    #: child-PD arithmetic of the scalar DFS loop); the
     #: rest of ``wall_time_s`` is host-side search bookkeeping. Under
     #: fused batch decoding the shared GEMM time is split evenly across
     #: the batch's frames, mirroring ``wall_time_s``. Under the compiled

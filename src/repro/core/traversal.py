@@ -6,15 +6,13 @@ because *what to expand next* is separable from *how partial distances
 are evaluated*. This module is that separation made concrete:
 
 ``TraversalPolicy``
-    What to expand next. Each policy is a search **generator** over the
-    :class:`~repro.core.lockstep.ExpandRequest` protocol: it yields
-    same-level node pools and receives the ``(B, P)`` child partial
-    distances, never touching an evaluator directly.
+    What to expand next. The pooled policies are search **generators**
+    over the :class:`~repro.core.lockstep.ExpandRequest` protocol: they
+    yield same-level node pools and receive the ``(B, P)`` child
+    partial distances, never touching an evaluator directly.
 
     * :class:`BestFirstPolicy` — global priority queue on PD with
       same-level pooling (the paper's Best-FS, Alg. 1).
-    * :class:`DfsPolicy` — LIFO with PD-sorted child insertion (the
-      sorted-DFS of Fig. 3; pool size 1 recovers Geosphere's schedule).
     * :class:`BfsPolicy` — level-synchronous frontier sweep (the
       GPU baseline of Arfaoui et al., one GEMM per level).
     * :class:`KBestPolicy` — breadth-first with K survivors per level
@@ -22,14 +20,23 @@ are evaluated*. This module is that separation made concrete:
     * :class:`FsdPolicy` — fixed-complexity schedule: full enumeration
       on ``rho`` levels, single-best-child SIC below (not exact).
 
+    :class:`DfsPolicy` — LIFO with PD-sorted child insertion, the
+    sorted DFS of Fig. 3 — stands outside the protocol. Its expansions
+    are single nodes, too small to amortise a request, a GEMM call and
+    an ``argsort``, so it evaluates its own partial distances in one
+    scalar loop over Python lists with the evaluators' order of
+    operations, bit-identical to them.
+
 ``ScalarGemvBackend`` / ``FusedGemmBackend``
-    How child PDs are computed. The scalar backend drives one frame's
-    generator serially against a :class:`~repro.core.gemm.GemmEvaluator`;
-    the fused backend runs many frames' generators in lockstep against a
+    How the generators' child PDs are computed. The scalar backend
+    drives one frame's generator serially against a
+    :class:`~repro.core.gemm.GemmEvaluator`; the fused backend runs many
+    frames' generators in lockstep against a
     :class:`~repro.core.gemm.BatchedGemmEvaluator`, stacking same-level
     pools across frames into single BLAS-3 calls. Both produce
-    bit-identical child PDs (shared ``_stacked_gemv`` kernel), so every
-    policy gets cross-frame batch decoding for free.
+    bit-identical child PDs (shared ``_stacked_gemv`` kernel), so
+    Best-FS, BFS, K-best and FSD get cross-frame batch decoding for
+    free. DFS batches decode frame by frame, with identical results.
 
 ``TraversalEngine``
     Binds a constellation, a policy and a radius policy. The detector
@@ -38,42 +45,48 @@ are evaluated*. This module is that separation made concrete:
     :class:`~repro.core.stats.BatchTrace` the FPGA pipeline
     simulator prices.
 
-Frontier storage is the structure-of-arrays
+Best-FS frontier storage is the structure-of-arrays
 :class:`~repro.core.nodepool.NodePool`: nodes are rows of preallocated
 PD/seq/level vectors and one ``(capacity, M)`` path matrix, child
 admission is a single masked bulk append per expansion, and a pool's
 ``(B, d)`` GEMM operand is a row block of the path matrix instead of a
 per-node ``fromiter`` rebuild. The best-first heap and the DFS stack
-hold scalar ``(pd, seq/row)`` entries ordered exactly like the legacy
+hold scalar ``(pd, row)`` entries ordered exactly like the legacy
 per-node tuples, so every decode remains bit-identical to the object
 model (``tests/test_nodepool.py`` checks against recorded outputs).
 
 Exactness of the best-first / DFS policies is property-tested against
 brute force in ``tests/test_sphere_decoder_exactness.py``; equivalence
-of the scalar and fused backends in ``tests/test_parallel_mc.py``.
+of the scalar and fused backends in ``tests/test_parallel_mc.py``, and
+of the DFS loop and the compiled DFS kernel in
+``tests/test_compiled_engine.py``.
 """
 
 from __future__ import annotations
 
 import abc
 import heapq
+from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.enumeration import CHILD_ORDERS, child_order
+from repro.core.enumeration import CHILD_ORDERS
 from repro.core.gemm import (
     FLOPS_PER_CMAC,
     BatchedGemmEvaluator,
+    ChannelKernel,
     GemmEvaluator,
+    _check_metric_match,
 )
 from repro.core.lockstep import ExpandRequest, drive_lockstep, drive_serial
-from repro.core.metric import resolve_metric
+from repro.core.metric import L2SquaredMetric, LInfinityMetric, resolve_metric
 from repro.core.nodepool import NodePool, extend_paths
 from repro.core.radius import babai_point
 from repro.core.stats import DecodeStats
 from repro.obs.log import get_logger
 from repro.obs.tracer import NULL_TRACER
-from repro.util.validation import check_in, check_positive_int
+from repro.util.validation import check_in, check_positive_int, check_vector
 
 _log = get_logger(__name__)
 
@@ -201,6 +214,11 @@ class _PooledTreePolicy(TraversalPolicy):
     sphere is empty — abandoned once the node cap truncates a search,
     since a larger radius can only expand the workload — and a Babai
     fallback when every escalation came back empty.
+
+    Best-FS rounds yield :class:`ExpandRequest`s through this shell;
+    DFS rounds evaluate their own partial distances and return without
+    yielding, so :class:`TraversalEngine` runs a DFS ``solve_gen`` to
+    its return value in one step.
     """
 
     #: Strategy label used in ``sd.solve`` span args and detector attrs.
@@ -217,7 +235,12 @@ class _PooledTreePolicy(TraversalPolicy):
             None if max_nodes is None else check_positive_int(max_nodes, "max_nodes")
         )
 
-    def solve_gen(self, engine, r, ybar, noise_var, stats, tracer):
+    def solve_gen(self, engine, r, ybar, noise_var, stats, tracer, frame=None):
+        """The radius shell; ``frame`` is passed through to ``_search``.
+
+        ``frame`` carries the per-frame scalar inputs of a search that
+        evaluates its own partial distances (DFS), ``None`` otherwise.
+        """
         n_tx = int(r.shape[1])
         acc = engine.level_acc
         if acc is not None:
@@ -236,7 +259,7 @@ class _PooledTreePolicy(TraversalPolicy):
             while True:
                 with tracer.span("sd.search", bound=bound):
                     incumbent, bound = yield from self._search(
-                        engine, n_tx, bound, incumbent, stats, tracer
+                        engine, frame, n_tx, bound, incumbent, stats, tracer
                     )
                 if incumbent is not None or not engine.radius_policy.can_escalate():
                     break
@@ -260,7 +283,7 @@ class _PooledTreePolicy(TraversalPolicy):
         return np.asarray(incumbent), float(bound)
 
     @abc.abstractmethod
-    def _search(self, engine, n_tx, bound, incumbent, stats, tracer):
+    def _search(self, engine, frame, n_tx, bound, incumbent, stats, tracer):
         """One full tree exploration under the given initial bound.
 
         Generator (driven via ``yield from``); returns the best complete
@@ -295,11 +318,11 @@ class _PooledTreePolicy(TraversalPolicy):
             hook(level, b)
 
     @staticmethod
-    def _accept_leaves(pool, rows, child_pds, bound, incumbent, stats, acc=None):
+    def _accept_leaves(pool, rows, child_pds, bound, incumbent, stats, acc):
         """Fold a batch of leaf evaluations into the incumbent/bound.
 
         ``rows`` indexes the level-0 parents in the :class:`NodePool`;
-        ``acc`` is the engine's optional per-level accumulator (prunes
+        ``acc`` is the engine's per-level accumulator or ``None`` (prunes
         here are level-0 prunes).
         """
         in_sphere = child_pds < bound
@@ -340,7 +363,7 @@ class BestFirstPolicy(_PooledTreePolicy):
         super().__init__(max_nodes=max_nodes)
         self.pool_size = check_positive_int(pool_size, "pool_size")
 
-    def _search(self, engine, n_tx, bound, incumbent, stats, tracer):
+    def _search(self, engine, frame, n_tx, bound, incumbent, stats, tracer):
         pool = NodePool(n_tx)
         root = pool.append_root()
         # Scalar heap entries (pd, pool row): the pool numbers rows in
@@ -406,6 +429,18 @@ class BestFirstPolicy(_PooledTreePolicy):
 class DfsPolicy(_PooledTreePolicy):
     """Depth-first with per-level PD-sorted child insertion (Fig. 3).
 
+    Unlike the other policies, DFS evaluates its own partial distances:
+    every expansion is a single node whose work is at most ``n_tx - 1``
+    complex MACs plus ``P`` norms, far too little to amortise an
+    :class:`ExpandRequest`, an ``einsum`` and an ``argsort``. Its search
+    is one scalar loop over Python lists, floats and complexes fed by
+    :meth:`ChannelKernel.scalar_tables`, whose arithmetic follows
+    :func:`repro.core.compiled._dfs_kernel` statement for statement (the
+    same order of operations as the evaluators), so every decision,
+    metric, counter and trace is bit-identical to the GEMM path.
+    :class:`TraversalEngine` runs it frame by frame for ``solve`` and
+    ``solve_batch`` alike; only the ℓ₂ and ℓ∞ metrics are supported.
+
     Parameters
     ----------
     child_ordering:
@@ -426,102 +461,159 @@ class DfsPolicy(_PooledTreePolicy):
             child_ordering, "child_ordering", CHILD_ORDERS
         )
 
-    def _search(self, engine, n_tx, bound, incumbent, stats, tracer):
-        pool = NodePool(n_tx)
-        root = pool.append_root()
-        # LIFO entries (pd, pool row): the pop-time prune needs only the
-        # PD scalar; everything else lives in the pool's arrays.
-        stack: list[tuple[float, int]] = [(0.0, root)]
-        p = engine.constellation.order
-        acc = engine.level_acc
-        # Per-level accounting costs more than the search itself when
-        # done per node (pops outnumber expansions ~3:1): stash only the
-        # pop-pruned rows and rebuild every per-level row from the pool
-        # in one vectorized pass at the end (see _fold_levels).
-        pruned_rows: list[int] | None = [] if acc is not None else None
-        leaves_before = stats.leaves_reached
+    def _search(self, engine, frame, n_tx, bound, incumbent, stats, tracer):
+        """One DFS round; returns without yielding (see the shell).
+
+        ``frame`` is ``(points, rows, diag_points, ybar)`` as Python
+        lists. Nodes are rows of two lists, ``lv`` (the level their
+        children assign) and ``paths`` (root-first index tuples); the
+        LIFO holds ``(pd, row)``. Counters stay in locals and fold into
+        ``stats`` once, after the loop.
+        """
+        pts, rows, diag, ybar = frame
+        p = len(pts)
+        linf = type(engine.metric) is LInfinityMetric
+        natural = self.child_ordering == "natural"
+        children = range(p)
+        hook = engine.expand_hook
+        cap = (
+            None if self.max_nodes is None
+            else self.max_nodes - stats.nodes_expanded
+        )
+        perf = perf_counter
+        lv = [n_tx - 1]
+        paths = [()]
+        stack = [(0.0, 0)]
+        levels: list[int] = []  # level of every expansion, in order
+        radii: list[float] = []
+        pruned = leaves = cmacs = max_list = truncated = 0
+        gemm_s = 0.0
+        best = None  # (row, child) of the best leaf this round
         while stack:
-            node_pd, row = stack.pop()
-            if node_pd >= bound:
-                # Generated inside an older, looser sphere; the radius has
-                # shrunk since — prune on pop.
-                stats.nodes_pruned += 1
-                if pruned_rows is not None:
-                    pruned_rows.append(row)
+            pd, row = stack.pop()
+            if pd >= bound:
+                # Admitted inside an older, looser sphere — prune on pop.
+                pruned += 1
                 continue
-            level = int(pool.level[row])
-            rows_arr = np.asarray([row], dtype=np.int64)
-            depth = n_tx - 1 - level
-            child_pds = yield ExpandRequest(
-                level,
-                pool.path_block(rows_arr, depth),
-                pool.pd_block(rows_arr),
-            )
-            self._account_expansion(engine, level, 1, depth, p, stats)
-            if level == 0:
-                incumbent, bound = self._accept_leaves(
-                    pool, rows_arr, child_pds, bound, incumbent, stats
-                )
+            k = lv[row]
+            path = paths[row]
+            t0 = perf()
+            if path:
+                # einsum order: zero start, ascending levels k+1 .. M-1.
+                acc = 0j
+                for s, rkj in zip(reversed(path), rows[k]):
+                    acc = acc + pts[s] * rkj
+                u = ybar[k] - acc
             else:
-                pds = child_pds[0]
-                order = child_order(pds, self.child_ordering)
-                mask = pds < bound
-                # Push worst-first so the best child is on top of the LIFO
-                # (the sorted insertion of Fig. 3): filter the reversed
-                # enumeration order by the admission mask in one step.
-                push = order[::-1]
-                push = push[mask[push]]
-                stats.nodes_pruned += mask.size - push.size
-                if push.size:
-                    survivors = pds[push]
-                    new_rows = pool.append_children(
-                        row, push, survivors, level - 1
-                    )
-                    stack.extend(zip(survivors.tolist(), new_rows.tolist()))
-                stats.max_list_size = max(stats.max_list_size, len(stack))
-            if self.max_nodes is not None and stats.nodes_expanded >= self.max_nodes:
-                stats.truncated += 1
+                u = ybar[k]
+            child = []
+            if linf:
+                for dc in diag[k]:
+                    e = u - dc
+                    er = abs(e.real)
+                    ei = abs(e.imag)
+                    inc = er if er > ei else ei
+                    child.append(pd if pd > inc else inc)
+            else:
+                for dc in diag[k]:
+                    e = u - dc
+                    er = e.real
+                    ei = e.imag
+                    child.append(pd + (er * er + ei * ei))
+            gemm_s += perf() - t0
+            levels.append(k)
+            cmacs += len(path)
+            if hook is not None:
+                hook(k, 1)
+            if k == 0:
+                # Leaves: first strict minimum, as np.argmin.
+                v_best = child[0]
+                c_best = 0
+                n_in = 0
+                for c in children:
+                    v = child[c]
+                    if v < bound:
+                        n_in += 1
+                    if v < v_best:
+                        v_best = v
+                        c_best = c
+                leaves += n_in
+                pruned += p - n_in
+                if v_best < bound:
+                    bound = v_best
+                    best = (row, c_best)
+                    radii.append(bound)
+            else:
+                # Push worst-first so the best child tops the LIFO.
+                order = (
+                    children if natural
+                    else sorted(children, key=child.__getitem__)
+                )
+                before = len(stack)
+                k -= 1
+                for c in reversed(order):
+                    v = child[c]
+                    if v < bound:
+                        stack.append((v, len(lv)))
+                        lv.append(k)
+                        paths.append(path + (c,))
+                pruned += p - (len(stack) - before)
+                if len(stack) > max_list:
+                    max_list = len(stack)
+            if cap is not None and len(levels) >= cap:
+                truncated = 1
                 break
-        if acc is not None:
+        n = len(levels)
+        stats.nodes_expanded += n
+        stats.nodes_generated += n * p
+        stats.gemm_calls += n
+        stats.gemm_flops += (
+            FLOPS_PER_CMAC * cmacs + engine.metric.flops_per_norm * n * p
+        )
+        stats.nodes_pruned += pruned
+        stats.leaves_reached += leaves
+        stats.radius_updates += len(radii)
+        stats.radius_trace += radii
+        stats.max_list_size = max(stats.max_list_size, max_list)
+        stats.truncated += truncated
+        stats.gemm_time_s += gemm_s
+        if engine.record_trace:
+            stats.batches.extend(levels, [1] * n)
+        if engine.level_acc is not None:
             self._fold_levels(
-                acc, pool, stack, pruned_rows, p, n_tx,
-                stats.leaves_reached - leaves_before,
+                engine.level_acc, lv, levels, stack, p, n_tx, leaves
             )
+        if best is not None:
+            row, c = best
+            incumbent = np.array((c,) + paths[row][::-1], dtype=np.int64)
         return incumbent, bound
+        yield  # unreachable: makes this a generator for the shared shell
 
     @staticmethod
-    def _fold_levels(acc, pool, stack, pruned_rows, order, n_tx, leaves):
-        """Rebuild this search's per-level accumulator rows from the pool.
+    def _fold_levels(acc, lv, levels, stack, order, n_tx, leaves):
+        """Fold one search's per-level rows into the accumulator.
 
-        Every admitted row is exactly one of: pop-pruned
-        (``pruned_rows``), still on ``stack`` (node-cap truncation), or
-        expanded — so per-level expansion counts are three ``bincount``
-        calls, not a list increment per node. Derived rows follow:
-        expansions equal nodes (single-node pools), children admitted at
+        ``lv`` holds the level of every admitted node and ``levels`` that
+        of every expansion. Each admitted node was expanded, pruned on
+        pop or is still on ``stack`` (node-cap truncation), so pop
+        prunes per level are admitted minus expanded minus waiting: no
+        per-node accounting in the loop. Children admitted at
         ``level - 1`` all come from expansions at ``level`` (the root is
         at ``n_tx - 1``, never a child), and level-0 expansions send
-        their ``order`` children to leaf acceptance instead of the pool,
-        ``leaves`` of which survived. Totals match the per-expansion
-        accounting this replaces exactly.
+        their ``order`` children to leaf acceptance instead, ``leaves``
+        of which survived. Totals match per-expansion accounting exactly.
         """
-        lv = pool.level[: pool.size]
-        total = np.bincount(lv, minlength=n_tx)
-        unexpanded = np.zeros(n_tx, dtype=np.int64)
-        if pruned_rows:
-            pop_pruned = np.bincount(
-                lv[np.asarray(pruned_rows, dtype=np.int64)], minlength=n_tx
-            )
-            unexpanded += pop_pruned
-            pops = pop_pruned.tolist()
-        else:
-            pops = [0] * n_tx
-        if stack:
-            rows = np.fromiter(
-                (row for _pd, row in stack), dtype=np.int64, count=len(stack)
-            )
-            unexpanded += np.bincount(lv[rows], minlength=n_tx)
-        expanded = (total - unexpanded).tolist()
-        admitted = total.tolist()
+        admitted = np.bincount(lv, minlength=n_tx)
+        expanded = np.bincount(
+            np.asarray(levels, dtype=np.int64), minlength=n_tx
+        )
+        waiting = np.bincount(
+            np.asarray([lv[row] for _pd, row in stack], dtype=np.int64),
+            minlength=n_tx,
+        )
+        pops = (admitted - expanded - waiting).tolist()
+        admitted = admitted.tolist()
+        expanded = expanded.tolist()
         nodes, exps, pruned = acc.nodes, acc.exps, acc.pruned
         for level in range(n_tx):
             e = expanded[level]
@@ -809,6 +901,16 @@ class FusedGemmBackend:
         return outcomes
 
 
+class SerialBatch(NamedTuple):
+    """What :meth:`TraversalEngine.solve_batch` returns for per-frame decodes.
+
+    Frames decoded one after another share no GEMM, so
+    ``fused_gemm_calls`` is the sum of their per-frame ``gemm_calls``.
+    """
+
+    fused_gemm_calls: int
+
+
 def build_engine(
     engine: str,
     constellation,
@@ -867,7 +969,8 @@ class TraversalEngine:
         :class:`~repro.core.metric.PartialDistanceMetric`); ``None``
         selects the ℓ₂ reference. Threaded to the evaluators, the flop
         accounting and the radius policy, so every traversal policy
-        composes with every metric.
+        composes with every metric — except DFS, whose scalar loop
+        implements ℓ₂ and ℓ∞ only (any other metric raises).
     record_trace:
         Keep the per-expansion :class:`BatchTrace` in the stats.
 
@@ -892,6 +995,13 @@ class TraversalEngine:
         self.policy = policy
         self.radius_policy = radius_policy
         self.metric = resolve_metric(metric)
+        if isinstance(policy, DfsPolicy) and type(self.metric) not in (
+            L2SquaredMetric, LInfinityMetric,
+        ):
+            raise ValueError(
+                "the DFS loop supports the 'l2' and 'linf' metrics, got "
+                f"{self.metric.name!r}"
+            )
         self.record_trace = record_trace
         #: Optional per-level traversal accumulator (see class docstring).
         self.level_acc: LevelAccumulator | None = None
@@ -904,25 +1014,67 @@ class TraversalEngine:
         """The policy's search generator for one frame (see lockstep)."""
         return self.policy.solve_gen(self, r, ybar, noise_var, stats, tracer)
 
-    def solve(self, r, ybar, noise_var, stats, tracer, backend=None, *, kernel=None):
+    def solve(self, r, ybar, noise_var, stats, tracer, *, kernel=None):
         """Solve one pre-triangularised frame; returns (indices, metric).
 
         ``kernel`` is an optional prebuilt
         :class:`~repro.core.gemm.ChannelKernel` for ``r`` — pass it when
         decoding many frames against one channel so the R validation and
         per-level precompute run once per block, not once per frame.
+        DFS runs its scalar loop; every other policy runs against a
+        :class:`ScalarGemvBackend`.
         """
-        backend = backend or ScalarGemvBackend()
-        return backend.run(self, r, ybar, noise_var, stats, tracer, kernel=kernel)
+        if not isinstance(self.policy, DfsPolicy):
+            return ScalarGemvBackend().run(
+                self, r, ybar, noise_var, stats, tracer, kernel=kernel
+            )
+        if kernel is None:
+            kernel = ChannelKernel(r, self.constellation, metric=self.metric)
+        _check_metric_match(kernel, self.metric)
+        ybar_c = check_vector(ybar, "ybar", length=kernel.n_tx).astype(
+            np.complex128
+        )
+        frame = (*kernel.scalar_tables(), ybar_c.tolist())
+        search = self.policy.solve_gen(
+            self, r, ybar, noise_var, stats, tracer, frame
+        )
+        try:
+            next(search)
+        except StopIteration as done:
+            return done.value
+        raise AssertionError("a DFS round yielded an ExpandRequest")
 
-    def solve_batch(self, r, ybars, noise_var, stats_list, backend=None, *, kernel=None):
-        """Solve ``B`` frames with cross-frame fused GEMMs.
+    def solve_batch(self, r, ybars, noise_var, stats_list, *, kernel=None):
+        """Solve ``B`` frames; returns ``(outcomes, backend)``.
 
-        Returns ``(outcomes, backend)`` where ``outcomes[f]`` is frame
-        ``f``'s ``(indices, metric)`` — bit-identical to per-frame
-        :meth:`solve` — and the backend exposes ``fused_gemm_calls``.
+        ``outcomes[f]`` is frame ``f``'s ``(indices, metric)`` —
+        bit-identical to per-frame :meth:`solve` — and the backend
+        exposes ``fused_gemm_calls``. Policies with no cross-frame GEMM
+        to fuse (see :meth:`_frame_by_frame`) decode the frames one by
+        one (a :class:`SerialBatch`); the others stack same-level pools
+        across frames into fused GEMMs (a :class:`FusedGemmBackend`).
         ``kernel`` as in :meth:`solve`.
         """
-        backend = backend or FusedGemmBackend()
-        outcomes = backend.run(self, r, ybars, noise_var, stats_list, kernel=kernel)
-        return outcomes, backend
+        if not self._frame_by_frame():
+            backend = FusedGemmBackend()
+            outcomes = backend.run(
+                self, r, ybars, noise_var, stats_list, kernel=kernel
+            )
+            return outcomes, backend
+        if kernel is None:
+            kernel = ChannelKernel(r, self.constellation, metric=self.metric)
+        outcomes = [
+            self.solve(
+                r, ybars[f], noise_var, stats_list[f], NULL_TRACER, kernel=kernel
+            )
+            for f in range(len(ybars))
+        ]
+        return outcomes, SerialBatch(sum(st.gemm_calls for st in stats_list))
+
+    def _frame_by_frame(self) -> bool:
+        """Whether :meth:`solve_batch` decodes one frame after another.
+
+        True for DFS, whose single-node expansions leave no GEMM to fuse
+        across frames.
+        """
+        return isinstance(self.policy, DfsPolicy)

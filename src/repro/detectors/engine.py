@@ -13,8 +13,9 @@ detectors (:class:`~repro.detectors.sphere.SphereDecoder`,
 :class:`~repro.detectors.fsd.FixedComplexityDecoder`) reduce to a
 policy choice plus a handful of class attributes.
 
-A consequence the registry relies on: every engine detector gets the
-cross-frame fused ``decode_batch`` path and emits the uniform
+A consequence the registry relies on: every engine detector gets
+``decode_batch`` (cross-frame fused GEMMs for the pooled searches,
+frame by frame for sorted DFS) and emits the uniform
 :class:`~repro.core.stats.BatchTrace` the FPGA pipeline simulator
 prices — including K-best and FSD, which previously had neither.
 """
@@ -282,19 +283,22 @@ class EngineDetector(Detector):
         return incumbent, bound, stats
 
     def decode_batch(self, received: np.ndarray) -> list[DetectionResult]:
-        """Decode ``B`` received vectors with cross-frame fused GEMMs.
+        """Decode ``B`` received vectors against the prepared channel.
 
         All rows are decoded against the *prepared* channel (the
         block-fading assumption), so every frame shares the triangular
-        factor and their same-level node pools stack into single
+        factor. For the pooled searches (Best-FS, BFS, K-best, FSD)
+        their same-level node pools stack into single
         :class:`~repro.core.gemm.BatchedGemmEvaluator` calls — the
-        paper's BLAS-2 -> BLAS-3 refactor applied across frames. Each
-        frame's search runs its own unmodified schedule in lockstep
-        (:func:`~repro.core.lockstep.drive_lockstep`), so the returned
-        decisions, metrics and per-frame search statistics are
-        **bit-identical** to calling :meth:`detect` per row; only
-        ``wall_time_s`` differs (the batch's wall time split evenly, as
-        per-frame timing is not separable inside a fused GEMM).
+        paper's BLAS-2 -> BLAS-3 refactor applied across frames — with
+        each frame's search running its own unmodified schedule in
+        lockstep (:func:`~repro.core.lockstep.drive_lockstep`). Sorted
+        DFS has no GEMM to fuse (single-node expansions, evaluated by
+        its scalar loop) and decodes the frames one after another.
+        Either way the returned decisions, metrics and per-frame search
+        statistics are **bit-identical** to calling :meth:`detect` per
+        row; only ``wall_time_s`` differs (the batch's wall time split
+        evenly across its frames).
         """
         self._require_prepared()
         received = np.asarray(received)

@@ -2,11 +2,13 @@
 
 Bit-identity of the fused kernels against the NumPy reference engine is
 covered by the parameterized golden-decode suite (``test_nodepool.py``)
-and the ML-oracle conformance suite (``test_ml_oracle.py``). This module
-tests the machinery *around* the kernels: the ``engine`` axis through
-the registry/CLI, graceful degradation without Numba (single warning,
-numpy fallback), the hard-failure contract for explicit requests, and
-the documented ``gemm_time_s`` semantics under the fused kernels.
+and the ML-oracle conformance suite (``test_ml_oracle.py``), and for
+sorted DFS by a property test here that draws random channels, radius
+policies and node caps. The rest of this module tests the machinery
+*around* the kernels: the ``engine`` axis through the registry/CLI,
+graceful degradation without Numba (single warning, numpy fallback),
+the hard-failure contract for explicit requests, and the documented
+``gemm_time_s`` semantics under the fused kernels.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import compiled
 from repro.core.compiled import (
@@ -31,10 +35,18 @@ from repro.core.compiled import (
     use_engine,
     warmup_kernels,
 )
+from repro.core.radius import (
+    BabaiRadius,
+    FixedRadius,
+    InfiniteRadius,
+    NoiseScaledRadius,
+)
 from repro.core.traversal import TraversalEngine, build_engine
 from repro.detectors.registry import detector_entries, spec
+from repro.detectors.sphere import SphereDecoder
 from repro.mimo.constellation import Constellation
 from repro.mimo.system import MIMOSystem
+from repro.obs.metrics import MetricsRegistry, use_metrics
 
 #: Kinds expected to offer the compiled engine (every EngineDetector
 #: shell kind; ``partitioned`` orchestrates its own PEs and stays numpy).
@@ -94,6 +106,17 @@ class TestEngineSelection:
         assert type(numpy_engine) is TraversalEngine
         compiled_engine = build_engine("compiled", const, BestFirstPolicy())
         assert isinstance(compiled_engine, CompiledTraversalEngine)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_dfs_engine_rejects_other_metrics(self, engine):
+        from repro.core.metric import PartialDistanceMetric
+        from repro.core.traversal import DfsPolicy
+
+        class L1(PartialDistanceMetric):
+            name = "l1"
+
+        with pytest.raises(ValueError, match="'l2' and 'linf'"):
+            build_engine(engine, Constellation.qam(4), DfsPolicy(), metric=L1())
 
     def test_detector_constructor_rejects_unknown_engine(self):
         from repro.detectors.sphere import SphereDecoder
@@ -327,6 +350,138 @@ class TestFusedKernelPath:
 
         assert run("numpy") == run("compiled")
         assert run("compiled")[3] >= 1  # the cap actually bit
+
+
+class _NoEscalationRadius(FixedRadius):
+    """A fixed radius that never grows: an empty sphere falls back to Babai."""
+
+    def can_escalate(self) -> bool:
+        return False
+
+
+#: Radius policies of the DFS cross-check: exact seeds, and tiny radii
+#: that force escalation rounds or the Babai fallback.
+_DFS_RADII = {
+    "babai": BabaiRadius,
+    "infinite": InfiniteRadius,
+    "noise-tiny-alpha": lambda: NoiseScaledRadius(alpha=1e-3),
+    "fixed-tiny": lambda: FixedRadius(radius_sq=1e-4),
+    "fixed-no-escalation": lambda: _NoEscalationRadius(radius_sq=1e-4),
+}
+
+
+def _dfs_run(engine, system, channel, frames, noise_var, config):
+    """Per-frame ``detect`` and one ``decode_batch`` under a live registry.
+
+    Returns every result plus the registry's ``traversal.*`` series.
+    """
+    metrics = MetricsRegistry()
+    with use_metrics(metrics):
+        decoder = SphereDecoder(
+            system.constellation,
+            strategy="dfs",
+            radius_policy=_DFS_RADII[config["radius"]](),
+            child_ordering=config["child_ordering"],
+            max_nodes=config["max_nodes"],
+            metric=config["metric"],
+            lattice=config["lattice"],
+            engine=engine,
+        )
+        decoder.prepare(channel, noise_var=noise_var)
+        received = np.stack([fr.received for fr in frames])
+        results = [decoder.detect(row) for row in received]
+        results += decoder.decode_batch(received)
+    snap = metrics.snapshot()
+    series = {
+        key: value
+        for table in (snap.counters, snap.histograms)
+        for key, value in table.items()
+        if key[0].startswith("traversal.")
+    }
+    return results, series
+
+
+def _dfs_fingerprint(result):
+    st_ = result.stats
+    return (
+        tuple(int(i) for i in result.indices),
+        float(result.metric).hex(),
+        st_.nodes_expanded,
+        st_.nodes_generated,
+        st_.nodes_pruned,
+        st_.leaves_reached,
+        st_.radius_updates,
+        st_.gemm_calls,
+        st_.gemm_flops,
+        st_.max_list_size,
+        st_.truncated,
+        [float(v).hex() for v in st_.radius_trace],
+        (st_.batches.levels, st_.batches.pools),
+    )
+
+
+class TestDfsCrossImplementation:
+    """The scalar DFS loop against ``_dfs_kernel``, decode for decode.
+
+    The golden scenarios pin three fixed frames; this draws random
+    channels, both metrics and orders, both lattices, node caps and
+    radius policies that escalate, truncate or fall back to Babai.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _interpret(self, monkeypatch):
+        if not compiled.NUMBA_AVAILABLE:
+            monkeypatch.setenv(compiled.INTERPRET_ENV, "1")
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        n_tx=st.integers(1, 8),
+        modulation=st.sampled_from(["bpsk", "4qam", "16qam"]),
+        metric=st.sampled_from(["l2", "linf"]),
+        child_ordering=st.sampled_from(["sorted", "natural"]),
+        lattice=st.sampled_from(["complex", "real-reordered"]),
+        max_nodes=st.one_of(st.none(), st.integers(1, 64)),
+        radius=st.sampled_from(sorted(_DFS_RADII)),
+        snr_db=st.sampled_from([6.0, 14.0, 30.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_numpy_matches_compiled(
+        self, n_tx, modulation, metric, child_ordering, lattice, max_nodes,
+        radius, snr_db, seed,
+    ):
+        if lattice != "complex" and modulation == "bpsk":
+            lattice = "complex"  # real lattices need square QAM
+        config = {
+            "metric": metric,
+            "child_ordering": child_ordering,
+            "lattice": lattice,
+            "max_nodes": max_nodes,
+            "radius": radius,
+        }
+        system = MIMOSystem(n_tx, n_tx, modulation)
+        rng = np.random.default_rng(seed)
+        channel = system.channel_model.draw_channel(rng)
+        frames = [
+            system.random_frame(snr_db, rng, channel=channel) for _ in range(2)
+        ]
+        noise_var = system.noise_var(snr_db)
+        runs = {
+            engine: _dfs_run(engine, system, channel, frames, noise_var, config)
+            for engine in ("numpy", "compiled")
+        }
+        (ours, our_series), (theirs, their_series) = runs.values()
+        assert [_dfs_fingerprint(r) for r in ours] == [
+            _dfs_fingerprint(r) for r in theirs
+        ]
+        assert our_series == their_series
+        # decode_batch repeats detect exactly.
+        assert [_dfs_fingerprint(r) for r in ours[:2]] == [
+            _dfs_fingerprint(r) for r in ours[2:]
+        ]
 
 
 class TestCLI:

@@ -64,18 +64,6 @@ class TestNodePoolGrowth:
         # Sequence numbers are admission-ordered and dense.
         np.testing.assert_array_equal(pool.seq[: len(pool)], np.arange(11))
 
-    def test_scalar_parent_broadcast(self):
-        pool = NodePool(3)
-        root = pool.append_root()
-        a = pool.append_children(
-            root, np.array([2]), np.array([1.5]), level=1
-        )
-        kids = pool.append_children(
-            int(a[0]), np.array([0, 1, 3]), np.array([2.0, 3.0, 4.0]), level=0
-        )
-        np.testing.assert_array_equal(pool.path[kids, 0], [2, 2, 2])
-        np.testing.assert_array_equal(pool.path[kids, 1], [0, 1, 3])
-
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             NodePool(0)
@@ -88,7 +76,8 @@ class TestNodePoolReads:
         pool = NodePool(3)
         root = pool.append_root()
         l1 = pool.append_children(
-            root, np.array([1, 3]), np.array([0.5, 0.7]), level=1
+            np.array([root, root]), np.array([1, 3]), np.array([0.5, 0.7]),
+            level=1,
         )
         l0 = pool.append_children(
             np.array([l1[0], l1[0], l1[1]]),

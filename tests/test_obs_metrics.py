@@ -239,11 +239,30 @@ class TestPrometheusExport:
 class TestTraversalAccountingConsistency:
     """Registry traversal totals must equal DecodeStats exactly.
 
-    DFS reconstructs its per-level accumulator post-hoc from the node
-    pool (``DfsPolicy._fold_levels``); best-first accounts inline per
-    pooled expansion. Both paths must reproduce the search's own exact
-    counters — the trace timeline is sampled, the metrics are not.
+    DFS folds its per-level accumulator rows once per search from the
+    scalar loop's level lists (``DfsPolicy._fold_levels``); best-first
+    accounts inline per pooled expansion. Both paths must reproduce the
+    search's own exact counters — the trace timeline is sampled, the
+    metrics are not — and a ``decode_batch`` must book the same rows as
+    a per-frame ``detect`` loop.
     """
+
+    @staticmethod
+    def _block(n=8, snr_db=6.0, frames=4, seed=11):
+        import numpy as np
+
+        from repro.mimo.system import MIMOSystem
+
+        system = MIMOSystem(n, n, "4qam")
+        rng = np.random.default_rng(seed)
+        channel = system.channel_model.draw_channel(rng)
+        received = np.stack(
+            [
+                system.random_frame(snr_db, rng, channel=channel).received
+                for _ in range(frames)
+            ]
+        )
+        return system, channel, system.noise_var(snr_db), received
 
     @pytest.mark.parametrize("strategy", ["dfs", "best-first"])
     def test_registry_totals_match_decode_stats(self, strategy):
@@ -270,3 +289,68 @@ class TestTraversalAccountingConsistency:
         snap = m.snapshot()
         for name, want in totals.items():
             assert snap.counter_total(f"traversal.{name}") == want, name
+
+    @pytest.mark.parametrize("strategy", ["dfs", "best-first"])
+    def test_batch_rows_match_detect_loop(self, strategy):
+        from repro.detectors.sphere import SphereDecoder
+
+        system, channel, noise_var, received = self._block()
+
+        def rows(decode):
+            m = MetricsRegistry()
+            with use_metrics(m):
+                decoder = SphereDecoder(system.constellation, strategy=strategy)
+                decoder.prepare(channel, noise_var=noise_var)
+                decode(decoder)
+            snap = m.snapshot()
+            levels = {
+                key: value
+                for key, value in snap.counters.items()
+                if key[0].startswith("traversal.")
+            }
+            peaks = {
+                key: hist.counts
+                for key, hist in snap.histograms.items()
+                if key[0] == "traversal.frontier_peak"
+            }
+            return levels, peaks
+
+        per_frame = rows(lambda d: [d.detect(row) for row in received])
+        batched = rows(lambda d: d.decode_batch(received))
+        assert per_frame == batched
+        levels, peaks = per_frame
+        names = {name for name, _labels in levels}
+        assert names == {
+            "traversal.nodes_expanded",
+            "traversal.expansions",
+            "traversal.nodes_generated",
+            "traversal.nodes_pruned",
+        }
+        assert len(levels) > len(names)  # one row per level, not totals
+        assert sum(sum(counts) for counts in peaks.values()) == len(received)
+
+    def test_dfs_never_reaches_the_expand_request_path(self, monkeypatch):
+        import repro.core.lockstep as lockstep
+        import repro.core.traversal as traversal
+        from repro.core.gemm import BatchedGemmEvaluator, GemmEvaluator
+        from repro.detectors.sphere import SphereDecoder
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reached the ExpandRequest path")
+
+        for module in (lockstep, traversal):
+            monkeypatch.setattr(module, "drive_lockstep", forbidden)
+        for evaluator in (GemmEvaluator, BatchedGemmEvaluator):
+            monkeypatch.setattr(evaluator, "expand_unchecked", forbidden)
+        system, channel, noise_var, received = self._block(n=6)
+        dfs = SphereDecoder(system.constellation, strategy="dfs")
+        dfs.prepare(channel, noise_var=noise_var)
+        assert dfs.detect(received[0]).stats.nodes_expanded > 0
+        assert len(dfs.decode_batch(received)) == len(received)
+        # The patches bite: Best-FS still runs through both.
+        best = SphereDecoder(system.constellation, strategy="best-first")
+        best.prepare(channel, noise_var=noise_var)
+        with pytest.raises(AssertionError, match="ExpandRequest"):
+            best.detect(received[0])
+        with pytest.raises(AssertionError, match="ExpandRequest"):
+            best.decode_batch(received)
