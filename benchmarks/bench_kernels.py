@@ -11,8 +11,9 @@ standalone traversal-throughput reporter::
     PYTHONPATH=src python benchmarks/bench_kernels.py [--json OUT.json]
 
 which times full decodes per strategy and pool size and emits
-nodes-expanded-per-second figures — the numbers the SoA-frontier
-refactor is judged by (see ``EXPERIMENTS.md``).
+nodes-expanded-per-second figures — the numbers the leaf-first scalar
+loops (Best-FS at pools 1/8/64, sorted DFS and its metric/lattice
+variants) are judged by (see ``EXPERIMENTS.md``).
 """
 
 import argparse
@@ -23,8 +24,8 @@ import time
 import numpy as np
 
 from repro.core.gemm import GemmEvaluator
-from repro.core.nodepool import NodePool, extend_paths
 from repro.core.radius import NoiseScaledRadius, babai_point
+from repro.core.traversal import extend_paths
 from repro.detectors.sphere import SphereDecoder
 from repro.detectors.sd_bfs import GemmBfsDecoder
 from repro.mimo.constellation import Constellation
@@ -138,119 +139,6 @@ def bench_constellation_slicing(benchmark):
     benchmark(const.nearest_indices, values)
 
 
-# ----------------------------------------------------------------------
-# Traversal microbenchmarks: the SoA-frontier hot paths in isolation
-# ----------------------------------------------------------------------
-
-#: Pool sizes the traversal benchmarks sweep (single-node DFS pops, the
-#: default best-first pool, and a BFS-scale frontier).
-TRAVERSAL_POOL_SIZES = (1, 8, 64)
-
-
-def _admission_fixture(b, n_tx=10, order=16, seed=0):
-    """Parent rows/PDs plus a survivor mask for one pool expansion."""
-    rng = np.random.default_rng(seed)
-    pool = NodePool(n_tx, capacity=4 * b + 1)
-    root = pool.append_root()
-    if n_tx > 1:
-        rows = pool.append_children(
-            np.full(b, root, dtype=np.int64),
-            rng.integers(0, order, b),
-            rng.uniform(0, 1, b),
-            n_tx - 2,
-        )
-    else:
-        rows = np.array([root], dtype=np.int64)
-    child_pds = rng.uniform(0, 2, size=(b, order))
-    bound = float(np.quantile(child_pds, 0.5))
-    return pool, rows, child_pds, bound
-
-
-def _admit_children(pool, rows, child_pds, bound, level):
-    """One vectorised child-admission step (mask -> bulk append)."""
-    mask = child_pds < bound
-    ii, cc = np.nonzero(mask)
-    return pool.append_children(rows[ii], cc, child_pds[ii, cc], level)
-
-
-def _bench_pool_expand(benchmark, b):
-    pool, rows, child_pds, bound = _admission_fixture(b)
-
-    def step():
-        # Fresh pool per round so capacity growth is part of the cost.
-        p = NodePool(10, capacity=8)
-        r = p.append_children(
-            np.zeros(rows.shape[0], dtype=np.int64),
-            np.zeros(rows.shape[0], dtype=np.int64),
-            np.zeros(rows.shape[0]),
-            8,
-        )
-        return _admit_children(p, r, child_pds, bound, 7)
-
-    benchmark(step)
-
-
-def bench_pool_expand_b1(benchmark):
-    _bench_pool_expand(benchmark, 1)
-
-
-def bench_pool_expand_b8(benchmark):
-    _bench_pool_expand(benchmark, 8)
-
-
-def bench_pool_expand_b64(benchmark):
-    _bench_pool_expand(benchmark, 64)
-
-
-def _bench_child_admission(benchmark, b):
-    pool, rows, child_pds, bound = _admission_fixture(b)
-    benchmark(_admit_children, pool, rows, child_pds, bound, 7)
-
-
-def bench_child_admission_b1(benchmark):
-    _bench_child_admission(benchmark, 1)
-
-
-def bench_child_admission_b8(benchmark):
-    _bench_child_admission(benchmark, 8)
-
-
-def bench_child_admission_b64(benchmark):
-    _bench_child_admission(benchmark, 64)
-
-
-def _bench_heap_ops(benchmark, b):
-    """Push-then-pop of one admitted sibling block through the frontier heap."""
-    import heapq
-
-    rng = np.random.default_rng(1)
-    pds = rng.uniform(0, 1, b)
-    rows = np.arange(b, dtype=np.int64)
-
-    def step():
-        heap = []
-        seq = 0
-        for pd, row in zip(pds.tolist(), rows.tolist()):
-            heapq.heappush(heap, (pd, seq, row))
-            seq += 1
-        while heap:
-            heapq.heappop(heap)
-
-    benchmark(step)
-
-
-def bench_heap_ops_b1(benchmark):
-    _bench_heap_ops(benchmark, 1)
-
-
-def bench_heap_ops_b8(benchmark):
-    _bench_heap_ops(benchmark, 8)
-
-
-def bench_heap_ops_b64(benchmark):
-    _bench_heap_ops(benchmark, 64)
-
-
 def bench_extend_paths_frontier(benchmark):
     """One BFS-level survivor-path extension at a 4096-node frontier."""
     rng = np.random.default_rng(2)
@@ -263,6 +151,10 @@ def bench_extend_paths_frontier(benchmark):
 # ----------------------------------------------------------------------
 # Standalone traversal-throughput reporter (JSON for EXPERIMENTS.md)
 # ----------------------------------------------------------------------
+
+#: Best-FS pool sizes the throughput report sweeps (pure best-first,
+#: the default pool, and a BFS-scale pool).
+TRAVERSAL_POOL_SIZES = (1, 8, 64)
 
 
 def _decode_throughput(

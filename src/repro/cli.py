@@ -245,8 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     ber.add_argument(
         "--batch",
         action="store_true",
-        help="decode each block's frames as one fused GEMM batch "
-        "(bit-identical; tree-search detectors only)",
+        help="decode each block's frames with one decode_batch call "
+        "(fused GEMMs for BFS/K-best/FSD; bit-identical; tree-search "
+        "detectors only)",
     )
 
     trc = sub.add_parser(

@@ -1,13 +1,11 @@
 """Compiled traversal engine: the pop/expand/prune loop as nopython kernels.
 
-The NumPy :class:`~repro.core.traversal.TraversalEngine` spends most of
-its wall time in Python bookkeeping between GEMMs — ``repro-sd profile``
-attributes the bulk of self-time to the expand loop, not the arithmetic.
-This module moves the whole per-search loop (heap/stack scheduling,
-child PD evaluation, radius pruning, bulk admission, leaf acceptance)
-into two fused Numba ``nopython`` kernels operating directly on flat
-structure-of-arrays state mirroring the
-:class:`~repro.core.nodepool.NodePool` layout (``pd``/``level``/``path``
+The NumPy :class:`~repro.core.traversal.TraversalEngine` runs its
+leaf-first searches as scalar loops over Python lists — interpreter
+bound by construction. This module holds the same per-search loops
+(heap/stack scheduling, child PD evaluation, radius pruning, admission,
+leaf acceptance) as two fused Numba ``nopython`` kernels operating
+directly on flat structure-of-arrays state (``pd``/``level``/``path``
 row arrays) plus the :class:`~repro.core.gemm.ChannelKernel` per-level
 ``diag_points``/``rows`` tables:
 
@@ -21,14 +19,15 @@ row arrays) plus the :class:`~repro.core.gemm.ChannelKernel` per-level
 Both kernels cover the ℓ₂ (add-accumulate) and ℓ∞ (max-accumulate)
 partial-distance metrics and run one *search* (one radius attempt); the
 radius-escalation schedule, Babai fallback and all tracer spans stay in
-Python in :class:`CompiledTraversalEngine`, mirroring
-``_PooledTreePolicy.solve_gen`` statement for statement.
+Python, in the radius shell both engines share
+(``_PooledTreePolicy.solve``).
 
 Bit-identity contract
 ---------------------
-Every arithmetic expression reproduces the NumPy engine's operations in
+Every arithmetic expression reproduces the evaluators' operations in
 the same order (the golden-decode suite replays both engines against
-the same recorded outputs):
+the same recorded outputs, and a property test compares the NumPy
+engine's scalar loops with these kernels decode for decode):
 
 * The interference accumulation matches ``np.einsum("bm,m->b", ...)``:
   a zero-initialised complex accumulator summed in ascending row order.
@@ -336,9 +335,9 @@ def _best_first_kernel(
 ):
     """One best-first search (one radius attempt), fully fused.
 
-    Mirrors :meth:`BestFirstPolicy._search` + the evaluator's
-    ``expand_unchecked`` + ``_accept_leaves`` bit for bit. Returns flat
-    recordings for post-hoc counter reconstruction::
+    Mirrors :meth:`BestFirstPolicy._search` and the evaluator's
+    ``expand_unchecked`` bit for bit. Returns flat recordings for
+    post-hoc counter reconstruction::
 
         (found, bound, best_leaf, batch_levels, batch_pools,
          radius_vals, nodes_pruned, leaves, max_list, trunc, acc_pruned)
@@ -349,7 +348,7 @@ def _best_first_kernel(
     """
     n_tx = ybar.shape[0]
     order = points.shape[0]
-    # SoA node pool (pd/level/path rows), exactly the NodePool layout.
+    # SoA node pool (pd/level/path rows).
     pool_pd = np.empty(256, np.float64)
     pool_level = np.empty(256, np.int64)
     pool_path = np.empty((256, n_tx), np.int64)
@@ -515,7 +514,7 @@ def _dfs_kernel(
     stable-sorted (or natural) child enumeration, worst-first pushes so
     the best child tops the stack. Same return layout as
     :func:`_best_first_kernel`; per-level prune attribution follows the
-    conventions ``DfsPolicy._fold_levels`` reconstructs (admission
+    conventions ``traversal._fold_levels`` reconstructs (admission
     prunes at the expanding level, pop prunes at the popped node's own
     level, leaf prunes at level 0).
     """
@@ -714,51 +713,25 @@ def warmup_kernels() -> None:
 class CompiledTraversalEngine(TraversalEngine):
     """Drop-in :class:`TraversalEngine` running fused nopython searches.
 
-    The pooled policies (:class:`BestFirstPolicy`, :class:`DfsPolicy`)
-    under the ℓ₂/ℓ∞ metrics run through :func:`_best_first_kernel` /
-    :func:`_dfs_kernel`; everything else — the level-synchronous sweep
-    policies (BFS/K-best/FSD), Best-FS under a custom metric —
-    delegates to the inherited NumPy path, whose per-level frontier
-    sweeps are already vectorised GEMMs with negligible per-node Python
-    work (the honest JIT boundary: only the interpreter-bound loop is
-    compiled). Selection flows through
+    The leaf-first policies (:class:`BestFirstPolicy`,
+    :class:`DfsPolicy`) run each radius round through
+    :func:`_best_first_kernel` / :func:`_dfs_kernel`, inside the same
+    radius shell as the NumPy engine
+    (``_PooledTreePolicy.solve``). The level-synchronous sweep policies
+    (BFS/K-best/FSD) delegate to the inherited NumPy path, whose
+    per-level frontier sweeps are already vectorised GEMMs with
+    negligible per-node Python work (the honest JIT boundary: only the
+    interpreter-bound loop is compiled). Selection flows through
     :func:`repro.core.traversal.build_engine`; detectors never
     instantiate this class directly.
     """
 
-    def _fused_policy(self):
-        """The policy when this solve can run fused, else ``None``.
-
-        Exact-type checks: a subclass overriding ``_search`` must fall
-        back to the reference generator it customised.
-        """
-        policy = self.policy
-        if type(policy) is not BestFirstPolicy and type(policy) is not DfsPolicy:
-            return None
-        if self.metric.name not in ("l2", "linf"):
-            return None
-        return policy
-
     def solve(self, r, ybar, noise_var, stats, tracer, *, kernel=None):
-        policy = self._fused_policy()
-        if policy is None:
+        policy = self.policy
+        # Exact-type checks: a subclass overriding ``_search`` keeps the
+        # loop it customised.
+        if type(policy) is not BestFirstPolicy and type(policy) is not DfsPolicy:
             return super().solve(r, ybar, noise_var, stats, tracer, kernel=kernel)
-        return self._solve_fused(policy, r, ybar, noise_var, stats, tracer, kernel)
-
-    def _frame_by_frame(self) -> bool:
-        # Each frame's whole search is one fused kernel call; there is
-        # no cross-frame GEMM to fuse.
-        return self._fused_policy() is not None or super()._frame_by_frame()
-
-    # ------------------------------------------------------------------
-
-    def _solve_fused(self, policy, r, ybar, noise_var, stats, tracer, kernel):
-        """The radius-escalation shell around one frame's fused searches.
-
-        Mirrors ``_PooledTreePolicy.solve_gen`` statement for statement
-        (same spans, same escalation/truncation/Babai-fallback logic),
-        with each ``sd.search`` round executed by one kernel call.
-        """
         if kernel is None:
             kernel = ChannelKernel(r, self.constellation, metric=self.metric)
         n_tx = kernel.n_tx
@@ -769,60 +742,36 @@ class CompiledTraversalEngine(TraversalEngine):
         order = kernel.constellation.order
         use_linf = 1 if self.metric.name == "linf" else 0
         max_nodes = -1 if policy.max_nodes is None else int(policy.max_nodes)
-        is_bf = type(policy) is BestFirstPolicy
-        pool_size = policy.pool_size if is_bf else 1
-        natural = 0 if is_bf or policy.child_ordering == "sorted" else 1
+        if type(policy) is BestFirstPolicy:
+            search_kernel, schedule = _best_first_kernel, policy.pool_size
+        else:
+            search_kernel = _dfs_kernel
+            schedule = 0 if policy.child_ordering == "sorted" else 1
         acc = self.level_acc
-        if acc is not None:
-            acc.ensure(n_tx)
-        self.expand_hook = None
         warmup_kernels()
-        with tracer.span("sd.solve", strategy=policy.strategy, n_tx=n_tx):
-            init = self.radius_policy.initial(
-                r, ybar, self.constellation, float(noise_var),
-                metric=self.metric,
+
+        def search(bound, incumbent):
+            t0 = perf_counter()
+            out = search_kernel(
+                points, diag, rmat, ybar_c, schedule, bound, use_linf,
+                max_nodes, stats.nodes_expanded,
             )
-            bound = float(init.radius_sq)
-            incumbent = init.incumbent_indices
-            stats.radius_trace.append(bound)
-            while True:
-                with tracer.span("sd.search", bound=bound):
-                    t0 = perf_counter()
-                    if is_bf:
-                        out = _best_first_kernel(
-                            points, diag, rmat, ybar_c, pool_size, bound,
-                            use_linf, max_nodes, stats.nodes_expanded,
-                        )
-                    else:
-                        out = _dfs_kernel(
-                            points, diag, rmat, ybar_c, natural, bound,
-                            use_linf, max_nodes, stats.nodes_expanded,
-                        )
-                    stats.gemm_time_s += perf_counter() - t0
-                    found, bound, incumbent = self._fold_kernel_stats(
-                        out, stats, acc, n_tx, order, incumbent
-                    )
-                if incumbent is not None or not self.radius_policy.can_escalate():
-                    break
-                if stats.truncated:
-                    break
-                bound *= self.radius_policy.escalation_factor
-                stats.radius_trace.append(bound)
-            if incumbent is None:
-                incumbent, bound = babai_point(
-                    r, ybar, self.constellation, metric=self.metric
-                )
-                stats.truncated = max(stats.truncated, 1)
-        return np.asarray(incumbent), float(bound)
+            stats.gemm_time_s += perf_counter() - t0
+            return self._fold_kernel_stats(
+                out, stats, acc, n_tx, order, incumbent
+            )
+
+        return policy.solve(self, r, ybar, noise_var, stats, tracer, search)
 
     def _fold_kernel_stats(self, out, stats, acc, n_tx, order, incumbent):
         """Reconstruct counters/trace/accumulator from kernel recordings.
 
-        Applies the exact per-expansion formulas of
-        ``_PooledTreePolicy._account_expansion`` vectorised over the
+        Applies the exact FLOP formulas of
+        :class:`~repro.core.gemm.GemmEvaluator` vectorised over the
         recorded ``(level, pool)`` pairs, so every ``DecodeStats`` field
         and ``LevelAccumulator`` row matches the NumPy engine bit for
-        bit.
+        bit. Returns ``(incumbent, bound)``, the radius shell's round
+        result.
         """
         (
             found, bound, best_leaf, b_levels, b_pools, r_vals,
@@ -857,4 +806,4 @@ class CompiledTraversalEngine(TraversalEngine):
                     a_pruned[lv] += int(acc_pruned[lv])
         if found:
             incumbent = np.asarray(best_leaf).copy()
-        return bool(found), float(bound), incumbent
+        return incumbent, float(bound)

@@ -129,8 +129,8 @@ class ChannelKernel:
         """``(points, rows, diag_points)`` as lists of Python complexes.
 
         ``.tolist()`` copies of the arrays the evaluators index, so the
-        scalar DFS loop sees the same values without per-node NumPy
-        dispatch. The points are cast to complex128 first, exactly as
+        leaf-first scalar loops (Best-FS, DFS) see the same values
+        without per-node NumPy dispatch. The points are cast to complex128 first, exactly as
         :func:`_stacked_gemv` casts real PAM points inside ``einsum``.
         """
         tables = self._scalar_tables
@@ -259,10 +259,10 @@ class GemmEvaluator:
 
         Trusts the caller completely: ``parent_indices`` must be a
         ``(B, M-1-level)`` ``int64`` array of in-range point indices and
-        ``parent_pds`` a ``(B,)`` ``float64`` array. The traversal
-        policies construct exactly that from their
-        :class:`~repro.core.nodepool.NodePool`, so the lockstep drivers
-        call this directly; external callers should stay on
+        ``parent_pds`` a ``(B,)`` ``float64`` array. The sweep policies
+        (BFS, K-best, FSD) construct exactly that from their frontier
+        arrays, so the lockstep drivers call this directly; the
+        leaf-first policies never call it. External callers should stay on
         :meth:`expand` (``tests/test_gemm_evaluator.py`` proves both
         paths agree bit-for-bit on valid input).
         """

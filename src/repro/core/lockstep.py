@@ -1,7 +1,7 @@
 """Lockstep scheduling of concurrent frame searches over fused GEMMs.
 
-The pooled tree searches — Best-FS, BFS, K-best and FSD — express their
-traversal as *search generators*: plain Python generators that yield an
+The level sweeps — BFS, K-best and FSD — express their traversal as
+*search generators*: plain Python generators that yield an
 :class:`ExpandRequest` whenever they need child partial distances and
 receive the ``(B, P)`` result back at the ``yield``. The search logic
 (pruning, incumbent updates, stats accounting) lives entirely inside the
@@ -19,9 +19,10 @@ generator; *who* evaluates the GEMM is the driver's choice:
   same independent dot products the serial evaluator computes — so
   batched decoding never changes a decode result or a node count.
 
-Sorted DFS is not a generator client: its expansions are single nodes,
-so :class:`~repro.core.traversal.DfsPolicy` computes its own partial
-distances in a scalar loop and its batches decode frame by frame.
+The leaf-first searches are not generator clients: their pools are a
+node or a few, so :class:`~repro.core.traversal.BestFirstPolicy` and
+:class:`~repro.core.traversal.DfsPolicy` compute their own partial
+distances in scalar loops and their batches decode frame by frame.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def drive_serial(search: SearchGenerator, evaluator: GemmEvaluator):
 
     Returns the generator's return value. Requests are evaluated on the
     unchecked fast path (:meth:`GemmEvaluator.expand_unchecked`): the
-    traversal policies emit correctly-shaped ``int64``/``float64``
+    sweep policies emit correctly-shaped ``int64``/``float64``
     arrays by construction, so per-call re-validation would only tax
     the hot loop. Hand-written generators must honour the same
     contract (or be driven against :meth:`GemmEvaluator.expand`).

@@ -6,59 +6,49 @@ because *what to expand next* is separable from *how partial distances
 are evaluated*. This module is that separation made concrete:
 
 ``TraversalPolicy``
-    What to expand next. The pooled policies are search **generators**
-    over the :class:`~repro.core.lockstep.ExpandRequest` protocol: they
-    yield same-level node pools and receive the ``(B, P)`` child
-    partial distances, never touching an evaluator directly.
+    What to expand next. Two shapes:
 
     * :class:`BestFirstPolicy` — global priority queue on PD with
-      same-level pooling (the paper's Best-FS, Alg. 1).
-    * :class:`BfsPolicy` — level-synchronous frontier sweep (the
-      GPU baseline of Arfaoui et al., one GEMM per level).
-    * :class:`KBestPolicy` — breadth-first with K survivors per level
-      (fixed-throughput hardware detector; not exact).
-    * :class:`FsdPolicy` — fixed-complexity schedule: full enumeration
-      on ``rho`` levels, single-best-child SIC below (not exact).
-
-    :class:`DfsPolicy` — LIFO with PD-sorted child insertion, the
-    sorted DFS of Fig. 3 — stands outside the protocol. Its expansions
-    are single nodes, too small to amortise a request, a GEMM call and
-    an ``argsort``, so it evaluates its own partial distances in one
-    scalar loop over Python lists with the evaluators' order of
-    operations, bit-identical to them.
+      same-level pooling (the paper's Best-FS, Alg. 1) — and
+      :class:`DfsPolicy` — LIFO with PD-sorted child insertion, the
+      sorted DFS of Fig. 3 — are leaf-first searches. Their pools are a
+      node or a few, too small to amortise a GEMM call, so each
+      evaluates its own partial distances in one scalar loop over
+      Python lists with the evaluators' order of operations,
+      bit-identical to them.
+    * :class:`BfsPolicy` — level-synchronous frontier sweep (the GPU
+      baseline of Arfaoui et al., one GEMM per level) — plus
+      :class:`KBestPolicy` (K survivors per level; fixed-throughput
+      hardware detector, not exact) and :class:`FsdPolicy` (full
+      enumeration on ``rho`` levels, single-best-child SIC below; not
+      exact) are sweeps: search **generators** over the
+      :class:`~repro.core.lockstep.ExpandRequest` protocol that yield
+      one frontier per level and receive its ``(B, P)`` child partial
+      distances, never touching an evaluator directly.
 
 ``ScalarGemvBackend`` / ``FusedGemmBackend``
-    How the generators' child PDs are computed. The scalar backend
-    drives one frame's generator serially against a
+    How the sweeps' child PDs are computed. The scalar backend drives
+    one frame's generator serially against a
     :class:`~repro.core.gemm.GemmEvaluator`; the fused backend runs many
     frames' generators in lockstep against a
     :class:`~repro.core.gemm.BatchedGemmEvaluator`, stacking same-level
-    pools across frames into single BLAS-3 calls. Both produce
-    bit-identical child PDs (shared ``_stacked_gemv`` kernel), so
-    Best-FS, BFS, K-best and FSD get cross-frame batch decoding for
-    free. DFS batches decode frame by frame, with identical results.
+    frontiers across frames into single BLAS-3 calls. Both produce
+    bit-identical child PDs (shared ``_stacked_gemv`` kernel), so BFS,
+    K-best and FSD get cross-frame batch decoding for free. Leaf-first
+    batches decode frame by frame, with identical results.
 
 ``TraversalEngine``
     Binds a constellation, a policy and a radius policy. The detector
     classes in :mod:`repro.detectors` are thin configurations of this
     engine; all of them emit the uniform
     :class:`~repro.core.stats.BatchTrace` the FPGA pipeline
-    simulator prices.
-
-Best-FS frontier storage is the structure-of-arrays
-:class:`~repro.core.nodepool.NodePool`: nodes are rows of preallocated
-PD/seq/level vectors and one ``(capacity, M)`` path matrix, child
-admission is a single masked bulk append per expansion, and a pool's
-``(B, d)`` GEMM operand is a row block of the path matrix instead of a
-per-node ``fromiter`` rebuild. The best-first heap and the DFS stack
-hold scalar ``(pd, row)`` entries ordered exactly like the legacy
-per-node tuples, so every decode remains bit-identical to the object
-model (``tests/test_nodepool.py`` checks against recorded outputs).
+    simulator prices — a Best-FS pool is one ``(level, pool)`` event,
+    whatever evaluated it.
 
 Exactness of the best-first / DFS policies is property-tested against
 brute force in ``tests/test_sphere_decoder_exactness.py``; equivalence
 of the scalar and fused backends in ``tests/test_parallel_mc.py``, and
-of the DFS loop and the compiled DFS kernel in
+of the leaf-first loops and the compiled kernels in
 ``tests/test_compiled_engine.py``.
 """
 
@@ -81,7 +71,6 @@ from repro.core.gemm import (
 )
 from repro.core.lockstep import ExpandRequest, drive_lockstep, drive_serial
 from repro.core.metric import L2SquaredMetric, LInfinityMetric, resolve_metric
-from repro.core.nodepool import NodePool, extend_paths
 from repro.core.radius import babai_point
 from repro.core.stats import DecodeStats
 from repro.obs.log import get_logger
@@ -91,17 +80,39 @@ from repro.util.validation import check_in, check_positive_int, check_vector
 _log = get_logger(__name__)
 
 
+def extend_paths(
+    paths: np.ndarray, keep_n: np.ndarray, keep_c: np.ndarray
+) -> np.ndarray:
+    """Survivor paths of the next sweep level: ``paths[keep_n] + keep_c``.
+
+    Shared by the frontier-sweep policies (BFS / K-best / FSD): one
+    preallocated write instead of ``np.concatenate`` plus an ``astype``
+    copy per level. ``paths`` is ``(F, d)`` root-first, ``keep_n`` the
+    surviving parent rows, ``keep_c`` the appended child indices; the
+    result is ``(K, d+1)`` ``int64`` with identical values to the old
+    concatenation (bit-identity preserved).
+    """
+    depth = paths.shape[1]
+    out = np.empty((keep_n.shape[0], depth + 1), dtype=np.int64)
+    if depth:
+        np.take(paths, keep_n, axis=0, out=out[:, :depth])
+    out[:, depth] = keep_c
+    return out
+
+
 class TraversalPolicy(abc.ABC):
     """What to expand next — a search schedule over the SD tree.
 
-    A policy is stateless across decodes: :meth:`solve_gen` returns a
-    fresh generator per frame, so one policy instance can drive many
-    interleaved frames (the fused backend relies on this).
+    A policy is stateless across decodes. The leaf-first policies
+    (:class:`BestFirstPolicy`, :class:`DfsPolicy`) run their search
+    through ``solve``; the sweep policies implement :meth:`solve_gen`,
+    which returns a fresh generator per frame, so one policy instance
+    can drive many interleaved frames (the fused backend relies on
+    this).
     """
 
-    @abc.abstractmethod
     def solve_gen(self, engine: "TraversalEngine", r, ybar, noise_var, stats, tracer):
-        """Search generator for one frame's full solve.
+        """Search generator for one frame's full sweep (sweep policies).
 
         Yields :class:`~repro.core.lockstep.ExpandRequest`s and returns
         ``(indices_by_level, reduced_metric)``; the backend chooses the
@@ -111,18 +122,20 @@ class TraversalPolicy(abc.ABC):
         opened across yields of different frames would corrupt the
         nesting stack.
         """
+        raise NotImplementedError(
+            f"{type(self).__name__} is not an ExpandRequest generator"
+        )
 
 
 class LevelAccumulator:
     """Per-level traversal totals, kept hot-path-cheap.
 
     Three flat integer lists indexed by tree level: nodes expanded,
-    expansion (GEMM batch) count, and nodes pruned. Plain list-index
-    increments rather than metric instruments or a dict of rows because
-    the expansion sites run tens of thousands of times per frame; the
-    detector layer folds the totals into labelled counters once per
-    solve. Per-level *generated* is not tracked — it is exactly
-    ``nodes * constellation.order``.
+    expansion (GEMM batch) count, and nodes pruned. The sweeps add to
+    them once per level, the leaf-first loops once per round
+    (:func:`_fold_levels`); the detector layer folds the totals into
+    labelled counters once per solve. Per-level *generated* is not
+    tracked — it is exactly ``nodes * constellation.order``.
 
     :meth:`ensure` sizes the lists before a search (policies call it
     once per solve with ``n_tx``); sizing never shrinks, so one
@@ -144,58 +157,28 @@ class LevelAccumulator:
             self.pruned.extend([0] * grow)
 
 
-def _build_expand_hook(acc, tracer):
-    """Fuse per-expansion telemetry into one flat prebound closure.
+def _build_expand_hook(tracer):
+    """The sampled ``sd.batch`` tracer marks as one prebound closure.
 
-    ``acc`` is the engine's optional :class:`LevelAccumulator` (pass
-    ``None`` when the policy reconstructs per-level totals vectorized at
-    the end of a search instead — see :attr:`DfsPolicy.vectorized_acc`);
-    ``tracer`` contributes ``sd.batch`` marks when enabled (via
-    :meth:`~repro.obs.Tracer.mark_bindings`). DFS expands single-node
-    pools, so this closure runs tens of thousands of times per frame —
-    everything is prebound, and single-node marks are sampled at the
-    tracer's ``mark_stride`` (pooled marks always record; exact counts
-    live in the metrics registry and ``DecodeStats``, marks are
-    timeline samples). Returns ``None`` when there is nothing to
-    record. Safe across :meth:`LevelAccumulator.ensure` growth because
-    ``ensure`` extends the lists in place.
+    The leaf-first loops call it once per expansion with
+    ``(level, pool)``. Everything is prebound (via
+    :meth:`~repro.obs.Tracer.mark_bindings`), and single-node marks are
+    sampled at the tracer's ``mark_stride``: pooled marks always record,
+    exact counts live in the metrics registry and ``DecodeStats``, marks
+    are timeline samples. Returns ``None`` when the tracer records no
+    marks (the common case).
     """
     bindings = tracer.mark_bindings()
     if bindings is None:
-        if acc is None:
-            return None
-        nodes = acc.nodes
-        exps = acc.exps
-
-        def hook(level: int, b: int) -> None:
-            nodes[level] += b
-            exps[level] += 1
-
-        return hook
+        return None
     append, now, epoch, tid = bindings
     stride = tracer.mark_stride
     # Start one short of the stride so the first single-node mark of
     # every solve records (a frame's trace is never entirely bare).
     skip = stride - 1
-    if acc is None:
-
-        def hook(level: int, b: int) -> None:
-            nonlocal skip
-            if b == 1:
-                skip += 1
-                if skip < stride:
-                    return
-                skip = 0
-            append(("sd.batch", now() - epoch, tid, level, b))
-
-        return hook
-    nodes = acc.nodes
-    exps = acc.exps
 
     def hook(level: int, b: int) -> None:
         nonlocal skip
-        nodes[level] += b
-        exps[level] += 1
         if b == 1:
             skip += 1
             if skip < stride:
@@ -204,6 +187,53 @@ def _build_expand_hook(acc, tracer):
         append(("sd.batch", now() - epoch, tid, level, b))
 
     return hook
+
+
+def _fold_levels(acc, lv, levels, pools, queue, order, n_tx, leaves):
+    """Fold one leaf-first search round's per-level rows into ``acc``.
+
+    ``lv`` holds the level of every admitted node, ``levels``/``pools``
+    the level and node count of every expansion (``pools`` is ``None``
+    when every expansion is a single node), and ``queue`` the
+    ``(pd, row)`` entries still waiting when the round ended. Each
+    admitted node was expanded, pruned on pop (DFS only) or is still
+    waiting, so pop prunes per level are admitted minus expanded minus
+    waiting: no per-node accounting in the loops. Children admitted at
+    ``level - 1`` all come from expansions at ``level`` (the root is at
+    ``n_tx - 1``, never a child), and level-0 expansions send their
+    children to leaf acceptance instead, ``leaves`` of which survived.
+    Totals match per-expansion accounting exactly.
+    """
+    admitted = np.bincount(lv, minlength=n_tx)
+    lvls = np.asarray(levels, dtype=np.int64)
+    exps = np.bincount(lvls, minlength=n_tx)
+    nodes = (
+        exps if pools is None
+        else np.bincount(lvls, weights=pools, minlength=n_tx).astype(np.int64)
+    )
+    waiting = np.bincount(
+        np.asarray([lv[row] for _pd, row in queue], dtype=np.int64),
+        minlength=n_tx,
+    )
+    pops = (admitted - nodes - waiting).tolist()
+    admitted = admitted.tolist()
+    exps = exps.tolist()
+    nodes = exps if pools is None else nodes.tolist()
+    a_nodes, a_exps, a_pruned = acc.nodes, acc.exps, acc.pruned
+    for level in range(n_tx):
+        e = exps[level]
+        if e:
+            n = nodes[level]
+            a_nodes[level] += n
+            a_exps[level] += e
+            survived = leaves if level == 0 else admitted[level - 1]
+            n_pruned = n * order - survived + pops[level]
+        else:
+            # Pop-prunes at a level can outlive its last expansion
+            # (the bound tightened after its nodes were admitted).
+            n_pruned = pops[level]
+        if n_pruned:
+            a_pruned[level] += n_pruned
 
 
 class _PooledTreePolicy(TraversalPolicy):
@@ -215,39 +245,35 @@ class _PooledTreePolicy(TraversalPolicy):
     since a larger radius can only expand the workload — and a Babai
     fallback when every escalation came back empty.
 
-    Best-FS rounds yield :class:`ExpandRequest`s through this shell;
-    DFS rounds evaluate their own partial distances and return without
-    yielding, so :class:`TraversalEngine` runs a DFS ``solve_gen`` to
-    its return value in one step.
+    Each round is one call of ``_search``: a scalar loop over Python
+    lists, floats and complexes fed by
+    :meth:`ChannelKernel.scalar_tables`, whose arithmetic follows the
+    matching :mod:`repro.core.compiled` kernel statement for statement
+    (the same order of operations as the evaluators), so every
+    decision, metric, counter and trace is bit-identical to the GEMM
+    path. Only the ℓ₂ and ℓ∞ metrics are supported.
     """
 
     #: Strategy label used in ``sd.solve`` span args and detector attrs.
     strategy: str
-
-    #: When True the policy's ``_search`` rebuilds the engine's
-    #: per-level accumulator rows itself (one vectorized pass at search
-    #: end) and the expand hook carries marks only. Worth it exactly
-    #: when expansions are single-node and extremely frequent (DFS).
-    vectorized_acc = False
 
     def __init__(self, *, max_nodes: int | None = None) -> None:
         self.max_nodes = (
             None if max_nodes is None else check_positive_int(max_nodes, "max_nodes")
         )
 
-    def solve_gen(self, engine, r, ybar, noise_var, stats, tracer, frame=None):
-        """The radius shell; ``frame`` is passed through to ``_search``.
+    def solve(self, engine, r, ybar, noise_var, stats, tracer, search):
+        """The radius shell around one frame's search rounds.
 
-        ``frame`` carries the per-frame scalar inputs of a search that
-        evaluates its own partial distances (DFS), ``None`` otherwise.
+        ``search(bound, incumbent)`` runs one full tree exploration
+        under ``bound`` and returns the best complete solution found
+        (ascending-level indices) and its metric — or ``(incumbent,
+        bound)`` unchanged when the sphere is empty. The NumPy engine
+        passes its scalar loop, the compiled engine its kernel.
         """
         n_tx = int(r.shape[1])
-        acc = engine.level_acc
-        if acc is not None:
-            acc.ensure(n_tx)
-        engine.expand_hook = _build_expand_hook(
-            None if self.vectorized_acc else acc, tracer
-        )
+        if engine.level_acc is not None:
+            engine.level_acc.ensure(n_tx)
         with tracer.span("sd.solve", strategy=self.strategy, n_tx=n_tx):
             init = engine.radius_policy.initial(
                 r, ybar, engine.constellation, float(noise_var),
@@ -258,9 +284,7 @@ class _PooledTreePolicy(TraversalPolicy):
             stats.radius_trace.append(bound)
             while True:
                 with tracer.span("sd.search", bound=bound):
-                    incumbent, bound = yield from self._search(
-                        engine, frame, n_tx, bound, incumbent, stats, tracer
-                    )
+                    incumbent, bound = search(bound, incumbent)
                 if incumbent is not None or not engine.radius_policy.can_escalate():
                     break
                 if stats.truncated:
@@ -283,75 +307,64 @@ class _PooledTreePolicy(TraversalPolicy):
         return np.asarray(incumbent), float(bound)
 
     @abc.abstractmethod
-    def _search(self, engine, frame, n_tx, bound, incumbent, stats, tracer):
+    def _search(self, engine, frame, n_tx, bound, incumbent, stats, hook):
         """One full tree exploration under the given initial bound.
 
-        Generator (driven via ``yield from``); returns the best complete
-        solution found (ascending-level indices) and its metric — or
-        ``(incumbent, bound)`` unchanged when the sphere is empty.
+        ``frame`` is ``(points, rows, diag_points, ybar)`` as Python
+        lists and ``hook`` the optional :func:`_build_expand_hook`
+        closure. Returns what the ``search`` callable of :meth:`solve`
+        returns.
         """
 
     @staticmethod
-    def _account_expansion(engine, level, b, depth, order, stats):
-        """Book one pool expansion (``b`` nodes at ``level``) in ``stats``.
+    def _fold_round(
+        engine, stats, order, n_tx, lv, queue, levels, pools, *,
+        nodes, cmacs, pruned, leaves, radii, max_list, truncated, gemm_s,
+    ):
+        """Fold one round's local counters into ``stats``, once.
 
-        Called right after the ``yield``-ed :class:`ExpandRequest` comes
-        back (the request's operands are slices of the
-        :class:`NodePool` path/PD arrays — no per-node rebuilds).
-        Counts work with the exact FLOP formulas of
-        :class:`GemmEvaluator`, so per-frame counters match the serial
-        evaluator's no matter which backend ran the GEMM. A plain
-        function, not a sub-generator: delegating through ``yield from``
-        here would allocate a generator per expansion, which is
-        measurable at single-node pools.
+        ``lv``/``queue``/``levels``/``pools`` as in :func:`_fold_levels`;
+        ``nodes`` is the number of nodes expanded. The FLOP count uses
+        the exact formulas of :class:`~repro.core.gemm.GemmEvaluator`.
         """
-        stats.nodes_expanded += b
-        stats.nodes_generated += b * order
-        stats.gemm_calls += 1
-        if depth:
-            stats.gemm_flops += FLOPS_PER_CMAC * b * depth
-        stats.gemm_flops += engine.metric.flops_per_norm * b * order
+        stats.nodes_expanded += nodes
+        stats.nodes_generated += nodes * order
+        stats.gemm_calls += len(levels)
+        stats.gemm_flops += (
+            FLOPS_PER_CMAC * cmacs + engine.metric.flops_per_norm * nodes * order
+        )
+        stats.nodes_pruned += pruned
+        stats.leaves_reached += leaves
+        stats.radius_updates += len(radii)
+        stats.radius_trace += radii
+        stats.max_list_size = max(stats.max_list_size, max_list)
+        stats.truncated += truncated
+        stats.gemm_time_s += gemm_s
         if engine.record_trace:
-            stats.batches.append(level, b)
-        hook = engine.expand_hook
-        if hook is not None:
-            hook(level, b)
-
-    @staticmethod
-    def _accept_leaves(pool, rows, child_pds, bound, incumbent, stats, acc):
-        """Fold a batch of leaf evaluations into the incumbent/bound.
-
-        ``rows`` indexes the level-0 parents in the :class:`NodePool`;
-        ``acc`` is the engine's per-level accumulator or ``None`` (prunes
-        here are level-0 prunes).
-        """
-        in_sphere = child_pds < bound
-        n_in = int(np.count_nonzero(in_sphere))
-        stats.leaves_reached += n_in
-        stats.nodes_pruned += in_sphere.size - n_in
-        if acc is not None and in_sphere.size != n_in:
-            acc.pruned[0] += in_sphere.size - n_in
-        flat = int(np.argmin(child_pds))
-        n, c = divmod(flat, child_pds.shape[1])
-        if child_pds[n, c] < bound:
-            bound = float(child_pds[n, c])
-            incumbent = pool.leaf_indices(int(rows[n]), c)
-            stats.radius_updates += 1
-            stats.radius_trace.append(bound)
-        return incumbent, bound
+            stats.batches.extend(
+                levels, [1] * len(levels) if pools is None else pools
+            )
+        if engine.level_acc is not None:
+            _fold_levels(
+                engine.level_acc, lv, levels, pools, queue, order, n_tx, leaves
+            )
 
 
 class BestFirstPolicy(_PooledTreePolicy):
     """Global priority queue on PD with same-level pooling (Alg. 1).
 
+    The search follows :func:`repro.core.compiled._best_first_kernel`
+    statement for statement (see :class:`_PooledTreePolicy`).
+
     Parameters
     ----------
     pool_size:
         Up to this many same-level frontier nodes are popped together
-        and evaluated in one GEMM batch. 1 recovers pure best-first;
-        larger pools trade a little search discipline for bigger (more
-        FPGA/GPU-friendly) GEMMs. Never affects exactness — only nodes
-        already inside the sphere are pooled.
+        and evaluated as one batch — the ``(level, pool)`` event the
+        FPGA/CPU/GPU models price as one GEMM. 1 recovers pure
+        best-first; larger pools trade a little search discipline for
+        bigger (more FPGA/GPU-friendly) GEMMs. Never affects exactness —
+        only nodes already inside the sphere are pooled.
     max_nodes:
         Optional safety cap on expanded nodes; when hit, the best
         incumbent so far is returned and ``stats.truncated`` is set.
@@ -363,83 +376,143 @@ class BestFirstPolicy(_PooledTreePolicy):
         super().__init__(max_nodes=max_nodes)
         self.pool_size = check_positive_int(pool_size, "pool_size")
 
-    def _search(self, engine, frame, n_tx, bound, incumbent, stats, tracer):
-        pool = NodePool(n_tx)
-        root = pool.append_root()
-        # Scalar heap entries (pd, pool row): the pool numbers rows in
-        # admission order (``seq[i] == i``), so the row doubles as the
-        # legacy SearchNode sequence tie-breaker and ``(pd, row)``
-        # sorts exactly like the old ``(pd, seq)`` — pop order, and
-        # therefore every decode, is bit-identical.
-        heap: list[tuple[float, int]] = [(0.0, root)]
-        levels = pool.level
-        heappop, heappush = heapq.heappop, heapq.heappush
+    def _search(self, engine, frame, n_tx, bound, incumbent, stats, hook):
+        """One best-first round.
+
+        Nodes are rows of three lists, ``lv`` (the level their children
+        assign), ``pds`` and ``paths`` (root-first index tuples). The
+        heap holds ``(pd, row)``: rows number nodes in admission order,
+        so keys are unique and the pop order is fixed. A pool's child
+        PDs land row-major in one flat list.
+        """
+        pts, rows, diag, ybar = frame
+        p = len(pts)
+        linf = type(engine.metric) is LInfinityMetric
         pool_size = self.pool_size
-        p = engine.constellation.order
-        acc = engine.level_acc
+        children = range(p)
+        cap = (
+            None if self.max_nodes is None
+            else self.max_nodes - stats.nodes_expanded
+        )
+        heappop, heappush = heapq.heappop, heapq.heappush
+        perf = perf_counter
+        lv = [n_tx - 1]
+        pds = [0.0]
+        paths = [()]
+        heap = [(0.0, 0)]
+        levels: list[int] = []  # level of every expansion, in order
+        pools: list[int] = []  # its node count
+        radii: list[float] = []
+        n_nodes = pruned = leaves = cmacs = max_list = truncated = 0
+        gemm_s = 0.0
+        best = None  # (row, child) of the best leaf this round
         while heap:
-            if heap[0][0] >= bound:
+            top = heap[0]
+            if top[0] >= bound:
                 break  # heap is PD-ordered: nothing left can improve
-            first = heappop(heap)
-            level = int(levels[first[1]])
-            rows = [first[1]]
-            while (
-                len(rows) < pool_size
-                and heap
-                and levels[heap[0][1]] == level
-                and heap[0][0] < bound
-            ):
-                rows.append(heappop(heap)[1])
-            rows_arr = np.asarray(rows, dtype=np.int64)
-            depth = n_tx - 1 - level
-            child_pds = yield ExpandRequest(
-                level,
-                pool.path_block(rows_arr, depth),
-                pool.pd_block(rows_arr),
-            )
-            self._account_expansion(engine, level, len(rows), depth, p, stats)
-            if level == 0:
-                incumbent, bound = self._accept_leaves(
-                    pool, rows_arr, child_pds, bound, incumbent, stats, acc
-                )
+            heappop(heap)
+            k = lv[top[1]]
+            pool = [top[1]]
+            while heap and len(pool) < pool_size:
+                pd, row = heap[0]
+                if pd >= bound or lv[row] != k:
+                    break
+                heappop(heap)
+                pool.append(row)
+            b = len(pool)
+            rk = rows[k]
+            dk = diag[k]
+            yk = ybar[k]
+            t0 = perf()
+            child = []
+            for row in pool:
+                path = paths[row]
+                pd = pds[row]
+                if path:
+                    # einsum order: zero start, ascending levels k+1 .. M-1.
+                    acc = 0j
+                    for s, rkj in zip(reversed(path), rk):
+                        acc = acc + pts[s] * rkj
+                    u = yk - acc
+                else:
+                    u = yk
+                if linf:
+                    for dc in dk:
+                        e = u - dc
+                        er = abs(e.real)
+                        ei = abs(e.imag)
+                        inc = er if er > ei else ei
+                        child.append(pd if pd > inc else inc)
+                else:
+                    for dc in dk:
+                        e = u - dc
+                        er = e.real
+                        ei = e.imag
+                        child.append(pd + (er * er + ei * ei))
+            gemm_s += perf() - t0
+            levels.append(k)
+            pools.append(b)
+            n_nodes += b
+            cmacs += b * (n_tx - 1 - k)
+            if hook is not None:
+                hook(k, b)
+            if k == 0:
+                # Leaves, row-major: first strict minimum, as np.argmin.
+                v_best = child[0]
+                i_best = 0
+                n_in = 0
+                i = 0
+                for v in child:
+                    if v < bound:
+                        n_in += 1
+                    if v < v_best:
+                        v_best = v
+                        i_best = i
+                    i += 1
+                leaves += n_in
+                pruned += b * p - n_in
+                if v_best < bound:
+                    bound = v_best
+                    best = (pool[i_best // p], i_best % p)
+                    radii.append(bound)
             else:
-                mask = child_pds < bound
-                # Row-major nonzero order == the legacy per-node /
-                # per-child push order, so bulk admission assigns the
-                # same sequence numbers the scalar loop did.
-                ii, cc = mask.nonzero()
-                stats.nodes_pruned += mask.size - ii.size
-                if acc is not None and mask.size != ii.size:
-                    acc.pruned[level] += mask.size - ii.size
-                if ii.size:
-                    survivors = child_pds[ii, cc]
-                    new_rows = pool.append_children(
-                        rows_arr[ii], cc, survivors, level - 1
-                    )
-                    levels = pool.level  # growth may have replaced it
-                    for entry in zip(survivors.tolist(), new_rows.tolist()):
-                        heappush(heap, entry)
-                stats.max_list_size = max(stats.max_list_size, len(heap))
-            if self.max_nodes is not None and stats.nodes_expanded >= self.max_nodes:
-                stats.truncated += 1
+                # Row-major admission (pool row, then child): the
+                # kernel's push order, so rows number identically.
+                before = len(lv)
+                k -= 1
+                i = 0
+                for row in pool:
+                    path = paths[row]
+                    for c in children:
+                        v = child[i]
+                        i += 1
+                        if v < bound:
+                            heappush(heap, (v, len(lv)))
+                            lv.append(k)
+                            pds.append(v)
+                            paths.append(path + (c,))
+                pruned += b * p - (len(lv) - before)
+                if len(heap) > max_list:
+                    max_list = len(heap)
+            if cap is not None and n_nodes >= cap:
+                truncated = 1
                 break
+        self._fold_round(
+            engine, stats, p, n_tx, lv, heap, levels, pools,
+            nodes=n_nodes, cmacs=cmacs, pruned=pruned, leaves=leaves,
+            radii=radii, max_list=max_list, truncated=truncated, gemm_s=gemm_s,
+        )
+        if best is not None:
+            row, c = best
+            incumbent = np.array((c,) + paths[row][::-1], dtype=np.int64)
         return incumbent, bound
 
 
 class DfsPolicy(_PooledTreePolicy):
     """Depth-first with per-level PD-sorted child insertion (Fig. 3).
 
-    Unlike the other policies, DFS evaluates its own partial distances:
-    every expansion is a single node whose work is at most ``n_tx - 1``
-    complex MACs plus ``P`` norms, far too little to amortise an
-    :class:`ExpandRequest`, an ``einsum`` and an ``argsort``. Its search
-    is one scalar loop over Python lists, floats and complexes fed by
-    :meth:`ChannelKernel.scalar_tables`, whose arithmetic follows
-    :func:`repro.core.compiled._dfs_kernel` statement for statement (the
-    same order of operations as the evaluators), so every decision,
-    metric, counter and trace is bit-identical to the GEMM path.
-    :class:`TraversalEngine` runs it frame by frame for ``solve`` and
-    ``solve_batch`` alike; only the ℓ₂ and ℓ∞ metrics are supported.
+    The search follows :func:`repro.core.compiled._dfs_kernel`
+    statement for statement (see :class:`_PooledTreePolicy`).
 
     Parameters
     ----------
@@ -451,7 +524,6 @@ class DfsPolicy(_PooledTreePolicy):
     """
 
     strategy = "dfs"
-    vectorized_acc = True
 
     def __init__(
         self, *, child_ordering: str = "sorted", max_nodes: int | None = None
@@ -461,21 +533,18 @@ class DfsPolicy(_PooledTreePolicy):
             child_ordering, "child_ordering", CHILD_ORDERS
         )
 
-    def _search(self, engine, frame, n_tx, bound, incumbent, stats, tracer):
-        """One DFS round; returns without yielding (see the shell).
+    def _search(self, engine, frame, n_tx, bound, incumbent, stats, hook):
+        """One DFS round.
 
-        ``frame`` is ``(points, rows, diag_points, ybar)`` as Python
-        lists. Nodes are rows of two lists, ``lv`` (the level their
-        children assign) and ``paths`` (root-first index tuples); the
-        LIFO holds ``(pd, row)``. Counters stay in locals and fold into
-        ``stats`` once, after the loop.
+        Nodes are rows of two lists, ``lv`` (the level their children
+        assign) and ``paths`` (root-first index tuples); the LIFO holds
+        ``(pd, row)``.
         """
         pts, rows, diag, ybar = frame
         p = len(pts)
         linf = type(engine.metric) is LInfinityMetric
         natural = self.child_ordering == "natural"
         children = range(p)
-        hook = engine.expand_hook
         cap = (
             None if self.max_nodes is None
             else self.max_nodes - stats.nodes_expanded
@@ -563,71 +632,15 @@ class DfsPolicy(_PooledTreePolicy):
             if cap is not None and len(levels) >= cap:
                 truncated = 1
                 break
-        n = len(levels)
-        stats.nodes_expanded += n
-        stats.nodes_generated += n * p
-        stats.gemm_calls += n
-        stats.gemm_flops += (
-            FLOPS_PER_CMAC * cmacs + engine.metric.flops_per_norm * n * p
+        self._fold_round(
+            engine, stats, p, n_tx, lv, stack, levels, None,
+            nodes=len(levels), cmacs=cmacs, pruned=pruned, leaves=leaves,
+            radii=radii, max_list=max_list, truncated=truncated, gemm_s=gemm_s,
         )
-        stats.nodes_pruned += pruned
-        stats.leaves_reached += leaves
-        stats.radius_updates += len(radii)
-        stats.radius_trace += radii
-        stats.max_list_size = max(stats.max_list_size, max_list)
-        stats.truncated += truncated
-        stats.gemm_time_s += gemm_s
-        if engine.record_trace:
-            stats.batches.extend(levels, [1] * n)
-        if engine.level_acc is not None:
-            self._fold_levels(
-                engine.level_acc, lv, levels, stack, p, n_tx, leaves
-            )
         if best is not None:
             row, c = best
             incumbent = np.array((c,) + paths[row][::-1], dtype=np.int64)
         return incumbent, bound
-        yield  # unreachable: makes this a generator for the shared shell
-
-    @staticmethod
-    def _fold_levels(acc, lv, levels, stack, order, n_tx, leaves):
-        """Fold one search's per-level rows into the accumulator.
-
-        ``lv`` holds the level of every admitted node and ``levels`` that
-        of every expansion. Each admitted node was expanded, pruned on
-        pop or is still on ``stack`` (node-cap truncation), so pop
-        prunes per level are admitted minus expanded minus waiting: no
-        per-node accounting in the loop. Children admitted at
-        ``level - 1`` all come from expansions at ``level`` (the root is
-        at ``n_tx - 1``, never a child), and level-0 expansions send
-        their ``order`` children to leaf acceptance instead, ``leaves``
-        of which survived. Totals match per-expansion accounting exactly.
-        """
-        admitted = np.bincount(lv, minlength=n_tx)
-        expanded = np.bincount(
-            np.asarray(levels, dtype=np.int64), minlength=n_tx
-        )
-        waiting = np.bincount(
-            np.asarray([lv[row] for _pd, row in stack], dtype=np.int64),
-            minlength=n_tx,
-        )
-        pops = (admitted - expanded - waiting).tolist()
-        admitted = admitted.tolist()
-        expanded = expanded.tolist()
-        nodes, exps, pruned = acc.nodes, acc.exps, acc.pruned
-        for level in range(n_tx):
-            e = expanded[level]
-            if e:
-                nodes[level] += e
-                exps[level] += e
-                survived = leaves if level == 0 else admitted[level - 1]
-                n_pruned = e * order - survived + pops[level]
-            else:
-                # Pop-prunes at a level can outlive its last expansion
-                # (the bound tightened after its nodes were admitted).
-                n_pruned = pops[level]
-            if n_pruned:
-                pruned[level] += n_pruned
 
 
 class BfsPolicy(TraversalPolicy):
@@ -847,9 +860,9 @@ class FsdPolicy(_SweepPolicy):
 
 
 class ScalarGemvBackend:
-    """Per-frame serial PD evaluation (one GEMV-shaped GEMM per pool).
+    """Per-frame serial PD evaluation (one GEMM per sweep level).
 
-    Drives a single frame's search generator to completion against a
+    Drives a single frame's sweep generator to completion against a
     :class:`~repro.core.gemm.GemmEvaluator` — the CPU reference path.
     Passing a prebuilt :class:`~repro.core.gemm.ChannelKernel` skips the
     per-frame R validation and per-level precompute (block fading: R is
@@ -870,9 +883,9 @@ class ScalarGemvBackend:
 class FusedGemmBackend:
     """Cross-frame fused PD evaluation (the BLAS-2 -> BLAS-3 refactor).
 
-    Runs ``B`` frames' search generators in lockstep against one
+    Runs ``B`` frames' sweep generators in lockstep against one
     :class:`~repro.core.gemm.BatchedGemmEvaluator`, stacking same-level
-    node pools into single GEMMs. Generators run with ``NULL_TRACER``:
+    frontiers into single GEMMs. Generators run with ``NULL_TRACER``:
     the span stack is per-context, not per-frame, so spans opened across
     yields of interleaved frames would corrupt the nesting.
 
@@ -969,8 +982,9 @@ class TraversalEngine:
         :class:`~repro.core.metric.PartialDistanceMetric`); ``None``
         selects the ℓ₂ reference. Threaded to the evaluators, the flop
         accounting and the radius policy, so every traversal policy
-        composes with every metric — except DFS, whose scalar loop
-        implements ℓ₂ and ℓ∞ only (any other metric raises).
+        composes with every metric — except the leaf-first policies,
+        whose scalar loops implement ℓ₂ and ℓ∞ only (any other metric
+        raises).
     record_trace:
         Keep the per-expansion :class:`BatchTrace` in the stats.
 
@@ -979,7 +993,7 @@ class TraversalEngine:
     policy folds per-level traversal totals into it — nodes expanded,
     expansion batches and nodes pruned per tree level. The detector
     flushes it into labelled counters once per solve. ``None`` (the
-    default) costs one attribute read per expansion.
+    default) costs one attribute read per sweep level or search round.
     """
 
     def __init__(
@@ -995,23 +1009,22 @@ class TraversalEngine:
         self.policy = policy
         self.radius_policy = radius_policy
         self.metric = resolve_metric(metric)
-        if isinstance(policy, DfsPolicy) and type(self.metric) not in (
+        # Decided once per engine: ``isinstance`` against an ABC costs a
+        # Python-level ``__instancecheck__`` call.
+        self._leaf_first = isinstance(policy, _PooledTreePolicy)
+        if self._leaf_first and type(self.metric) not in (
             L2SquaredMetric, LInfinityMetric,
         ):
             raise ValueError(
-                "the DFS loop supports the 'l2' and 'linf' metrics, got "
-                f"{self.metric.name!r}"
+                f"the {policy.strategy} loop supports the 'l2' and 'linf' "
+                f"metrics, got {self.metric.name!r}"
             )
         self.record_trace = record_trace
         #: Optional per-level traversal accumulator (see class docstring).
         self.level_acc: LevelAccumulator | None = None
-        #: Fused per-expansion telemetry closure, rebuilt per solve by
-        #: the pooled policies (``None`` when both the accumulator and
-        #: the ambient tracer are off — the common case).
-        self.expand_hook = None
 
     def solve_gen(self, r, ybar, noise_var, stats, tracer):
-        """The policy's search generator for one frame (see lockstep)."""
+        """The sweep policy's generator for one frame (see lockstep)."""
         return self.policy.solve_gen(self, r, ybar, noise_var, stats, tracer)
 
     def solve(self, r, ybar, noise_var, stats, tracer, *, kernel=None):
@@ -1021,10 +1034,11 @@ class TraversalEngine:
         :class:`~repro.core.gemm.ChannelKernel` for ``r`` — pass it when
         decoding many frames against one channel so the R validation and
         per-level precompute run once per block, not once per frame.
-        DFS runs its scalar loop; every other policy runs against a
-        :class:`ScalarGemvBackend`.
+        The leaf-first policies run their scalar loop; the sweeps run
+        against a :class:`ScalarGemvBackend`.
         """
-        if not isinstance(self.policy, DfsPolicy):
+        policy = self.policy
+        if not self._leaf_first:
             return ScalarGemvBackend().run(
                 self, r, ybar, noise_var, stats, tracer, kernel=kernel
             )
@@ -1035,27 +1049,28 @@ class TraversalEngine:
             np.complex128
         )
         frame = (*kernel.scalar_tables(), ybar_c.tolist())
-        search = self.policy.solve_gen(
-            self, r, ybar, noise_var, stats, tracer, frame
-        )
-        try:
-            next(search)
-        except StopIteration as done:
-            return done.value
-        raise AssertionError("a DFS round yielded an ExpandRequest")
+        n_tx = kernel.n_tx
+        hook = _build_expand_hook(tracer)
+
+        def search(bound, incumbent):
+            return policy._search(
+                self, frame, n_tx, bound, incumbent, stats, hook
+            )
+
+        return policy.solve(self, r, ybar, noise_var, stats, tracer, search)
 
     def solve_batch(self, r, ybars, noise_var, stats_list, *, kernel=None):
         """Solve ``B`` frames; returns ``(outcomes, backend)``.
 
         ``outcomes[f]`` is frame ``f``'s ``(indices, metric)`` —
         bit-identical to per-frame :meth:`solve` — and the backend
-        exposes ``fused_gemm_calls``. Policies with no cross-frame GEMM
-        to fuse (see :meth:`_frame_by_frame`) decode the frames one by
-        one (a :class:`SerialBatch`); the others stack same-level pools
-        across frames into fused GEMMs (a :class:`FusedGemmBackend`).
-        ``kernel`` as in :meth:`solve`.
+        exposes ``fused_gemm_calls``. The leaf-first policies decode the
+        frames one by one (a :class:`SerialBatch`): their pools are too
+        small for cross-frame fusion to pay. The sweeps stack same-level
+        frontiers across frames into fused GEMMs (a
+        :class:`FusedGemmBackend`). ``kernel`` as in :meth:`solve`.
         """
-        if not self._frame_by_frame():
+        if not self._leaf_first:
             backend = FusedGemmBackend()
             outcomes = backend.run(
                 self, r, ybars, noise_var, stats_list, kernel=kernel
@@ -1070,11 +1085,3 @@ class TraversalEngine:
             for f in range(len(ybars))
         ]
         return outcomes, SerialBatch(sum(st.gemm_calls for st in stats_list))
-
-    def _frame_by_frame(self) -> bool:
-        """Whether :meth:`solve_batch` decodes one frame after another.
-
-        True for DFS, whose single-node expansions leave no GEMM to fuse
-        across frames.
-        """
-        return isinstance(self.policy, DfsPolicy)

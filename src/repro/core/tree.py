@@ -11,9 +11,9 @@ directly in a ``heapq`` (Best-FS) or a list used as a LIFO stack
 PD ties, which keeps ordering deterministic and avoids comparing paths.
 
 The traversal policies in :mod:`repro.core.traversal` no longer store
-their frontiers as ``SearchNode`` objects — they keep nodes as rows of
-a :class:`repro.core.nodepool.NodePool` (structure-of-arrays, bulk
-admission) and reproduce the same ``(pd, seq)`` ordering with scalar
+their frontiers as ``SearchNode`` objects — the leaf-first loops keep
+nodes as rows of plain Python lists (level, PD, path tuple) and
+reproduce the same ``(pd, seq)`` ordering with scalar ``(pd, row)``
 heap/stack entries. ``SearchNode`` remains the node representation for
 code that walks trees explicitly (the partitioned decoder's
 fixed-levels enumeration, tests, teaching examples).

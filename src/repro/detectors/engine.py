@@ -14,8 +14,9 @@ detectors (:class:`~repro.detectors.sphere.SphereDecoder`,
 policy choice plus a handful of class attributes.
 
 A consequence the registry relies on: every engine detector gets
-``decode_batch`` (cross-frame fused GEMMs for the pooled searches,
-frame by frame for sorted DFS) and emits the uniform
+``decode_batch`` (cross-frame fused GEMMs for the BFS/K-best/FSD
+sweeps, frame by frame for the leaf-first Best-FS and sorted DFS) and
+emits the uniform
 :class:`~repro.core.stats.BatchTrace` the FPGA pipeline simulator
 prices — including K-best and FSD, which previously had neither.
 """
@@ -287,14 +288,15 @@ class EngineDetector(Detector):
 
         All rows are decoded against the *prepared* channel (the
         block-fading assumption), so every frame shares the triangular
-        factor. For the pooled searches (Best-FS, BFS, K-best, FSD)
-        their same-level node pools stack into single
+        factor. For the sweeps (BFS, K-best, FSD) their same-level
+        frontiers stack into single
         :class:`~repro.core.gemm.BatchedGemmEvaluator` calls — the
         paper's BLAS-2 -> BLAS-3 refactor applied across frames — with
         each frame's search running its own unmodified schedule in
-        lockstep (:func:`~repro.core.lockstep.drive_lockstep`). Sorted
-        DFS has no GEMM to fuse (single-node expansions, evaluated by
-        its scalar loop) and decodes the frames one after another.
+        lockstep (:func:`~repro.core.lockstep.drive_lockstep`). The
+        leaf-first searches (Best-FS, sorted DFS) expand a node or a few
+        at a time, evaluated by their scalar loops, and decode the
+        frames one after another.
         Either way the returned decisions, metrics and per-frame search
         statistics are **bit-identical** to calling :meth:`detect` per
         row; only ``wall_time_s`` differs (the batch's wall time split

@@ -67,7 +67,9 @@ class DetectorEntry:
         Returns the ML decision (brute-force-verified for the
         tree-search members in ``tests/test_ml_oracle.py``).
     batch:
-        Supports the cross-frame fused ``decode_batch`` path.
+        Supports ``decode_batch``, bit-identical to per-frame ``detect``:
+        cross-frame fused GEMMs for the BFS/K-best/FSD sweeps, frame by
+        frame for the leaf-first (Best-FS, DFS) searches.
     fpga_replayable:
         Emits a :class:`~repro.core.stats.BatchTrace` the FPGA
         pipeline simulator can price.

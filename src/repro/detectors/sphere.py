@@ -4,9 +4,11 @@ This is the algorithm of the paper (Alg. 1 + section III): the SD search
 tree is explored leaf-first — either globally best-first (a priority
 queue on partial distance, the Geosphere-inspired strategy the paper
 adopts) or depth-first with per-level PD-sorted child insertion (the LIFO
-list of Fig. 3) — while node evaluation is batched into matrix-matrix
-products (:class:`~repro.core.gemm.GemmEvaluator`, the compute-bound
-refactor of Arfaoui et al.).
+list of Fig. 3) — while same-level node pools are evaluated together,
+the matrix-matrix products of the compute-bound refactor of Arfaoui et
+al. that the FPGA model prices. On the host both searches compute
+their partial distances in scalar loops with the evaluators' order of
+operations (:mod:`repro.core.traversal`).
 
 The traversal loops themselves live in :mod:`repro.core.traversal`
 (:class:`~repro.core.traversal.BestFirstPolicy` /
@@ -81,10 +83,12 @@ class SphereDecoder(EngineDetector):
         pruning further).
     pool_size:
         Best-FS only: up to this many same-level frontier nodes are
-        popped together and evaluated in one GEMM batch. 1 recovers pure
-        best-first; larger pools trade a little search discipline for
-        bigger (more FPGA/GPU-friendly) GEMMs. Never affects exactness —
-        only nodes already inside the sphere are pooled.
+        popped together and evaluated as one batch, recorded as one
+        ``(level, pool)`` GEMM event the FPGA/CPU/GPU models price. 1
+        recovers pure best-first; larger pools trade a little search
+        discipline for bigger (more FPGA/GPU-friendly) GEMMs. Never
+        affects exactness — only nodes already inside the sphere are
+        pooled.
     child_ordering:
         ``"sorted"`` (Best-FS/Geosphere behaviour) or ``"natural"``; only
         observable under ``"dfs"``, where it fixes the stack push order.

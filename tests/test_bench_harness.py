@@ -13,8 +13,8 @@ from repro.bench.harness import (
     time_rows,
 )
 from repro.core.radius import NoiseScaledRadius
-from repro.core.sphere_decoder import SphereDecoder
 from repro.detectors.sd_bfs import GemmBfsDecoder
+from repro.detectors.sphere import SphereDecoder
 from repro.mimo.constellation import Constellation
 
 

@@ -3,12 +3,13 @@
 Bit-identity of the fused kernels against the NumPy reference engine is
 covered by the parameterized golden-decode suite (``test_nodepool.py``)
 and the ML-oracle conformance suite (``test_ml_oracle.py``), and for
-sorted DFS by a property test here that draws random channels, radius
-policies and node caps. The rest of this module tests the machinery
-*around* the kernels: the ``engine`` axis through the registry/CLI,
-graceful degradation without Numba (single warning, numpy fallback),
-the hard-failure contract for explicit requests, and the documented
-``gemm_time_s`` semantics under the fused kernels.
+sorted DFS and Best-FS by a property test here that draws random
+channels, radius policies, pool sizes and node caps. The rest of this
+module tests the machinery *around* the kernels: the ``engine`` axis
+through the registry/CLI, graceful degradation without Numba (single
+warning, numpy fallback), the hard-failure contract for explicit
+requests, and the documented ``gemm_time_s`` semantics under the fused
+kernels.
 """
 
 from __future__ import annotations
@@ -109,14 +110,16 @@ class TestEngineSelection:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_dfs_engine_rejects_other_metrics(self, engine):
+        """Both leaf-first loops implement the ℓ₂ and ℓ∞ metrics only."""
         from repro.core.metric import PartialDistanceMetric
-        from repro.core.traversal import DfsPolicy
+        from repro.core.traversal import BestFirstPolicy, DfsPolicy
 
         class L1(PartialDistanceMetric):
             name = "l1"
 
-        with pytest.raises(ValueError, match="'l2' and 'linf'"):
-            build_engine(engine, Constellation.qam(4), DfsPolicy(), metric=L1())
+        for policy in (DfsPolicy(), BestFirstPolicy()):
+            with pytest.raises(ValueError, match="'l2' and 'linf'"):
+                build_engine(engine, Constellation.qam(4), policy, metric=L1())
 
     def test_detector_constructor_rejects_unknown_engine(self):
         from repro.detectors.sphere import SphereDecoder
@@ -359,9 +362,9 @@ class _NoEscalationRadius(FixedRadius):
         return False
 
 
-#: Radius policies of the DFS cross-check: exact seeds, and tiny radii
-#: that force escalation rounds or the Babai fallback.
-_DFS_RADII = {
+#: Radius policies of the leaf-first cross-check: exact seeds, and tiny
+#: radii that force escalation rounds or the Babai fallback.
+_RADII = {
     "babai": BabaiRadius,
     "infinite": InfiniteRadius,
     "noise-tiny-alpha": lambda: NoiseScaledRadius(alpha=1e-3),
@@ -370,7 +373,7 @@ _DFS_RADII = {
 }
 
 
-def _dfs_run(engine, system, channel, frames, noise_var, config):
+def _cross_run(engine, system, channel, frames, noise_var, config):
     """Per-frame ``detect`` and one ``decode_batch`` under a live registry.
 
     Returns every result plus the registry's ``traversal.*`` series.
@@ -379,8 +382,9 @@ def _dfs_run(engine, system, channel, frames, noise_var, config):
     with use_metrics(metrics):
         decoder = SphereDecoder(
             system.constellation,
-            strategy="dfs",
-            radius_policy=_DFS_RADII[config["radius"]](),
+            strategy=config["strategy"],
+            radius_policy=_RADII[config["radius"]](),
+            pool_size=config["pool_size"],
             child_ordering=config["child_ordering"],
             max_nodes=config["max_nodes"],
             metric=config["metric"],
@@ -401,7 +405,7 @@ def _dfs_run(engine, system, channel, frames, noise_var, config):
     return results, series
 
 
-def _dfs_fingerprint(result):
+def _fingerprint(result):
     st_ = result.stats
     return (
         tuple(int(i) for i in result.indices),
@@ -420,12 +424,14 @@ def _dfs_fingerprint(result):
     )
 
 
-class TestDfsCrossImplementation:
-    """The scalar DFS loop against ``_dfs_kernel``, decode for decode.
+class TestLeafFirstCrossImplementation:
+    """The scalar DFS and Best-FS loops against ``_dfs_kernel`` and
+    ``_best_first_kernel``, decode for decode.
 
     The golden scenarios pin three fixed frames; this draws random
-    channels, both metrics and orders, both lattices, node caps and
-    radius policies that escalate, truncate or fall back to Babai.
+    channels, both strategies, pool sizes, both metrics and orders, both
+    lattices, node caps and radius policies that escalate, truncate or
+    fall back to Babai.
     """
 
     @pytest.fixture(autouse=True)
@@ -434,28 +440,32 @@ class TestDfsCrossImplementation:
             monkeypatch.setenv(compiled.INTERPRET_ENV, "1")
 
     @settings(
-        max_examples=60,
+        max_examples=100,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
+        strategy=st.sampled_from(["dfs", "best-first"]),
+        pool_size=st.integers(1, 64),
         n_tx=st.integers(1, 8),
         modulation=st.sampled_from(["bpsk", "4qam", "16qam"]),
         metric=st.sampled_from(["l2", "linf"]),
         child_ordering=st.sampled_from(["sorted", "natural"]),
         lattice=st.sampled_from(["complex", "real-reordered"]),
         max_nodes=st.one_of(st.none(), st.integers(1, 64)),
-        radius=st.sampled_from(sorted(_DFS_RADII)),
+        radius=st.sampled_from(sorted(_RADII)),
         snr_db=st.sampled_from([6.0, 14.0, 30.0]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_numpy_matches_compiled(
-        self, n_tx, modulation, metric, child_ordering, lattice, max_nodes,
-        radius, snr_db, seed,
+        self, strategy, pool_size, n_tx, modulation, metric, child_ordering,
+        lattice, max_nodes, radius, snr_db, seed,
     ):
         if lattice != "complex" and modulation == "bpsk":
             lattice = "complex"  # real lattices need square QAM
         config = {
+            "strategy": strategy,
+            "pool_size": pool_size,
             "metric": metric,
             "child_ordering": child_ordering,
             "lattice": lattice,
@@ -470,17 +480,17 @@ class TestDfsCrossImplementation:
         ]
         noise_var = system.noise_var(snr_db)
         runs = {
-            engine: _dfs_run(engine, system, channel, frames, noise_var, config)
+            engine: _cross_run(engine, system, channel, frames, noise_var, config)
             for engine in ("numpy", "compiled")
         }
         (ours, our_series), (theirs, their_series) = runs.values()
-        assert [_dfs_fingerprint(r) for r in ours] == [
-            _dfs_fingerprint(r) for r in theirs
+        assert [_fingerprint(r) for r in ours] == [
+            _fingerprint(r) for r in theirs
         ]
         assert our_series == their_series
         # decode_batch repeats detect exactly.
-        assert [_dfs_fingerprint(r) for r in ours[:2]] == [
-            _dfs_fingerprint(r) for r in ours[2:]
+        assert [_fingerprint(r) for r in ours[:2]] == [
+            _fingerprint(r) for r in ours[2:]
         ]
 
 

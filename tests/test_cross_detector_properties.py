@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.radius import FixedRadius, NoiseScaledRadius
-from repro.core.sphere_decoder import SphereDecoder
 from repro.detectors.fsd import FixedComplexityDecoder
 from repro.detectors.kbest import KBestDecoder
 from repro.detectors.linear import MMSEDetector, MRCDetector, ZeroForcingDetector
@@ -20,6 +19,7 @@ from repro.detectors.lr import LRZFDetector
 from repro.detectors.ml import MLDetector
 from repro.detectors.sd_bfs import GemmBfsDecoder
 from repro.detectors.sic import SICDetector
+from repro.detectors.sphere import SphereDecoder
 from repro.mimo.system import MIMOSystem
 
 

@@ -141,7 +141,7 @@ class TestEstimatedChannelLink:
     def test_imperfect_csi_detection_end_to_end(self, rng):
         """Detect with the *estimate*: exactness w.r.t. the estimate's ML
         holds, and high pilot SNR recovers the true transmission."""
-        from repro.core.sphere_decoder import SphereDecoder
+        from repro.detectors.sphere import SphereDecoder
         from repro.mimo.constellation import Constellation
 
         const = Constellation.qam(4)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.sphere_decoder import SphereDecoder
+from repro.detectors.sphere import SphereDecoder
 from repro.fpga.mst import ROOT_PARENT, MetaStateTable, MstCapacityError
 from repro.mimo.system import MIMOSystem
 

@@ -1,10 +1,7 @@
-"""NodePool invariants and registry-wide bit-identity regression.
+"""Sweep-path helper and registry-wide bit-identity regression.
 
-Two layers of protection for the structure-of-arrays frontier refactor:
-
-* Unit tests of :class:`repro.core.nodepool.NodePool` itself — growth
-  must preserve live rows, paths must round-trip against the legacy
-  tuple-path helpers, blocks must alias correctly.
+* :func:`repro.core.traversal.extend_paths`, the BFS/K-best/FSD
+  survivor-path step, against the concatenation it replaced.
 * A golden-output sweep: every FPGA-replayable detector kind in the
   registry decodes fixed deterministic frames (per-frame ``detect`` and,
   where supported, fused ``decode_batch``) and the decisions, exact
@@ -21,105 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.nodepool import NodePool, extend_paths
-from repro.core.tree import path_to_level_indices
+from repro.core.traversal import extend_paths
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_decodes.json"
-
-
-class TestNodePoolGrowth:
-    def test_initial_capacity_and_empty(self):
-        pool = NodePool(4, capacity=8)
-        assert pool.capacity == 8
-        assert len(pool) == 0
-        assert pool.next_seq == 0
-
-    def test_append_root(self):
-        pool = NodePool(4)
-        row = pool.append_root()
-        assert row == 0
-        assert pool.pd[0] == 0.0
-        assert pool.seq[0] == 0
-        assert pool.level[0] == 3
-        assert len(pool) == 1
-
-    def test_growth_preserves_live_rows(self):
-        pool = NodePool(3, capacity=2)
-        root = pool.append_root()
-        # Admit enough children to force several doublings.
-        rows = pool.append_children(
-            np.full(5, root), np.arange(5), np.arange(5, dtype=float), level=1
-        )
-        assert pool.capacity >= 6
-        more = pool.append_children(
-            rows, rows % 4, pool.pd[rows] + 1.0, level=0
-        )
-        assert pool.capacity >= 11
-        # Earlier rows intact after two growth events.
-        assert pool.pd[root] == 0.0
-        np.testing.assert_array_equal(pool.pd[rows], np.arange(5, dtype=float))
-        np.testing.assert_array_equal(pool.path[rows, 0], np.arange(5))
-        np.testing.assert_array_equal(pool.path[more, 0], np.arange(5))
-        np.testing.assert_array_equal(pool.path[more, 1], rows % 4)
-        # Sequence numbers are admission-ordered and dense.
-        np.testing.assert_array_equal(pool.seq[: len(pool)], np.arange(11))
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            NodePool(0)
-        with pytest.raises(ValueError):
-            NodePool(4, capacity=0)
-
-
-class TestNodePoolReads:
-    def _three_level_pool(self):
-        pool = NodePool(3)
-        root = pool.append_root()
-        l1 = pool.append_children(
-            np.array([root, root]), np.array([1, 3]), np.array([0.5, 0.7]),
-            level=1,
-        )
-        l0 = pool.append_children(
-            np.array([l1[0], l1[0], l1[1]]),
-            np.array([2, 0, 1]),
-            np.array([1.0, 1.1, 1.2]),
-            level=0,
-        )
-        return pool, root, l1, l0
-
-    def test_path_block_contiguous_is_view(self):
-        pool, _root, _l1, l0 = self._three_level_pool()
-        block = pool.path_block(l0, 2)
-        assert block.base is pool.path
-        np.testing.assert_array_equal(block, [[1, 2], [1, 0], [3, 1]])
-
-    def test_path_block_gather(self):
-        pool, _root, _l1, l0 = self._three_level_pool()
-        rows = l0[[2, 0]]  # non-monotone -> gather path
-        block = pool.path_block(rows, 2)
-        np.testing.assert_array_equal(block, [[3, 1], [1, 2]])
-
-    def test_pd_block_contiguous_and_gather(self):
-        pool, _root, _l1, l0 = self._three_level_pool()
-        np.testing.assert_array_equal(pool.pd_block(l0), [1.0, 1.1, 1.2])
-        np.testing.assert_array_equal(
-            pool.pd_block(l0[[2, 0]]), [1.2, 1.0]
-        )
-
-    def test_path_round_trip_vs_tuple_helpers(self):
-        """leaf_indices == path_to_level_indices of the tuple path."""
-        pool, _root, _l1, l0 = self._three_level_pool()
-        for row in l0:
-            tuple_path = tuple(int(v) for v in pool.path[row, :2]) + (5,)
-            expected = path_to_level_indices(tuple_path, 3)
-            got = pool.leaf_indices(int(row), 5)
-            np.testing.assert_array_equal(got, expected)
-            assert got.dtype == np.int64
-
-    def test_leaf_indices_single_level_tree(self):
-        pool = NodePool(1)
-        root = pool.append_root()
-        np.testing.assert_array_equal(pool.leaf_indices(root, 3), [3])
 
 
 class TestExtendPaths:

@@ -239,12 +239,12 @@ class TestPrometheusExport:
 class TestTraversalAccountingConsistency:
     """Registry traversal totals must equal DecodeStats exactly.
 
-    DFS folds its per-level accumulator rows once per search from the
-    scalar loop's level lists (``DfsPolicy._fold_levels``); best-first
-    accounts inline per pooled expansion. Both paths must reproduce the
-    search's own exact counters — the trace timeline is sampled, the
-    metrics are not — and a ``decode_batch`` must book the same rows as
-    a per-frame ``detect`` loop.
+    DFS and best-first fold their per-level accumulator rows once per
+    search round from the scalar loops' level/pool lists
+    (``traversal._fold_levels``). Both must reproduce the search's own
+    exact counters — the trace timeline is sampled, the metrics are
+    not — and a ``decode_batch`` must book the same rows as a per-frame
+    ``detect`` loop.
     """
 
     @staticmethod
@@ -330,9 +330,12 @@ class TestTraversalAccountingConsistency:
         assert sum(sum(counts) for counts in peaks.values()) == len(received)
 
     def test_dfs_never_reaches_the_expand_request_path(self, monkeypatch):
+        """Neither leaf-first loop (DFS, best-first) reaches lockstep or
+        a GEMM evaluator, under ``detect`` or ``decode_batch``."""
         import repro.core.lockstep as lockstep
         import repro.core.traversal as traversal
         from repro.core.gemm import BatchedGemmEvaluator, GemmEvaluator
+        from repro.detectors.kbest import KBestDecoder
         from repro.detectors.sphere import SphereDecoder
 
         def forbidden(*args, **kwargs):
@@ -343,14 +346,15 @@ class TestTraversalAccountingConsistency:
         for evaluator in (GemmEvaluator, BatchedGemmEvaluator):
             monkeypatch.setattr(evaluator, "expand_unchecked", forbidden)
         system, channel, noise_var, received = self._block(n=6)
-        dfs = SphereDecoder(system.constellation, strategy="dfs")
-        dfs.prepare(channel, noise_var=noise_var)
-        assert dfs.detect(received[0]).stats.nodes_expanded > 0
-        assert len(dfs.decode_batch(received)) == len(received)
-        # The patches bite: Best-FS still runs through both.
-        best = SphereDecoder(system.constellation, strategy="best-first")
-        best.prepare(channel, noise_var=noise_var)
+        for strategy in ("dfs", "best-first"):
+            decoder = SphereDecoder(system.constellation, strategy=strategy)
+            decoder.prepare(channel, noise_var=noise_var)
+            assert decoder.detect(received[0]).stats.nodes_expanded > 0
+            assert len(decoder.decode_batch(received)) == len(received)
+        # The patches bite: K-best still runs through both.
+        kbest = KBestDecoder(system.constellation)
+        kbest.prepare(channel, noise_var=noise_var)
         with pytest.raises(AssertionError, match="ExpandRequest"):
-            best.detect(received[0])
+            kbest.detect(received[0])
         with pytest.raises(AssertionError, match="ExpandRequest"):
-            best.decode_batch(received)
+            kbest.decode_batch(received)

@@ -222,7 +222,7 @@ class TestDecoderIntegration:
         return system, frame
 
     def test_decode_emits_spans_and_counters(self):
-        from repro.core.sphere_decoder import SphereDecoder
+        from repro.detectors.sphere import SphereDecoder
 
         system, frame = self.make_frame()
         decoder = SphereDecoder(system.constellation)
@@ -235,7 +235,7 @@ class TestDecoderIntegration:
         assert tracer.counters["sd.gemm_calls"] == result.stats.gemm_calls
 
     def test_decode_without_tracer_emits_nothing(self):
-        from repro.core.sphere_decoder import SphereDecoder
+        from repro.detectors.sphere import SphereDecoder
 
         system, frame = self.make_frame()
         decoder = SphereDecoder(system.constellation)
@@ -258,7 +258,7 @@ class TestDecoderIntegration:
 
     def test_montecarlo_instrumented(self):
         from repro.core.radius import NoiseScaledRadius
-        from repro.core.sphere_decoder import SphereDecoder
+        from repro.detectors.sphere import SphereDecoder
         from repro.mimo.montecarlo import MonteCarloEngine
         from repro.mimo.system import MIMOSystem
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.parallel import PartitionedSphereDecoder
 from repro.core.radius import InfiniteRadius, NoiseScaledRadius
 from repro.detectors.ml import MLDetector
+from repro.detectors.partitioned import PartitionedSphereDecoder
 from repro.mimo.system import MIMOSystem
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.core.sphere_decoder import SphereDecoder
+from repro.detectors.sphere import SphereDecoder
 from repro.mimo.constellation import Constellation
 from repro.mimo.montecarlo import MonteCarloEngine
 from repro.mimo.parallel_mc import plan_chunks, plan_shards

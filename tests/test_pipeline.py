@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from repro.core.radius import NoiseScaledRadius
-from repro.core.sphere_decoder import SphereDecoder
 from repro.detectors.base import BatchEvent, BatchTrace, DecodeStats
+from repro.detectors.sphere import SphereDecoder
 from repro.fpga.device import AlveoU280
 from repro.fpga.pipeline import (
     OVERHEAD_BUCKETS,

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.sphere_decoder import SphereDecoder
 from repro.detectors.ml import MLDetector
 from repro.detectors.real_sd import RealSphereDecoder, pam_component
+from repro.detectors.sphere import SphereDecoder
 from repro.mimo.constellation import Constellation
 from repro.mimo.system import MIMOSystem
 

@@ -77,7 +77,7 @@ class TestWorkloadShape:
 
     def test_explores_more_than_leaf_first(self):
         """The paper's IV-F claim: BFS explores far more nodes."""
-        from repro.core.sphere_decoder import SphereDecoder
+        from repro.detectors.sphere import SphereDecoder
 
         system = MIMOSystem(6, 6, "4qam")
         rng = np.random.default_rng(3)

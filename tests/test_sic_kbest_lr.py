@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.radius import BabaiRadius
-from repro.core.sphere_decoder import SphereDecoder
 from repro.detectors.kbest import KBestDecoder
 from repro.detectors.linear import ZeroForcingDetector
 from repro.detectors.lr import LRZFDetector
 from repro.detectors.ml import MLDetector
 from repro.detectors.sic import SICDetector
+from repro.detectors.sphere import SphereDecoder
 from repro.mimo.constellation import Constellation
 from repro.mimo.system import MIMOSystem
 

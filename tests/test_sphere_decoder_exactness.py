@@ -18,8 +18,8 @@ from repro.core.radius import (
     InfiniteRadius,
     NoiseScaledRadius,
 )
-from repro.core.sphere_decoder import SphereDecoder
 from repro.detectors.ml import MLDetector
+from repro.detectors.sphere import SphereDecoder
 from repro.mimo.system import MIMOSystem
 
 
