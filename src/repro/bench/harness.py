@@ -25,9 +25,11 @@ from repro.mimo.constellation import Constellation
 from repro.mimo.montecarlo import MonteCarloEngine, SweepResult
 from repro.mimo.system import MIMOSystem
 from repro.obs import (
+    MetricsRegistry,
     RunRegistry,
     Tracer,
     format_metrics,
+    use_metrics,
     use_tracer,
     write_chrome_trace,
 )
@@ -269,9 +271,10 @@ def observe_bench(
 ) -> Iterator[Tracer | None]:
     """Scope one bench/experiment run under the observability layer.
 
-    Installs an enabled :class:`~repro.obs.Tracer` as the ambient tracer
-    when any output was requested (otherwise a no-op that yields
-    ``None``). On exit writes the Chrome trace to
+    Installs an enabled :class:`~repro.obs.Tracer` and
+    :class:`~repro.obs.MetricsRegistry` as the ambient ones when any
+    output was requested (otherwise a no-op that yields ``None``). On
+    exit writes the Chrome trace to
     :func:`resolve_trace_path`, prints the aligned metrics summary,
     writes flamegraph exports (``flame`` is a directory receiving
     ``<name>.collapsed.txt`` + ``<name>.speedscope.json``), and/or
@@ -283,17 +286,19 @@ def observe_bench(
     if trace is None and not metrics and runs_dir is None and flame is None:
         yield None
         return
-    tracer = Tracer()
+    tracer, registry = Tracer(), MetricsRegistry()
     recorder = RunRegistry(runs_dir).new_run(name, seed=seed, config=config)
     status = "complete"
     try:
-        with use_tracer(tracer):
+        with use_tracer(tracer), use_metrics(registry):
             yield tracer
     except BaseException:
         status = "failed"
         raise
     finally:
-        export_observations(tracer, name, trace=trace, metrics=metrics)
+        export_observations(
+            tracer, name, trace=trace, metrics=metrics, registry=registry
+        )
         if flame is not None:
             from repro.obs.profile import (
                 build_profile_tree,
@@ -309,7 +314,7 @@ def observe_bench(
             )
             print(f"[obs] flamegraphs written: {collapsed}, {speedscope}")
         if recorder.enabled:
-            recorder.record_metrics(tracer)
+            recorder.record_metrics(tracer, registry)
             recorder.record_trace(tracer)
             recorder.record_profile(tracer)
             path = recorder.finalize(status)
@@ -322,14 +327,16 @@ def export_observations(
     *,
     trace: str | Path | None = None,
     metrics: bool = False,
+    registry: MetricsRegistry | None = None,
 ) -> None:
-    """Write/print one observed run's artifacts (trace file, metrics)."""
+    """Write/print one observed run's artifacts (trace file, metrics
+    summary — counters from ``registry``)."""
     if trace is not None:
         path = write_chrome_trace(tracer, resolve_trace_path(trace, name))
         _log.info("wrote Chrome trace for %s to %s", name, path)
         print(f"[obs] trace written: {path}")
     if metrics:
-        print(format_metrics(tracer, title=f"metrics: {name}"))
+        print(format_metrics(tracer, registry, title=f"metrics: {name}"))
 
 
 def time_rows(workload: WorkloadSweep) -> list[dict]:

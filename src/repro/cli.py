@@ -864,8 +864,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.fpga.pipeline import FPGAPipeline, PipelineConfig
     from repro.mimo.system import MIMOSystem
     from repro.obs import (
+        MetricsRegistry,
         Tracer,
         format_metrics,
+        use_metrics,
         use_tracer,
         write_chrome_trace,
         write_jsonl,
@@ -894,8 +896,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         else PipelineConfig.baseline(order)
     )
     pipe = FPGAPipeline(config, n_tx=n_tx, n_rx=n_rx, order=order)
-    tracer = Tracer()
-    with use_tracer(tracer):
+    tracer, metrics = Tracer(), MetricsRegistry()
+    with use_tracer(tracer), use_metrics(metrics):
         decoder.prepare(frame.channel, noise_var=frame.noise_var)
         result = decoder.detect(frame.received)
         report = pipe.decode_report(result.stats)
@@ -909,7 +911,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print()
     print(report.format_stage_breakdown())
     print()
-    print(format_metrics(tracer, title="decode metrics"))
+    print(format_metrics(tracer, metrics, title="decode metrics"))
     path = write_chrome_trace(tracer, args.out)
     print()
     print(f"Chrome trace written to {path} (open in chrome://tracing or Perfetto)")
@@ -918,28 +920,27 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stats_json(tracer, source: str) -> dict:
-    """Machine-readable span/counter summary (`stats --json`).
+def _emit_stats_json(tracer, metrics, source: str, target: str) -> None:
+    """Write the machine-readable span/registry summary (`stats --json`).
 
     Mirrors ``benchmarks/bench_kernels.py --json``: a single JSON
     document another tool can diff or plot — per-span count/total/
-    percentiles in seconds, final counter values, and derived
-    nodes-per-second rates.
+    percentiles in seconds, the registry snapshot under
+    ``instruments`` (as in a run's ``metrics.json``; absent for a saved
+    event log, which holds no counts), and derived nodes-per-second
+    rates. ``target`` is a path or ``-`` for stdout.
     """
-    from repro.obs import traversal_rates
-    from repro.obs.registry import metrics_to_dict
-
-    doc: dict = {"schema": 1, "source": source}
-    doc.update(metrics_to_dict(tracer))
-    doc["rates"] = traversal_rates(tracer)
-    return doc
-
-
-def _emit_stats_json(tracer, source: str, target: str) -> None:
     import json as _json
     from pathlib import Path
 
-    doc = _stats_json(tracer, source)
+    from repro.obs import traversal_rates
+    from repro.obs.registry import metrics_to_dict
+
+    doc: dict = {"schema": 2, "source": source}
+    doc.update(metrics_to_dict(tracer, metrics))
+    doc["rates"] = (
+        traversal_rates(metrics.snapshot()) if metrics is not None else {}
+    )
     if target == "-":
         print(_json.dumps(doc, indent=1))
         return
@@ -951,18 +952,25 @@ def _emit_stats_json(tracer, source: str, target: str) -> None:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.bench.experiments import EXPERIMENTS
-    from repro.obs import Tracer, format_metrics, use_tracer, write_chrome_trace
+    from repro.obs import (
+        MetricsRegistry,
+        Tracer,
+        format_metrics,
+        use_metrics,
+        use_tracer,
+        write_chrome_trace,
+    )
 
     if args.from_jsonl:
         from repro.obs import read_jsonl, tracer_from_events
 
         tracer = tracer_from_events(read_jsonl(args.from_jsonl))
         if args.json_out == "-":
-            _emit_stats_json(tracer, args.from_jsonl, args.json_out)
+            _emit_stats_json(tracer, None, args.from_jsonl, args.json_out)
         else:
             print(format_metrics(tracer, title=f"metrics: {args.from_jsonl}"))
             if args.json_out:
-                _emit_stats_json(tracer, args.from_jsonl, args.json_out)
+                _emit_stats_json(tracer, None, args.from_jsonl, args.json_out)
         if args.trace:
             path = write_chrome_trace(tracer, args.trace)
             print()
@@ -983,17 +991,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             "frames_per_channel": args.frames,
             "seed": args.seed,
         }
-    tracer = Tracer()
-    with _engine_scope(args.engine), use_tracer(tracer):
+    tracer, metrics = Tracer(), MetricsRegistry()
+    with _engine_scope(args.engine), use_tracer(tracer), use_metrics(metrics):
         result = fn(**kwargs)
     if args.json_out == "-":
-        _emit_stats_json(tracer, args.name, args.json_out)
+        _emit_stats_json(tracer, metrics, args.name, args.json_out)
     else:
         print(result.format())
         print()
-        print(format_metrics(tracer, title=f"metrics: {args.name}"))
+        print(format_metrics(tracer, metrics, title=f"metrics: {args.name}"))
         if args.json_out:
-            _emit_stats_json(tracer, args.name, args.json_out)
+            _emit_stats_json(tracer, metrics, args.name, args.json_out)
     if args.trace:
         from repro.bench.harness import resolve_trace_path
 

@@ -133,107 +133,82 @@ class LevelAccumulator:
     Three flat integer lists indexed by tree level: nodes expanded,
     expansion (GEMM batch) count, and nodes pruned. The sweeps add to
     them once per level, the leaf-first loops once per round
-    (:func:`_fold_levels`); the detector layer folds the totals into
-    labelled counters once per solve. Per-level *generated* is not
-    tracked — it is exactly ``nodes * constellation.order``.
-
-    :meth:`ensure` sizes the lists before a search (policies call it
-    once per solve with ``n_tx``); sizing never shrinks, so one
-    accumulator can span a whole decode batch.
+    (:func:`_fold_levels`); the detector layer copies the totals into
+    labelled registry counters once per ``detect`` or ``decode_batch``.
+    Per-level *generated* is not tracked — it is exactly
+    ``nodes * constellation.order``.
     """
 
     __slots__ = ("nodes", "exps", "pruned")
 
-    def __init__(self) -> None:
-        self.nodes: list[int] = []
-        self.exps: list[int] = []
-        self.pruned: list[int] = []
-
-    def ensure(self, n_levels: int) -> None:
-        grow = n_levels - len(self.nodes)
-        if grow > 0:
-            self.nodes.extend([0] * grow)
-            self.exps.extend([0] * grow)
-            self.pruned.extend([0] * grow)
+    def __init__(self, n_levels: int) -> None:
+        self.nodes = [0] * n_levels
+        self.exps = [0] * n_levels
+        self.pruned = [0] * n_levels
 
 
-def _build_expand_hook(tracer):
-    """The sampled ``sd.batch`` tracer marks as one prebound closure.
+class _MarkSample:
+    """One solve's sampled ``sd.batch`` marks.
 
-    The leaf-first loops call it once per expansion with
-    ``(level, pool)``. Everything is prebound (via
-    :meth:`~repro.obs.Tracer.mark_bindings`), and single-node marks are
-    sampled at the tracer's ``mark_stride``: pooled marks always record,
-    exact counts live in the metrics registry and ``DecodeStats``, marks
-    are timeline samples. Returns ``None`` when the tracer records no
-    marks (the common case).
+    The leaf-first loops append ``(t0, level, pool)`` rows, ``t0`` being
+    the clock reading they take for ``gemm_time_s``: every pooled
+    expansion, and every ``stride``-th single-node one from the first
+    (``skip`` counts down across the solve's rounds). The engine hands
+    the rows to :meth:`~repro.obs.Tracer.marks` once per solve.
     """
-    bindings = tracer.mark_bindings()
-    if bindings is None:
-        return None
-    append, now, epoch, tid = bindings
-    stride = tracer.mark_stride
-    # Start one short of the stride so the first single-node mark of
-    # every solve records (a frame's trace is never entirely bare).
-    skip = stride - 1
 
-    def hook(level: int, b: int) -> None:
-        nonlocal skip
-        if b == 1:
-            skip += 1
-            if skip < stride:
-                return
-            skip = 0
-        append(("sd.batch", now() - epoch, tid, level, b))
+    __slots__ = ("rows", "stride", "skip")
 
-    return hook
+    def __init__(self, stride: int) -> None:
+        self.rows: list[tuple[float, int, int]] = []
+        self.stride = stride
+        self.skip = 1
 
 
-def _fold_levels(acc, lv, levels, pools, queue, order, n_tx, leaves):
+def _fold_levels(acc, lv, queue, levels, pools, pops, order, n_tx, leaves):
     """Fold one leaf-first search round's per-level rows into ``acc``.
 
-    ``lv`` holds the level of every admitted node, ``levels``/``pools``
-    the level and node count of every expansion (``pools`` is ``None``
-    when every expansion is a single node), and ``queue`` the
-    ``(pd, row)`` entries still waiting when the round ended. Each
-    admitted node was expanded, pruned on pop (DFS only) or is still
-    waiting, so pop prunes per level are admitted minus expanded minus
-    waiting: no per-node accounting in the loops. Children admitted at
-    ``level - 1`` all come from expansions at ``level`` (the root is at
-    ``n_tx - 1``, never a child), and level-0 expansions send their
-    children to leaf acceptance instead, ``leaves`` of which survived.
-    Totals match per-expansion accounting exactly.
+    ``levels``/``pools`` hold the level and node count of every
+    expansion (``pools`` is ``None`` when every expansion is a single
+    node), ``pops`` the per-level count of nodes pruned on pop (DFS;
+    ``None`` for Best-FS, which never pops a node outside the sphere),
+    and ``queue`` the ``(pd, row)`` entries still waiting when the round
+    ended (``lv[row]`` is a row's level). Every node admitted at a level
+    was expanded, pruned on pop or is still waiting, so the children
+    admitted at ``level - 1`` — all produced by expansions at ``level``
+    (the root is at ``n_tx - 1``, never a child) — number the three
+    together; level-0 expansions send their children to leaf acceptance
+    instead, ``leaves`` of which survived. A level without expansions
+    admitted no children below it, so its prunes are its pop-prunes and
+    one formula serves every level. Only the expansion lists and the
+    leftover queue are scanned, never the admitted nodes. Totals match
+    per-expansion accounting exactly.
     """
-    admitted = np.bincount(lv, minlength=n_tx)
-    lvls = np.asarray(levels, dtype=np.int64)
-    exps = np.bincount(lvls, minlength=n_tx)
-    nodes = (
-        exps if pools is None
-        else np.bincount(lvls, weights=pools, minlength=n_tx).astype(np.int64)
-    )
-    waiting = np.bincount(
-        np.asarray([lv[row] for _pd, row in queue], dtype=np.int64),
-        minlength=n_tx,
-    )
-    pops = (admitted - nodes - waiting).tolist()
-    admitted = admitted.tolist()
-    exps = exps.tolist()
-    nodes = exps if pools is None else nodes.tolist()
+    exps = [0] * n_tx
+    if pools is None:
+        for level in levels:
+            exps[level] += 1
+        nodes = exps
+    else:
+        nodes = [0] * n_tx
+        for level, b in zip(levels, pools):
+            exps[level] += 1
+            nodes[level] += b
+    if pops is None:
+        pops = [0] * n_tx
+    waiting = [0] * n_tx
+    for _pd, row in queue:
+        waiting[lv[row]] += 1
     a_nodes, a_exps, a_pruned = acc.nodes, acc.exps, acc.pruned
+    survived = leaves
     for level in range(n_tx):
-        e = exps[level]
-        if e:
-            n = nodes[level]
-            a_nodes[level] += n
-            a_exps[level] += e
-            survived = leaves if level == 0 else admitted[level - 1]
-            n_pruned = n * order - survived + pops[level]
-        else:
-            # Pop-prunes at a level can outlive its last expansion
-            # (the bound tightened after its nodes were admitted).
-            n_pruned = pops[level]
-        if n_pruned:
-            a_pruned[level] += n_pruned
+        n = nodes[level]
+        q = pops[level]
+        a_nodes[level] += n
+        a_exps[level] += exps[level]
+        a_pruned[level] += n * order - survived + q
+        # Nodes admitted at this level: children the level above kept.
+        survived = n + q + waiting[level]
 
 
 class _PooledTreePolicy(TraversalPolicy):
@@ -272,8 +247,6 @@ class _PooledTreePolicy(TraversalPolicy):
         passes its scalar loop, the compiled engine its kernel.
         """
         n_tx = int(r.shape[1])
-        if engine.level_acc is not None:
-            engine.level_acc.ensure(n_tx)
         with tracer.span("sd.solve", strategy=self.strategy, n_tx=n_tx):
             init = engine.radius_policy.initial(
                 r, ybar, engine.constellation, float(noise_var),
@@ -307,25 +280,27 @@ class _PooledTreePolicy(TraversalPolicy):
         return np.asarray(incumbent), float(bound)
 
     @abc.abstractmethod
-    def _search(self, engine, frame, n_tx, bound, incumbent, stats, hook):
+    def _search(self, engine, frame, n_tx, bound, incumbent, stats, marks):
         """One full tree exploration under the given initial bound.
 
         ``frame`` is ``(points, rows, diag_points, ybar)`` as Python
-        lists and ``hook`` the optional :func:`_build_expand_hook`
-        closure. Returns what the ``search`` callable of :meth:`solve`
-        returns.
+        lists and ``marks`` the solve's :class:`_MarkSample` (``None``
+        when the tracer is off). Returns what the ``search`` callable of
+        :meth:`solve` returns.
         """
 
     @staticmethod
     def _fold_round(
-        engine, stats, order, n_tx, lv, queue, levels, pools, *,
+        engine, stats, order, n_tx, lv, queue, levels, pools, pops, *,
         nodes, cmacs, pruned, leaves, radii, max_list, truncated, gemm_s,
     ):
         """Fold one round's local counters into ``stats``, once.
 
-        ``lv``/``queue``/``levels``/``pools`` as in :func:`_fold_levels`;
-        ``nodes`` is the number of nodes expanded. The FLOP count uses
-        the exact formulas of :class:`~repro.core.gemm.GemmEvaluator`.
+        ``lv``/``queue``/``levels``/``pools``/``pops`` as in
+        :func:`_fold_levels`; ``nodes`` is the number of nodes expanded
+        and ``pruned`` every prune, pop-prunes included. The FLOP count
+        uses the exact formulas of
+        :class:`~repro.core.gemm.GemmEvaluator`.
         """
         stats.nodes_expanded += nodes
         stats.nodes_generated += nodes * order
@@ -346,7 +321,8 @@ class _PooledTreePolicy(TraversalPolicy):
             )
         if engine.level_acc is not None:
             _fold_levels(
-                engine.level_acc, lv, levels, pools, queue, order, n_tx, leaves
+                engine.level_acc, lv, queue, levels, pools, pops, order, n_tx,
+                leaves,
             )
 
 
@@ -376,7 +352,7 @@ class BestFirstPolicy(_PooledTreePolicy):
         super().__init__(max_nodes=max_nodes)
         self.pool_size = check_positive_int(pool_size, "pool_size")
 
-    def _search(self, engine, frame, n_tx, bound, incumbent, stats, hook):
+    def _search(self, engine, frame, n_tx, bound, incumbent, stats, marks):
         """One best-first round.
 
         Nodes are rows of three lists, ``lv`` (the level their children
@@ -406,6 +382,8 @@ class BestFirstPolicy(_PooledTreePolicy):
         n_nodes = pruned = leaves = cmacs = max_list = truncated = 0
         gemm_s = 0.0
         best = None  # (row, child) of the best leaf this round
+        if marks is not None:
+            sampled, stride, skip = marks.rows, marks.stride, marks.skip
         while heap:
             top = heap[0]
             if top[0] >= bound:
@@ -454,8 +432,14 @@ class BestFirstPolicy(_PooledTreePolicy):
             pools.append(b)
             n_nodes += b
             cmacs += b * (n_tx - 1 - k)
-            if hook is not None:
-                hook(k, b)
+            if marks is not None:
+                if b > 1:
+                    sampled.append((t0, k, b))
+                else:
+                    skip -= 1
+                    if not skip:
+                        skip = stride
+                        sampled.append((t0, k, 1))
             if k == 0:
                 # Leaves, row-major: first strict minimum, as np.argmin.
                 v_best = child[0]
@@ -497,8 +481,10 @@ class BestFirstPolicy(_PooledTreePolicy):
             if cap is not None and n_nodes >= cap:
                 truncated = 1
                 break
+        if marks is not None:
+            marks.skip = skip
         self._fold_round(
-            engine, stats, p, n_tx, lv, heap, levels, pools,
+            engine, stats, p, n_tx, lv, heap, levels, pools, None,
             nodes=n_nodes, cmacs=cmacs, pruned=pruned, leaves=leaves,
             radii=radii, max_list=max_list, truncated=truncated, gemm_s=gemm_s,
         )
@@ -533,12 +519,14 @@ class DfsPolicy(_PooledTreePolicy):
             child_ordering, "child_ordering", CHILD_ORDERS
         )
 
-    def _search(self, engine, frame, n_tx, bound, incumbent, stats, hook):
+    def _search(self, engine, frame, n_tx, bound, incumbent, stats, marks):
         """One DFS round.
 
         Nodes are rows of two lists, ``lv`` (the level their children
         assign) and ``paths`` (root-first index tuples); the LIFO holds
-        ``(pd, row)``.
+        ``(pd, row)``. Pop-prunes are counted per level where they
+        happen, as :func:`repro.core.compiled._dfs_kernel` keeps
+        ``acc_pruned``.
         """
         pts, rows, diag, ybar = frame
         p = len(pts)
@@ -554,15 +542,18 @@ class DfsPolicy(_PooledTreePolicy):
         paths = [()]
         stack = [(0.0, 0)]
         levels: list[int] = []  # level of every expansion, in order
+        pops = [0] * n_tx  # nodes pruned on pop, per level
         radii: list[float] = []
         pruned = leaves = cmacs = max_list = truncated = 0
         gemm_s = 0.0
         best = None  # (row, child) of the best leaf this round
+        if marks is not None:
+            sampled, stride, skip = marks.rows, marks.stride, marks.skip
         while stack:
             pd, row = stack.pop()
             if pd >= bound:
                 # Admitted inside an older, looser sphere — prune on pop.
-                pruned += 1
+                pops[lv[row]] += 1
                 continue
             k = lv[row]
             path = paths[row]
@@ -592,8 +583,11 @@ class DfsPolicy(_PooledTreePolicy):
             gemm_s += perf() - t0
             levels.append(k)
             cmacs += len(path)
-            if hook is not None:
-                hook(k, 1)
+            if marks is not None:
+                skip -= 1
+                if not skip:
+                    skip = stride
+                    sampled.append((t0, k, 1))
             if k == 0:
                 # Leaves: first strict minimum, as np.argmin.
                 v_best = child[0]
@@ -632,10 +626,13 @@ class DfsPolicy(_PooledTreePolicy):
             if cap is not None and len(levels) >= cap:
                 truncated = 1
                 break
+        if marks is not None:
+            marks.skip = skip
         self._fold_round(
-            engine, stats, p, n_tx, lv, stack, levels, None,
-            nodes=len(levels), cmacs=cmacs, pruned=pruned, leaves=leaves,
-            radii=radii, max_list=max_list, truncated=truncated, gemm_s=gemm_s,
+            engine, stats, p, n_tx, lv, stack, levels, None, pops,
+            nodes=len(levels), cmacs=cmacs, pruned=pruned + sum(pops),
+            leaves=leaves, radii=radii, max_list=max_list,
+            truncated=truncated, gemm_s=gemm_s,
         )
         if best is not None:
             row, c = best
@@ -720,8 +717,6 @@ class BfsPolicy(TraversalPolicy):
 
     def solve_gen(self, engine, r, ybar, noise_var, stats, tracer):
         n_tx = int(r.shape[1])
-        if engine.level_acc is not None:
-            engine.level_acc.ensure(n_tx)
         init = engine.radius_policy.initial(
             r, ybar, engine.constellation, float(noise_var),
             metric=engine.metric,
@@ -759,8 +754,6 @@ class _SweepPolicy(TraversalPolicy):
 
     def solve_gen(self, engine, r, ybar, noise_var, stats, tracer):
         n_tx = int(r.shape[1])
-        if engine.level_acc is not None:
-            engine.level_acc.ensure(n_tx)
         p = engine.constellation.order
         paths = np.empty((1, 0), dtype=np.int64)
         pds = np.zeros(1, dtype=float)
@@ -988,12 +981,14 @@ class TraversalEngine:
     record_trace:
         Keep the per-expansion :class:`BatchTrace` in the stats.
 
-    When :attr:`level_acc` is set to a :class:`LevelAccumulator` (the
-    detector layer does this when a metrics registry is live), every
+    When :attr:`level_acc` is set to a :class:`LevelAccumulator` sized
+    to the tree depth (the detector layer does this when a metrics
+    registry is live), every
     policy folds per-level traversal totals into it — nodes expanded,
     expansion batches and nodes pruned per tree level. The detector
-    flushes it into labelled counters once per solve. ``None`` (the
-    default) costs one attribute read per sweep level or search round.
+    copies it into labelled registry counters once per ``detect`` or
+    ``decode_batch``. ``None`` (the default) costs one attribute read
+    per sweep level or search round.
     """
 
     def __init__(
@@ -1050,14 +1045,17 @@ class TraversalEngine:
         )
         frame = (*kernel.scalar_tables(), ybar_c.tolist())
         n_tx = kernel.n_tx
-        hook = _build_expand_hook(tracer)
+        marks = _MarkSample(tracer.mark_stride) if tracer.enabled else None
 
         def search(bound, incumbent):
             return policy._search(
-                self, frame, n_tx, bound, incumbent, stats, hook
+                self, frame, n_tx, bound, incumbent, stats, marks
             )
 
-        return policy.solve(self, r, ybar, noise_var, stats, tracer, search)
+        result = policy.solve(self, r, ybar, noise_var, stats, tracer, search)
+        if marks is not None:
+            tracer.marks("sd.batch", marks.rows)
+        return result
 
     def solve_batch(self, r, ybars, noise_var, stats_list, *, kernel=None):
         """Solve ``B`` frames; returns ``(outcomes, backend)``.

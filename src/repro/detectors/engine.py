@@ -5,7 +5,7 @@ channel, map each received vector into the triangular domain, run a
 search policy against an evaluation backend, and fold the winning path
 back to antenna order. :class:`EngineDetector` implements that shell
 once — ``prepare`` / ``detect`` / ``solve`` / ``decode_batch``, obs
-spans and counters, per-frame wall-time accounting — and the concrete
+spans and registry series, per-frame wall-time accounting — and the concrete
 detectors (:class:`~repro.detectors.sphere.SphereDecoder`,
 :class:`~repro.detectors.sd_bfs.GemmBfsDecoder`,
 :class:`~repro.detectors.geosphere.GeosphereDecoder`,
@@ -44,7 +44,7 @@ from repro.mimo.preprocessing import (
     qr_decompose,
     sorted_qr,
 )
-from repro.obs.metrics import current_metrics, exponential_buckets
+from repro.obs.metrics import current_metrics, exponential_buckets, inc_each
 from repro.obs.tracer import current_tracer
 from repro.util.timing import Timer
 from repro.util.validation import check_in, check_matrix, check_vector
@@ -54,6 +54,47 @@ from repro.util.validation import check_in, check_matrix, check_vector
 #: counts, so edges run 1, 2, 4, ... ~=1M rather than the default
 #: seconds-scaled buckets.
 FRONTIER_BUCKETS = exponential_buckets(1.0, 2.0, 21)
+
+#: Per-level ``traversal.*`` counters, in the order the flush writes them.
+_LEVEL_COUNTERS = ("nodes_expanded", "expansions", "nodes_generated", "nodes_pruned")
+
+
+class _DetectorSeries:
+    """The registry series a detector writes, bound once per registry
+    and detector name (:meth:`MetricsRegistry.bundle`).
+
+    Every series is bound with ``labels(...)``, so a flush builds no
+    label key; per-level series are bound the first time a level shows
+    up.
+    """
+
+    def __init__(self, metrics, detector: str) -> None:
+        self.registry, self.detector = metrics, detector
+        counter, histogram = metrics.counter, metrics.histogram
+        self.frames = counter("detector.frames").labels(detector=detector)
+        self.leaves = counter("traversal.leaves_reached").labels(detector=detector)
+        self.flops = counter("traversal.gemm_flops").labels(detector=detector)
+        self.seconds = histogram("detector.decode_seconds").labels(detector=detector)
+        self.frontier = histogram(
+            "traversal.frontier_peak", edges=FRONTIER_BUCKETS
+        ).labels(detector=detector)
+        #: Per tree level, its ``traversal.*`` series in
+        #: :data:`_LEVEL_COUNTERS` order.
+        self.levels: list[tuple] = []
+
+    def bind_levels(self, n_levels: int) -> list[tuple]:
+        """The per-level series of levels ``0 .. n_levels - 1``."""
+        levels = self.levels
+        for level in range(len(levels), n_levels):
+            levels.append(
+                tuple(
+                    self.registry.counter(f"traversal.{name}").labels(
+                        detector=self.detector, level=str(level)
+                    )
+                    for name in _LEVEL_COUNTERS
+                )
+            )
+        return levels
 
 
 class EngineDetector(Detector):
@@ -66,17 +107,12 @@ class EngineDetector(Detector):
     below to fix their trace vocabulary.
     """
 
-    #: Prefix of every span/counter this detector emits (``sd``, ``bfs``…).
+    #: Prefix of every span this detector emits (``sd``, ``bfs``…).
     trace_root = "sd"
     #: Extra outer span prefix for re-badged configurations (Geosphere
     #: wraps the inherited ``sd.*`` spans in ``geosphere.*`` ones so its
     #: time stays attributable in mixed-detector traces).
     wrapper_span: str | None = None
-    #: ``DecodeStats`` fields emitted as ``<root>.<field>`` counters
-    #: after each solve.
-    counter_fields: tuple[str, ...] = ()
-    #: Emit ``<root>.batch.frame_gemm_calls`` in ``decode_batch``.
-    batch_frame_gemm_counter = False
     #: Column ordering for the QR step: ``"natural"`` (plain QR) or
     #: ``"sqrd"`` (sorted QR). May be overridden per instance.
     ordering = "natural"
@@ -95,6 +131,9 @@ class EngineDetector(Detector):
     constellation = None
     radius_policy = None
     record_trace = True
+    #: Per-level accumulator the last :meth:`solve` fed (``None`` when no
+    #: registry was live); :meth:`detect` flushes it.
+    _level_acc: LevelAccumulator | None = None
 
     @property
     def engine_name(self) -> str:
@@ -215,6 +254,7 @@ class EngineDetector(Detector):
             received, "received", length=self._channel.shape[0]
         )
         tracer = current_tracer()
+        series = self._metric_series()
         timer = Timer()
         with ExitStack() as spans:
             if self.wrapper_span is not None:
@@ -232,11 +272,9 @@ class EngineDetector(Detector):
                     self._qr.r, ybar, self._noise_var
                 )
         stats.wall_time_s = timer.elapsed
-        metrics = current_metrics()
-        if metrics.enabled:
-            metrics.counter("detector.frames").inc(1, detector=self.name)
-            metrics.histogram("detector.decode_seconds").observe(
-                timer.elapsed, detector=self.name
+        if series is not None:
+            self._flush_traversal_metrics(
+                series, self._level_acc, [stats], timer.elapsed
             )
         return self._fold_back(received, incumbent, stats)
 
@@ -251,14 +289,14 @@ class EngineDetector(Detector):
         Lower-level entry point than :meth:`detect`: no QR, no
         permutation handling — useful when the caller owns the
         preprocessing (e.g. the reduced-precision ablation quantises R
-        and ybar itself).
+        and ybar itself). It writes nothing to the metrics registry:
+        :meth:`detect` and :meth:`decode_batch` do.
 
         Returns ``(indices_by_level, reduced_metric, stats)`` where
         ``indices_by_level[k]`` is the constellation index of level ``k``.
         """
         stats = DecodeStats()
         tracer = current_tracer()
-        metrics = current_metrics()
         # Reuse the prepare-time channel kernel only when the caller is
         # decoding against the prepared factor itself (detect does);
         # external callers may pass a different R (e.g. the quantised-R
@@ -269,18 +307,12 @@ class EngineDetector(Detector):
             else None
         )
         engine = self._engine()
-        if metrics.enabled:
-            engine.level_acc = LevelAccumulator()
+        engine.level_acc = self._level_acc = (
+            LevelAccumulator(r.shape[1]) if current_metrics().enabled else None
+        )
         incumbent, bound = engine.solve(
             r, ybar, noise_var, stats, tracer, kernel=kernel
         )
-        if tracer.enabled:
-            for name in self.counter_fields:
-                tracer.count(
-                    f"{self.trace_root}.{name}", getattr(stats, name)
-                )
-        if metrics.enabled:
-            self._flush_traversal_metrics(metrics, engine.level_acc, [stats])
         return incumbent, bound, stats
 
     def decode_batch(self, received: np.ndarray) -> list[DetectionResult]:
@@ -313,6 +345,7 @@ class EngineDetector(Detector):
             return []
         n_frames = received.shape[0]
         tracer = current_tracer()
+        series = self._metric_series()
         timer = Timer()
         stats_list = [DecodeStats() for _ in range(n_frames)]
         with ExitStack() as spans:
@@ -338,30 +371,18 @@ class EngineDetector(Detector):
                     ]
                 )
                 engine = self._engine()
-                metrics = current_metrics()
-                if metrics.enabled:
-                    engine.level_acc = LevelAccumulator()
-                outcomes, backend = engine.solve_batch(
+                acc = engine.level_acc = (
+                    None if series is None
+                    else LevelAccumulator(self._qr.r.shape[1])
+                )
+                outcomes, _backend = engine.solve_batch(
                     self._qr.r, ybars, self._noise_var, stats_list,
                     kernel=self._kernel,
                 )
-        if metrics.enabled:
-            self._flush_traversal_metrics(
-                metrics, engine.level_acc, stats_list, batch_seconds=timer.elapsed
-            )
-        if tracer.enabled:
-            tracer.count(f"{self.trace_root}.batch.frames", n_frames)
-            tracer.count(
-                f"{self.trace_root}.batch.fused_gemm_calls",
-                backend.fused_gemm_calls,
-            )
-            if self.batch_frame_gemm_counter:
-                tracer.count(
-                    f"{self.trace_root}.batch.frame_gemm_calls",
-                    sum(st.gemm_calls for st in stats_list),
-                )
-        results: list[DetectionResult] = []
         per_frame_s = timer.elapsed / n_frames
+        if series is not None:
+            self._flush_traversal_metrics(series, acc, stats_list, per_frame_s)
+        results: list[DetectionResult] = []
         for f in range(n_frames):
             incumbent, _bound = outcomes[f]
             stats = stats_list[f]
@@ -371,48 +392,48 @@ class EngineDetector(Detector):
 
     # ------------------------------------------------------------------
 
-    def _flush_traversal_metrics(
-        self, metrics, acc, stats_list, *, batch_seconds: float | None = None
-    ) -> None:
-        """Fold one solve/batch's traversal accumulator into the registry.
+    def _metric_series(self) -> _DetectorSeries | None:
+        """Series bound for the ambient registry; ``None`` when it is off."""
+        metrics = current_metrics()
+        if not metrics.enabled:
+            return None
+        return metrics.bundle(_DetectorSeries, self.name)
 
-        ``acc`` is the engine's :class:`LevelAccumulator` collected on
-        the hot path; here — once per solve, off the hot path — it
-        becomes per-level labelled counters, plus the frontier-peak
-        histogram and (for batches) per-frame decode seconds. Per-level
+    def _flush_traversal_metrics(
+        self, series, acc, stats_list, frame_seconds: float
+    ) -> None:
+        """Copy one ``detect``'s or ``decode_batch``'s counts into the registry.
+
+        The single place a decode's :class:`DecodeStats` reach the
+        metrics registry, run once per call after the decode timer has
+        stopped. ``acc`` is the engine's :class:`LevelAccumulator`: it
+        becomes per-level ``traversal.*`` counters. Per-level
         *generated* is ``nodes * order`` (every expansion emits one
         child per constellation point); prune *rate* per level is
-        derived at read time as ``pruned / generated``.
+        derived at read time as ``pruned / generated``. Each frame adds
+        one frontier-peak and one ``frame_seconds`` decode-time
+        observation.
         """
-        det = self.name
         if acc is not None:
-            nodes = metrics.counter("traversal.nodes_expanded")
-            expansions = metrics.counter("traversal.expansions")
-            generated = metrics.counter("traversal.nodes_generated")
-            pruned = metrics.counter("traversal.nodes_pruned")
             order = self.search_constellation.order
-            for level, n_exp in enumerate(acc.exps):
-                n_pruned = acc.pruned[level]
-                if not n_exp and not n_pruned:
-                    continue
-                lvl = str(level)
-                n_nodes = acc.nodes[level]
-                nodes.inc(n_nodes, detector=det, level=lvl)
-                expansions.inc(n_exp, detector=det, level=lvl)
-                generated.inc(n_nodes * order, detector=det, level=lvl)
-                if n_pruned:
-                    pruned.inc(n_pruned, detector=det, level=lvl)
-        frontier = metrics.histogram(
-            "traversal.frontier_peak", edges=FRONTIER_BUCKETS
-        )
+            rows = series.bind_levels(len(acc.exps))
+            for row, n, e, q in zip(rows, acc.nodes, acc.exps, acc.pruned):
+                # A level with neither expansions nor prunes books
+                # nothing; nodes_pruned only when there were prunes.
+                if q:
+                    inc_each(row, (n, e, n * order, q))
+                elif e:
+                    inc_each(row, (n, e, n * order))
+        frontier, seconds = series.frontier, series.seconds
+        leaves = flops = 0
         for stats in stats_list:
-            frontier.observe(stats.max_list_size, detector=det)
-        if batch_seconds is not None:
-            n = len(stats_list)
-            metrics.counter("detector.frames").inc(n, detector=det)
-            metrics.histogram("detector.decode_seconds").observe(
-                batch_seconds / max(n, 1), detector=det
-            )
+            frontier.observe(stats.max_list_size)
+            seconds.observe(frame_seconds)
+            leaves += stats.leaves_reached
+            flops += stats.gemm_flops
+        series.frames.inc(len(stats_list))
+        series.leaves.inc(leaves)
+        series.flops.inc(flops)
 
     def _fold_back(
         self,

@@ -42,12 +42,6 @@ class FixedComplexityDecoder(EngineDetector):
 
     name = "fsd"
     trace_root = "fsd"
-    counter_fields = (
-        "nodes_expanded",
-        "nodes_pruned",
-        "leaves_reached",
-        "gemm_calls",
-    )
     # FSD conventionally uses an ordering that puts the *least*
     # reliable streams in the fully-enumerated levels; SQRD places the
     # weakest stream at the deepest (last-detected) level, and its

@@ -38,12 +38,6 @@ class KBestDecoder(EngineDetector):
 
     name = "kbest"
     trace_root = "kbest"
-    counter_fields = (
-        "nodes_expanded",
-        "nodes_pruned",
-        "leaves_reached",
-        "gemm_calls",
-    )
     # SQRD ordering: detecting reliable streams first makes the
     # K-survivor truncation far less likely to drop the ML path.
     ordering = "sqrd"

@@ -50,12 +50,6 @@ class GemmBfsDecoder(EngineDetector):
 
     name = "sphere-gemm-bfs"
     trace_root = "bfs"
-    counter_fields = (
-        "nodes_expanded",
-        "nodes_pruned",
-        "leaves_reached",
-        "gemm_calls",
-    )
 
     def __init__(
         self,

@@ -40,12 +40,13 @@ consume the aggregate counters.
 
 When an ambient :class:`repro.obs.Tracer` is installed
 (:func:`repro.obs.use_tracer`), each decode additionally emits nested
-spans (``sd.detect`` > ``sd.solve`` > ``sd.search``), ``sd.batch``
+spans (``sd.detect`` > ``sd.solve`` > ``sd.search``) and ``sd.batch``
 instants sampling the expansion timeline (pooled expansions always
-record; single-node expansions every ``mark_stride``-th — exact counts
-live in the metrics registry and ``DecodeStats``) and node/GEMM
-counters. With no tracer installed the hot path pays one attribute
-read and a boolean check per batch — see ``docs/observability.md``.
+record; single-node expansions every ``mark_stride``-th). Exact counts
+live in ``DecodeStats`` and, under an ambient metrics registry, its
+``detector.*`` / ``traversal.*`` series. With neither installed the
+hot path pays one local check per expansion — see
+``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -114,15 +115,6 @@ class SphereDecoder(EngineDetector):
 
     name = "sphere-gemm"
     trace_root = "sd"
-    counter_fields = (
-        "nodes_expanded",
-        "nodes_generated",
-        "nodes_pruned",
-        "leaves_reached",
-        "gemm_calls",
-        "gemm_flops",
-    )
-    batch_frame_gemm_counter = True
 
     def __init__(
         self,

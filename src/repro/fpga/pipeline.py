@@ -27,13 +27,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from math import log2
+from operator import itemgetter
 
 from repro.detectors.base import BatchEvent, DecodeStats
 from repro.fpga.device import AlveoU280, DeviceSpec
 from repro.fpga.gemm_engine import SystolicGemmEngine
 from repro.fpga.memory import hbm_stream_cycles
 from repro.fpga.prefetch import PrefetchUnit
-from repro.obs.metrics import current_metrics
+from repro.obs.metrics import current_metrics, inc_each, set_each
 from repro.obs.tracer import current_tracer
 from repro.util.validation import check_positive_int
 
@@ -293,6 +294,37 @@ class PipelineReport:
         return "\n".join(lines)
 
 
+#: A report's busy cycles of the five pipeline stages, in stage order.
+_stage_cycles = itemgetter(*PIPELINE_STAGES)
+
+
+class _PipelineSeries:
+    """The registry series a pipeline config writes, bound once per
+    registry and config name (:meth:`MetricsRegistry.bundle`).
+
+    ``counters`` is one row, in the order :meth:`FPGAPipeline.decode_report`
+    writes it: the busy cycles per stage, the charged cycles per stage
+    and the attributed cycles per overhead bucket (``attributed``'s own
+    key order), then the total. ``occupancy`` holds the per-stage
+    gauges.
+    """
+
+    def __init__(self, metrics, config: str) -> None:
+        def row(handle, label, keys):
+            return [handle.labels(config=config, **{label: k}) for k in keys]
+
+        counter = metrics.counter
+        self.counters = (
+            row(counter("fpga.stage_busy_cycles"), "stage", PIPELINE_STAGES)
+            + row(counter("fpga.charged_cycles"), "stage", PIPELINE_STAGES)
+            + row(counter("fpga.stall_cycles"), "bucket", OVERHEAD_BUCKETS)
+            + [counter("fpga.cycles_total").labels(config=config)]
+        )
+        self.occupancy = row(
+            metrics.gauge("fpga.stage_occupancy"), "stage", PIPELINE_STAGES
+        )
+
+
 class FPGAPipeline:
     """Prices decode traces through the module cycle models.
 
@@ -507,25 +539,13 @@ class FPGAPipeline:
             total += transfer
             breakdown["transfer"] = transfer
             attributed["transfer"] = transfer
-        if tracer.enabled:
-            for stage, cycles in attributed.items():
-                tracer.count(f"fpga.cycles.{stage}", cycles)
-            tracer.count("fpga.cycles.total", total)
         metrics = current_metrics()
         if metrics.enabled:
-            cfg = self.config.name
-            busy = metrics.counter("fpga.stage_busy_cycles")
-            occupancy = metrics.gauge("fpga.stage_occupancy")
-            for stage in PIPELINE_STAGES:
-                busy.inc(breakdown[stage], config=cfg, stage=stage)
-                if total:
-                    occupancy.set(
-                        breakdown[stage] / total, config=cfg, stage=stage
-                    )
-            stall = metrics.counter("fpga.stall_cycles")
-            for bucket in OVERHEAD_BUCKETS:
-                stall.inc(attributed[bucket], config=cfg, bucket=bucket)
-            metrics.counter("fpga.cycles_total").inc(total, config=cfg)
+            series = metrics.bundle(_PipelineSeries, self.config.name)
+            busy = _stage_cycles(breakdown)
+            inc_each(series.counters, (*busy, *attributed.values(), total))
+            if total:
+                set_each(series.occupancy, [cycles / total for cycles in busy])
         return PipelineReport(
             config_name=self.config.name,
             freq_mhz=self.config.freq_mhz,

@@ -164,9 +164,6 @@ def _run_block(
                 if not keep_traces:
                     st.batches = BatchTrace()
                 stats.append(st)
-    if tracer.enabled:
-        tracer.count("mc.frames", frames)
-        tracer.count("mc.bit_errors", counter.bit_errors)
     metrics = current_metrics()
     if metrics.enabled:
         _record_block_metrics(metrics, snr_db, frames, counter, stats, timer)

@@ -50,7 +50,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from multiprocessing import Manager
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -140,15 +140,14 @@ class ShardTelemetry:
     """Telemetry flush a worker posts alongside its progress messages.
 
     Carries the worker tracer's drained events (already stamped with the
-    worker pid, timed against the parent's epoch) and counter deltas,
-    plus the worker registry's drained metrics delta. Separate from
+    worker pid, timed against the parent's epoch) plus the worker
+    registry's drained metrics delta. Separate from
     :class:`BlockProgress` so unobserved sweeps ship zero extra bytes.
     """
 
     shard_id: int
     pid: int
     events: tuple[TraceEvent, ...] = ()
-    counters: Mapping[str, float] | None = None
     metrics: MetricsSnapshot | None = None
 
 
@@ -214,13 +213,9 @@ def _flush_shard_telemetry(queue, spec: ShardSpec, tracer, metrics) -> None:
     """
     if queue is None or (tracer is None and metrics is None):
         return
-    events: tuple[TraceEvent, ...] = ()
-    counters: dict[str, float] = {}
-    if tracer is not None:
-        drained, counters = tracer.drain()
-        events = tuple(drained)
+    events = tuple(tracer.drain()) if tracer is not None else ()
     snap = metrics.drain() if metrics is not None else None
-    if not events and not counters and (snap is None or snap.empty):
+    if not events and (snap is None or snap.empty):
         return
     try:
         queue.put(
@@ -228,7 +223,6 @@ def _flush_shard_telemetry(queue, spec: ShardSpec, tracer, metrics) -> None:
                 shard_id=spec.shard_id,
                 pid=os.getpid(),
                 events=events,
-                counters=counters or None,
                 metrics=snap,
             )
         )
@@ -521,7 +515,7 @@ def run_sweep_sharded(
                 return
             if isinstance(msg, ShardTelemetry):
                 if tracer.enabled:
-                    tracer.absorb(msg.events, msg.counters)
+                    tracer.absorb(msg.events)
                 if metrics.enabled and msg.metrics is not None:
                     metrics.merge_snapshot(msg.metrics)
                     metrics.tick()

@@ -3,20 +3,21 @@
 Cooperating pieces (see ``docs/observability.md``):
 
 ``repro.obs.tracer``
-    :class:`Tracer` / :class:`Span` / :class:`Counter` — a lightweight
-    span & counter collector, nested via ``contextvars``, with
-    near-zero overhead when disabled. The decoder, the detectors, the
+    :class:`Tracer` / :class:`Span` — a lightweight span & instant
+    collector, nested via ``contextvars``, with near-zero overhead when
+    disabled. The decoder, the detectors, the
     Monte Carlo engine and the FPGA pipeline simulator are all
     instrumented against the *ambient* tracer (``current_tracer()``).
     :class:`TraceContext` propagates the observed state into Monte
     Carlo shard workers, whose buffers flow back over the progress
     queue into one merged per-process-lane trace.
 ``repro.obs.metrics``
-    The labelled metrics subsystem — :class:`MetricsRegistry` hands out
-    counters, gauges and exponential-bucket histograms against the
-    ambient registry (``current_metrics()``), snapshots merge exactly
-    across processes, and exporters render Prometheus text — plus the
-    original tracer percentile summaries.
+    The labelled metrics subsystem and the package's only counter
+    store — :class:`MetricsRegistry` hands out counters, gauges and
+    exponential-bucket histograms against the ambient registry
+    (``current_metrics()``), snapshots merge exactly across processes,
+    and exporters render Prometheus text — plus the run summaries
+    (span percentiles, counter totals, traversal rates).
 ``repro.obs.export`` / ``repro.obs.stream``
     Exporters: Chrome ``trace_event`` JSON (``chrome://tracing`` /
     Perfetto) with one lane per worker process, a JSONL event log that
@@ -47,6 +48,7 @@ Quickstart::
     with use_tracer(tracer), use_metrics(metrics):
         decoder.detect(received)
     write_chrome_trace(tracer, "decode.trace.json")
+    print(format_metrics(tracer, metrics))
     print(to_prometheus(metrics.snapshot()))
 """
 
@@ -68,7 +70,6 @@ from repro.obs.metrics import (
     HistogramData,
     MetricsRegistry,
     MetricsSnapshot,
-    counter_totals,
     current_metrics,
     exponential_buckets,
     format_metrics,
@@ -114,10 +115,8 @@ from repro.obs.stream import (
 )
 from repro.obs.tracer import (
     NULL_TRACER,
-    PHASE_COUNTER,
     PHASE_INSTANT,
     PHASE_SPAN,
-    Counter,
     Span,
     TraceContext,
     TraceEvent,
@@ -131,13 +130,11 @@ from repro.obs.tracer import (
 __all__ = [
     "Tracer",
     "Span",
-    "Counter",
     "TraceEvent",
     "TraceContext",
     "NULL_TRACER",
     "PHASE_SPAN",
     "PHASE_INSTANT",
-    "PHASE_COUNTER",
     "current_tracer",
     "set_tracer",
     "reset_tracer",
@@ -167,7 +164,6 @@ __all__ = [
     "format_stream_line",
     "format_top",
     "span_metrics",
-    "counter_totals",
     "traversal_rates",
     "format_metrics",
     "events_from_chrome",

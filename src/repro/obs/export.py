@@ -2,9 +2,10 @@
 
 The Chrome format (one ``{"traceEvents": [...]}`` object) loads directly
 in ``chrome://tracing`` or https://ui.perfetto.dev; spans become
-complete events (``ph: "X"``), instants ``ph: "i"`` and counters
-``ph: "C"``. Timestamps are microseconds from the tracer epoch and are
-emitted in monotonically non-decreasing order.
+complete events (``ph: "X"``) and instants ``ph: "i"``. Timestamps are
+microseconds from the tracer epoch and are emitted in monotonically
+non-decreasing order. Counts are not trace events: they live in the
+metrics registry (:mod:`repro.obs.metrics`).
 
 Events absorbed from Monte Carlo shard workers carry their origin OS
 pid (see :class:`~repro.obs.tracer.TraceContext`); the exporter renders
@@ -25,13 +26,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.obs.tracer import (
-    PHASE_COUNTER,
-    PHASE_INSTANT,
-    PHASE_SPAN,
-    TraceEvent,
-    Tracer,
-)
+from repro.obs.tracer import PHASE_INSTANT, PHASE_SPAN, TraceEvent, Tracer
 
 #: Synthetic process id for events recorded by the owning process
 #: (``TraceEvent.pid == 0``); worker events keep their real OS pid.
@@ -106,9 +101,6 @@ def chrome_trace_events(tracer: Tracer) -> list[dict]:
             base["s"] = "t"
             if event.args:
                 base["args"] = dict(event.args)
-        elif event.phase == PHASE_COUNTER:
-            base["ph"] = "C"
-            base["args"] = {event.name: event.value}
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown event phase {event.phase!r}")
         rows.append(base)
@@ -145,8 +137,6 @@ def jsonl_lines(tracer: Tracer) -> list[str]:
         if event.phase == PHASE_SPAN:
             row["dur"] = event.dur
             row["depth"] = event.depth
-        if event.phase == PHASE_COUNTER:
-            row["value"] = event.value
         if event.args:
             row["args"] = dict(event.args)
         if event.pid:
@@ -193,7 +183,7 @@ def read_jsonl(path: str | Path) -> list[TraceEvent]:
                 raise ValueError(
                     f"{path}: JSONL line {lineno} is not a trace event"
                 )
-            if row["phase"] not in (PHASE_SPAN, PHASE_INSTANT, PHASE_COUNTER):
+            if row["phase"] not in (PHASE_SPAN, PHASE_INSTANT):
                 raise ValueError(
                     f"{path}: JSONL line {lineno} has unknown phase "
                     f"{row['phase']!r}"
@@ -206,7 +196,6 @@ def read_jsonl(path: str | Path) -> list[TraceEvent]:
                         ts=float(row.get("ts", 0.0)),
                         dur=float(row.get("dur", 0.0)),
                         depth=int(row.get("depth", 0)),
-                        value=float(row.get("value", 0.0)),
                         args=row.get("args"),
                         pid=int(row.get("pid", 0)),
                     )
@@ -224,8 +213,8 @@ def events_from_chrome(doc: dict) -> list[TraceEvent]:
     """Parse a Chrome ``trace_event`` document back into trace events.
 
     The inverse of :func:`chrome_trace` for the phases the tracer emits:
-    complete spans (``ph: "X"``), instants (``"i"``) and counters
-    (``"C"``). Metadata rows (``"M"``) and unknown phases are skipped.
+    complete spans (``ph: "X"``) and instants (``"i"``). Metadata rows
+    (``"M"``) and every other phase are skipped.
     Timestamps come back in seconds; the exporter's synthetic main-lane
     pid (:data:`TRACE_PID`) maps back to ``0``. This is what lets
     ``repro-sd profile`` rebuild a span tree from a recorded run's
@@ -240,7 +229,7 @@ def events_from_chrome(doc: dict) -> list[TraceEvent]:
         if not isinstance(row, dict):
             continue
         ph = row.get("ph")
-        if ph not in ("X", "i", "C"):
+        if ph not in ("X", "i"):
             continue
         pid = int(row.get("pid", TRACE_PID))
         base = {
@@ -258,18 +247,9 @@ def events_from_chrome(doc: dict) -> list[TraceEvent]:
                     **base,
                 )
             )
-        elif ph == "i":
+        else:
             events.append(
                 TraceEvent(phase=PHASE_INSTANT, args=row.get("args"), **base)
-            )
-        else:
-            args = row.get("args") or {}
-            events.append(
-                TraceEvent(
-                    phase=PHASE_COUNTER,
-                    value=float(args.get(base["name"], 0.0)),
-                    **base,
-                )
             )
     if not events:
         raise ValueError("Chrome trace document holds no convertible events")
@@ -277,20 +257,11 @@ def events_from_chrome(doc: dict) -> list[TraceEvent]:
 
 
 def tracer_from_events(events: list[TraceEvent]) -> Tracer:
-    """A disabled-for-recording tracer wrapping pre-recorded events.
+    """A tracer wrapping pre-recorded events.
 
     Good enough for every read-side consumer (``stats``, ``trace``,
-    exporters): spans, counters and instants are replayed verbatim;
-    counter totals are reconstructed from each origin process's last
-    running-total event, summed across origins (each worker counts its
-    own running total, so the per-origin maxima are the shard totals).
+    exporters): spans and instants are replayed verbatim.
     """
     tracer = Tracer(enabled=True, epoch=0.0)
     tracer._events = list(events)
-    last: dict[tuple[int, str], float] = {}
-    for event in events:
-        if event.phase == PHASE_COUNTER:
-            last[(event.pid, event.name)] = event.value
-    for (_pid, name), value in last.items():
-        tracer.counters[name] = tracer.counters.get(name, 0.0) + value
     return tracer

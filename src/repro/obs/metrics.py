@@ -1,15 +1,11 @@
-"""Metrics: labelled counters / gauges / histograms plus the legacy
-tracer-summary helpers.
+"""Metrics: labelled counters / gauges / histograms plus the run
+summaries built on them.
 
-Two complementary surfaces live here:
+Two surfaces live here:
 
-* The original **tracer summaries** (:func:`span_metrics`,
-  :func:`counter_totals`, :func:`traversal_rates`,
-  :func:`format_metrics`) — post-hoc percentile tables over a
-  :class:`~repro.obs.tracer.Tracer`'s recorded spans and counters.
-* The **metrics registry** — a first-class, live subsystem:
-  :class:`MetricsRegistry` hands out labelled counter / gauge /
-  exponential-bucket-histogram instruments, snapshots merge exactly
+* The **metrics registry** — :class:`MetricsRegistry` hands out
+  labelled counter / gauge / exponential-bucket-histogram instruments,
+  the only store of counts in the package. Snapshots merge exactly
   across processes (the same contract as
   :meth:`repro.util.timing.Timer.merge` — order-independent, exact
   aggregates), and exporters render Prometheus text or JSON documents.
@@ -17,6 +13,13 @@ Two complementary surfaces live here:
   :func:`current_metrics` returns :data:`NULL_METRICS` (every method a
   no-op) unless :func:`use_metrics` installed a live registry, so
   instrumented code pays one attribute check when observability is off.
+  Hot paths bind a series once (``handle.labels(detector="sd")``) and
+  write it with the value alone (``.inc(n)``), skipping the per-call
+  label-key build.
+* **Run summaries** (:func:`span_metrics`, :func:`traversal_rates`,
+  :func:`format_metrics`) — percentile tables over a
+  :class:`~repro.obs.tracer.Tracer`'s recorded spans, plus the counter
+  totals and derived rates of a registry snapshot.
 
 Label values are kept as strings in snapshots so JSON round trips are
 exact; series keys render Prometheus-style: ``mc.frames{snr=8}``.
@@ -32,14 +35,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from time import time as _wall_time
 from typing import Any, Iterator, Mapping
 
 from repro.obs.tracer import Tracer
 from repro.util.timing import TimingSummary, summarize
 
 # ---------------------------------------------------------------------------
-# Tracer-summary helpers (post-hoc view over recorded spans/counters)
+# Run summaries (spans from a tracer, counts from a registry snapshot)
 # ---------------------------------------------------------------------------
 
 
@@ -50,37 +54,55 @@ def span_metrics(tracer: Tracer) -> dict[str, TimingSummary]:
     }
 
 
-def counter_totals(tracer: Tracer) -> dict[str, float]:
-    """Final accumulated value of every counter."""
-    return dict(tracer.counters)
+def counter_rows(snapshot: "MetricsSnapshot") -> dict[str, float]:
+    """Counter totals by series, per-level series summed.
 
-
-def traversal_rates(tracer: Tracer) -> dict[str, float]:
-    """Nodes-expanded-per-second by detector trace root.
-
-    Pairs each ``<root>.nodes_expanded`` counter with the total time
-    spent in that root's ``detect`` / ``decode_batch`` spans — the
-    host-throughput figure the SoA-frontier refactor optimises. Roots
-    whose spans carry no recorded time are omitted.
+    The ``level`` label is the vocabulary's only per-tree-level label;
+    folding it keeps a summary table to one row per detector and
+    counter (``traversal.nodes_expanded{detector=sd}``). Sorted by key.
     """
-    durations = tracer.span_durations()
+    rows: dict[str, float] = {}
+    for (name, key), value in snapshot.counters.items():
+        flat = format_series_key(name, tuple(kv for kv in key if kv[0] != "level"))
+        rows[flat] = rows.get(flat, 0.0) + value
+    return dict(sorted(rows.items()))
+
+
+def traversal_rates(snapshot: "MetricsSnapshot") -> dict[str, float]:
+    """Nodes expanded per decode second, by detector.
+
+    Divides each detector's ``traversal.nodes_expanded`` total (all
+    levels) by the sum of its ``detector.decode_seconds`` histogram —
+    the host-throughput figure the traversal loops optimise. Detectors
+    without recorded decode time are omitted.
+    """
+    nodes: dict[str, float] = {}
+    for (name, key), value in snapshot.counters.items():
+        if name == "traversal.nodes_expanded":
+            det = dict(key).get("detector", "")
+            nodes[det] = nodes.get(det, 0.0) + value
     rates: dict[str, float] = {}
-    for name, value in tracer.counters.items():
-        if not name.endswith(".nodes_expanded"):
+    for (name, key), hist in snapshot.histograms.items():
+        if name != "detector.decode_seconds" or hist.sum <= 0:
             continue
-        root = name[: -len(".nodes_expanded")]
-        wall = sum(
-            sum(durs)
-            for span, durs in durations.items()
-            if span in (f"{root}.detect", f"{root}.decode_batch")
-        )
-        if wall > 0:
-            rates[f"{root}.nodes_per_sec"] = value / wall
+        det = dict(key).get("detector", "")
+        if det in nodes:
+            rates[f"{det}.nodes_per_sec"] = nodes[det] / hist.sum
     return rates
 
 
-def format_metrics(tracer: Tracer, *, title: str = "metrics") -> str:
-    """Render spans (ms percentiles) and counters as an aligned table."""
+def format_metrics(
+    tracer: Tracer,
+    metrics: "MetricsRegistry | None" = None,
+    *,
+    title: str = "metrics",
+) -> str:
+    """Render spans (ms percentiles), counters and rates as aligned tables.
+
+    Spans come from ``tracer``; counters (:func:`counter_rows`) and
+    derived rates (:func:`traversal_rates`) from ``metrics``, when an
+    enabled registry is given.
+    """
     lines = [f"== {title} =="]
     spans = span_metrics(tracer)
     if spans:
@@ -106,21 +128,17 @@ def format_metrics(tracer: Tracer, *, title: str = "metrics") -> str:
             lines.append("  ".join(r[i].ljust(widths[i]) for i in range(len(r))))
     else:
         lines.append("(no spans recorded)")
-    counters = counter_totals(tracer)
-    if counters:
-        width = max(len(name) for name in counters)
-        lines.append("")
-        lines.append("counters:")
-        for name, value in counters.items():
-            shown = f"{int(value)}" if float(value).is_integer() else f"{value:.3f}"
-            lines.append(f"  {name.ljust(width)}  {shown}")
-    rates = traversal_rates(tracer)
-    if rates:
-        width = max(len(name) for name in rates)
-        lines.append("")
-        lines.append("derived:")
-        for name, value in rates.items():
-            lines.append(f"  {name.ljust(width)}  {value:,.0f}")
+    if metrics is not None and metrics.enabled:
+        snapshot = metrics.snapshot()
+        for heading, table, shown in (
+            ("counters:", counter_rows(snapshot),
+             lambda v: f"{int(v)}" if float(v).is_integer() else f"{v:.3f}"),
+            ("derived:", traversal_rates(snapshot), lambda v: f"{v:,.0f}"),
+        ):
+            if table:
+                width = max(len(name) for name in table)
+                lines += ["", heading]
+                lines += [f"  {k.ljust(width)}  {shown(v)}" for k, v in table.items()]
     return "\n".join(lines)
 
 
@@ -133,20 +151,10 @@ LabelKey = tuple[tuple[str, str], ...]
 
 
 def _label_key(labels: Mapping[str, Any]) -> LabelKey:
-    """Canonical hashable key for one label set (values stringified)."""
-    if not labels:
-        return ()
-    if len(labels) == 1:
-        ((k, v),) = labels.items()
-        return ((k, v if type(v) is str else _label_str(v)),)
-    if len(labels) == 2:
-        # The per-solve flush loops hit this shape (detector, level)
-        # tens of times per frame; pairwise compare beats building a
-        # generator + sorted() for it.
-        (k1, v1), (k2, v2) = labels.items()
-        a = (k1, v1 if type(v1) is str else _label_str(v1))
-        b = (k2, v2 if type(v2) is str else _label_str(v2))
-        return (a, b) if k1 <= k2 else (b, a)
+    """Canonical hashable key for one label set (values stringified).
+
+    Hot paths build it once per series (:meth:`_Instrument.labels`).
+    """
     return tuple(
         sorted((k, v if type(v) is str else _label_str(v)) for k, v in labels.items())
     )
@@ -220,7 +228,7 @@ def exponential_buckets(
 DEFAULT_BUCKETS = exponential_buckets(1e-6, 2.0, 26)
 
 
-@dataclass
+@dataclass(slots=True)
 class HistogramData:
     """One histogram series: exponential buckets plus exact aggregates.
 
@@ -266,6 +274,9 @@ class HistogramData:
             min=min(self.min, other.min),
             max=max(self.max, other.max),
         )
+
+    def copy(self) -> "HistogramData":
+        return replace(self, counts=list(self.counts))
 
     def quantile(self, q: float) -> float:
         """Upper-edge estimate of the ``q``-quantile (0..1).
@@ -318,12 +329,8 @@ class HistogramData:
 class MetricsSnapshot:
     """A point-in-time (or delta) copy of a registry's series.
 
-    ``merge`` is associative and commutative — counters and histograms
-    add exactly; gauges keep the latest observation by timestamp (ties
-    broken by value, so the operation stays order-independent). That is
-    the same contract :meth:`Timer.merge` provides, and it is what lets
-    shard deltas arrive in any interleaving and still produce the exact
-    totals the serial run would have.
+    Snapshots merge through :meth:`MetricsRegistry.merge_snapshot`, the
+    one cross-process merge path.
     """
 
     t: float = 0.0
@@ -338,22 +345,6 @@ class MetricsSnapshot:
     @property
     def empty(self) -> bool:
         return not (self.counters or self.gauges or self.histograms)
-
-    def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        out = MetricsSnapshot(t=max(self.t, other.t))
-        out.counters = dict(self.counters)
-        for key, value in other.counters.items():
-            out.counters[key] = out.counters.get(key, 0.0) + value
-        out.gauges = dict(self.gauges)
-        for key, (value, ts) in other.gauges.items():
-            mine = out.gauges.get(key)
-            if mine is None or (ts, value) > (mine[1], mine[0]):
-                out.gauges[key] = (value, ts)
-        out.histograms = dict(self.histograms)
-        for key, hist in other.histograms.items():
-            mine = out.histograms.get(key)
-            out.histograms[key] = hist if mine is None else mine.merge(hist)
-        return out
 
     def counter_total(self, name: str) -> float:
         """Sum of one counter across all of its label sets."""
@@ -462,51 +453,144 @@ class _NullInstrument:
     def observe(self, value: float, **labels: Any) -> None:
         return None
 
+    def labels(self, **labels: Any) -> "_NullInstrument":
+        return self
+
 
 _NULL_INSTRUMENT = _NullInstrument()
 
 
-class CounterHandle:
+class _Series:
+    """One labelled series of an instrument, kept per label key for good.
+
+    ``handle.labels(...)`` hands it out bound, so a write builds and
+    hashes no label key. It is *live* from its first write (which admits
+    it against the cardinality guard) until the registry's ``clear`` or
+    ``drain``; snapshots hold live series only.
+    """
+
+    __slots__ = ("_handle", "_key", "value", "live")
+
+    def __init__(self, handle: "_Instrument", key: LabelKey) -> None:
+        self._handle = handle
+        self._key = key
+        self.value: Any = None
+        self.live = False
+
+    def _admit(self) -> None:
+        handle = self._handle
+        handle._registry._admit(handle.name, self._key)
+        self.live = True
+
+
+class _CounterSeries(_Series):
+    __slots__ = ()
+
+    def inc(self, value: float = 1.0) -> None:
+        if self.live:
+            self.value += value
+        else:
+            self._admit()
+            self.value = float(value)
+
+
+class _GaugeSeries(_Series):
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        if not self.live:
+            self._admit()
+        self.value = (float(value), self._handle._registry._now())
+
+
+class _HistogramSeries(_Series):
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        if not self.live:
+            self._admit()
+            self.value = HistogramData(edges=self._handle.edges)
+        self.value.observe(value)
+
+
+def inc_each(series, values) -> None:
+    """``series[i].inc(values[i])`` for each pair (stops at the shorter):
+    one call for a row of bound counters written together."""
+    for one, value in zip(series, values):
+        if one.live:
+            one.value += value
+        else:
+            one.inc(value)
+
+
+def set_each(series, values) -> None:
+    """``series[i].set(values[i])`` for each pair, with one clock read."""
+    if not series:
+        return
+    now = series[0]._handle._registry._now()
+    for one, value in zip(series, values):
+        if not one.live:
+            one._admit()
+        one.value = (float(value), now)
+
+
+class _Instrument:
+    """Shared shape of the three instruments: a name and its series,
+    one :class:`_Series` per label key."""
+
+    __slots__ = ("name", "_registry", "_series")
+    _kind: type = _Series
+
+    def __init__(self, name: str, registry: "MetricsRegistry") -> None:
+        self.name = name
+        self._registry = registry
+        self._series: dict[LabelKey, _Series] = {}
+
+    def labels(self, **labels: Any) -> _Series:
+        """The series of one label set, bound once and written with the
+        value alone (``.inc(n)``, ``.set(v)``, ``.observe(x)``)."""
+        return self._get(_label_key(labels))
+
+    def _get(self, key: LabelKey) -> _Series:
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = self._kind(self, key)
+        return series
+
+    def _live(self) -> Iterator[tuple[LabelKey, Any]]:
+        """``(key, value)`` of every live series."""
+        return (
+            (key, series.value)
+            for key, series in self._series.items()
+            if series.live
+        )
+
+
+class CounterHandle(_Instrument):
     """Monotonically increasing, labelled counter."""
 
-    __slots__ = ("name", "_registry", "_series")
-
-    def __init__(self, name: str, registry: "MetricsRegistry") -> None:
-        self.name = name
-        self._registry = registry
-        self._series: dict[LabelKey, float] = {}
+    __slots__ = ()
+    _kind = _CounterSeries
 
     def inc(self, value: float = 1.0, **labels: Any) -> None:
-        key = _label_key(labels)
-        series = self._series
-        if key in series:
-            series[key] += value
-        else:
-            self._registry._admit(self.name, key)
-            series[key] = float(value)
+        self._get(_label_key(labels)).inc(value)
 
 
-class GaugeHandle:
-    """Last-observation-wins, labelled gauge (timestamped for merges)."""
+class GaugeHandle(_Instrument):
+    """Last-observation-wins, labelled gauge, timestamped for merges."""
 
-    __slots__ = ("name", "_registry", "_series")
-
-    def __init__(self, name: str, registry: "MetricsRegistry") -> None:
-        self.name = name
-        self._registry = registry
-        self._series: dict[LabelKey, tuple[float, float]] = {}
+    __slots__ = ()
+    _kind = _GaugeSeries
 
     def set(self, value: float, **labels: Any) -> None:
-        key = _label_key(labels)
-        if key not in self._series:
-            self._registry._admit(self.name, key)
-        self._series[key] = (float(value), self._registry._now())
+        self._get(_label_key(labels)).set(value)
 
 
-class HistogramHandle:
+class HistogramHandle(_Instrument):
     """Labelled exponential-bucket histogram."""
 
-    __slots__ = ("name", "edges", "_registry", "_series")
+    __slots__ = ("edges",)
+    _kind = _HistogramSeries
 
     def __init__(
         self,
@@ -514,18 +598,11 @@ class HistogramHandle:
         registry: "MetricsRegistry",
         edges: tuple[float, ...],
     ) -> None:
-        self.name = name
+        super().__init__(name, registry)
         self.edges = edges
-        self._registry = registry
-        self._series: dict[LabelKey, HistogramData] = {}
 
     def observe(self, value: float, **labels: Any) -> None:
-        key = _label_key(labels)
-        hist = self._series.get(key)
-        if hist is None:
-            self._registry._admit(self.name, key)
-            hist = self._series[key] = HistogramData(edges=self.edges)
-        hist.observe(value)
+        self._get(_label_key(labels)).observe(value)
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +621,9 @@ class MetricsRegistry:
     Mirrors the tracer's enabled/ambient design: a disabled registry
     (``NULL_METRICS``) hands out a shared no-op instrument, so
     instrumented code never branches beyond ``metrics.enabled`` or the
-    no-op call itself. Instrument handles are cheap to re-request but
-    hot paths should hold onto them.
+    no-op call itself. Instrument handles are cheap to re-request; hot
+    paths hold series bound with ``handle.labels(...)`` instead, which
+    stay valid across :meth:`drain` and :meth:`clear`.
 
     ``stream`` may be set to a
     :class:`~repro.obs.stream.MetricsStreamWriter` (anything with
@@ -569,15 +647,14 @@ class MetricsRegistry:
         self._gauges: dict[str, GaugeHandle] = {}
         self._histograms: dict[str, HistogramHandle] = {}
         self._n_series = 0
+        #: Bound-series bundles (see :meth:`bundle`).
+        self._bundles: dict[tuple, Any] = {}
         #: Optional live-snapshot sink (see :meth:`tick`).
         self.stream = None
 
     def _now(self) -> float:
-        if self._clock is not None:
-            return self._clock.now()
-        import time
-
-        return time.time()
+        clock = self._clock
+        return _wall_time() if clock is None else clock.now()
 
     def _admit(self, name: str, key: LabelKey) -> None:
         self._n_series += 1
@@ -632,6 +709,16 @@ class MetricsRegistry:
             )
         return handle
 
+    def bundle(self, build, *args):
+        """``build(self, *args)``, built once per registry and arguments:
+        bound series that short-lived writers (a detector per channel
+        block, say) share instead of binding their own."""
+        key = (build, *args)
+        bundle = self._bundles.get(key)
+        if bundle is None:
+            bundle = self._bundles[key] = build(self, *args)
+        return bundle
+
     def _check_unique(self, name: str, own: dict) -> None:
         for kind, table in (
             ("counter", self._counters),
@@ -649,21 +736,14 @@ class MetricsRegistry:
         """A deep point-in-time copy of every series."""
         snap = MetricsSnapshot(t=self._now())
         for name, c in self._counters.items():
-            for key, value in c._series.items():
+            for key, value in c._live():
                 snap.counters[(name, key)] = value
         for name, g in self._gauges.items():
-            for key, pair in g._series.items():
+            for key, pair in g._live():
                 snap.gauges[(name, key)] = pair
         for name, h in self._histograms.items():
-            for key, hist in h._series.items():
-                snap.histograms[(name, key)] = HistogramData(
-                    edges=hist.edges,
-                    counts=list(hist.counts),
-                    count=hist.count,
-                    sum=hist.sum,
-                    min=hist.min,
-                    max=hist.max,
-                )
+            for key, hist in h._live():
+                snap.histograms[(name, key)] = hist.copy()
         return snap
 
     def drain(self) -> MetricsSnapshot:
@@ -675,56 +755,51 @@ class MetricsRegistry:
         as-is (their merge is latest-wins, so re-shipping is harmless).
         """
         snap = self.snapshot()
-        for c in self._counters.values():
-            c._series.clear()
-        for g in self._gauges.values():
-            g._series.clear()
-        for h in self._histograms.values():
-            h._series.clear()
-        self._n_series = 0
+        self.clear()
         return snap
 
     def merge_snapshot(self, snap: MetricsSnapshot) -> None:
         """Fold a (delta) snapshot into the live series — the parent-side
-        half of :meth:`drain`."""
+        half of :meth:`drain`.
+
+        Associative and commutative: counters and histograms add
+        exactly; gauges keep the latest observation by timestamp (ties
+        broken by value, so the order stays irrelevant). That is the
+        same contract :meth:`Timer.merge` provides, and it is what lets
+        shard deltas arrive in any interleaving and still produce the
+        exact totals the serial run would have.
+        """
         if not self.enabled:
             return
         for (name, key), value in snap.counters.items():
-            series = self.counter(name)._series
-            if key in series:
-                series[key] += value
-            else:
-                self._admit(name, key)
-                series[key] = value
+            self.counter(name)._get(key).inc(value)
         for (name, key), (value, ts) in snap.gauges.items():
-            series = self.gauge(name)._series
-            mine = series.get(key)
-            if mine is None:
-                self._admit(name, key)
-                series[key] = (value, ts)
-            elif (ts, value) > (mine[1], mine[0]):
-                series[key] = (value, ts)
+            series = self.gauge(name)._get(key)
+            if not series.live:
+                series._admit()
+                series.value = (value, ts)
+            elif (ts, value) > (series.value[1], series.value[0]):
+                series.value = (value, ts)
         for (name, key), hist in snap.histograms.items():
-            handle = self.histogram(name, edges=hist.edges)
-            mine = handle._series.get(key)
-            if mine is None:
-                self._admit(name, key)
-                handle._series[key] = HistogramData(
-                    edges=hist.edges,
-                    counts=list(hist.counts),
-                    count=hist.count,
-                    sum=hist.sum,
-                    min=hist.min,
-                    max=hist.max,
-                )
+            series = self.histogram(name, edges=hist.edges)._get(key)
+            if not series.live:
+                series._admit()
+                series.value = hist.copy()
             else:
-                handle._series[key] = mine.merge(hist)
+                series.value = series.value.merge(hist)
 
     def clear(self) -> None:
-        """Drop every instrument and series."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
+        """Drop every series' value.
+
+        Instruments and their series objects stay registered, so
+        handles and bound series keep writing into this registry; a
+        series is admitted again at its next write.
+        """
+        for table in (self._counters, self._gauges, self._histograms):
+            for handle in table.values():
+                for series in handle._series.values():
+                    series.live = False
+                    series.value = None
         self._n_series = 0
 
     # -- live stream ----------------------------------------------------

@@ -14,9 +14,9 @@ against any other run later:
     The :class:`~repro.mimo.montecarlo.SweepResult` series — decode
     time, BER, frame and node counts per SNR point.
 ``metrics.json``
-    Span percentile summaries (p50/p95/p99) and final counter values
-    from the run's tracer, plus — when a metrics registry was active —
-    the final labelled counter/gauge/histogram snapshot.
+    Span percentile summaries (p50/p95/p99) from the run's tracer,
+    plus — when a metrics registry was active — its final labelled
+    counter/gauge/histogram snapshot under ``instruments``.
 ``metrics.stream.jsonl``
     Live snapshot stream appended *while the run executes* (see
     :mod:`repro.obs.stream`); ``repro-sd obs tail``/``top`` replay it.
@@ -45,7 +45,7 @@ from typing import Any, Mapping
 
 from repro.obs.export import chrome_trace
 from repro.obs.log import get_logger
-from repro.obs.metrics import MetricsRegistry, counter_totals, span_metrics
+from repro.obs.metrics import MetricsRegistry, span_metrics
 from repro.obs.stream import STREAM_FILE as _STREAM_FILE
 from repro.obs.stream import MetricsStreamWriter
 from repro.obs.tracer import Tracer
@@ -169,8 +169,14 @@ def series_to_dict(series) -> dict[str, Any]:
     }
 
 
-def metrics_to_dict(tracer: Tracer) -> dict[str, Any]:
-    """Serialise span percentile summaries and counter totals."""
+def metrics_to_dict(
+    tracer: Tracer, metrics: MetricsRegistry | None = None
+) -> dict[str, Any]:
+    """Serialise span percentile summaries and the registry snapshot.
+
+    ``instruments`` (flat Prometheus-style series keys) is present when
+    an enabled registry is given.
+    """
     spans = {}
     for name, s in span_metrics(tracer).items():
         spans[name] = {
@@ -183,7 +189,10 @@ def metrics_to_dict(tracer: Tracer) -> dict[str, Any]:
             "p95_s": s.p95,
             "p99_s": s.p99,
         }
-    return {"spans": spans, "counters": counter_totals(tracer)}
+    doc: dict[str, Any] = {"spans": spans}
+    if metrics is not None and metrics.enabled:
+        doc["instruments"] = metrics.snapshot().to_dict()
+    return doc
 
 
 class RunRecorder:
@@ -229,18 +238,10 @@ class RunRecorder:
     def record_metrics(
         self, tracer: Tracer, metrics: MetricsRegistry | None = None
     ) -> None:
-        """Record the tracer's span/counter summary as ``metrics.json``.
-
-        When an enabled :class:`MetricsRegistry` is also given, its
-        final snapshot lands under an ``instruments`` key (flat
-        Prometheus-style series names).
-        """
+        """Record :func:`metrics_to_dict` as ``metrics.json``."""
         if not self.enabled:
             return
-        doc = metrics_to_dict(tracer)
-        if metrics is not None and metrics.enabled:
-            doc["instruments"] = metrics.snapshot().to_dict()
-        self._write(METRICS_FILE, doc)
+        self._write(METRICS_FILE, metrics_to_dict(tracer, metrics))
 
     def stream_writer(
         self, *, interval_s: float | None = None

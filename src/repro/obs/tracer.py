@@ -1,4 +1,4 @@
-"""Span/counter tracer for the decoder and FPGA-pipeline hot paths.
+"""Span/instant tracer for the decoder and FPGA-pipeline hot paths.
 
 Design constraints (see ``docs/observability.md``):
 
@@ -7,13 +7,16 @@ Design constraints (see ``docs/observability.md``):
   guards per-batch emission with ``tracer.enabled`` or uses the no-op
   span the disabled tracer hands out. No string formatting, no dict
   building, no clock reads happen on the disabled path.
-* **Cheap when enabled, too.** Per-expansion hot paths use
-  :meth:`Tracer.mark`, which appends a raw tuple (one clock read, no
-  event object, no args dict) and defers :class:`TraceEvent`
-  materialisation to the first inspection — the difference between a
-  few hundred nanoseconds and a few microseconds per expansion, which
-  is what keeps fully-enabled telemetry under the ≤5 % decode-overhead
-  budget enforced by ``benchmarks/bench_obs_overhead.py``.
+* **Cheap when enabled, too.** Per-expansion hot paths sample their
+  instants themselves (reusing a clock reading they already took) and
+  hand the raw ``(time, level, pool)`` rows over once per solve through
+  :meth:`Tracer.marks`; :class:`TraceEvent` materialisation waits for
+  the first inspection. That is what keeps fully-enabled telemetry
+  under the ≤5 % decode-overhead budget enforced by
+  ``benchmarks/bench_obs_overhead.py``.
+* **Events, not counts.** The tracer records spans and instants only;
+  exact counts live in ``DecodeStats`` and the metrics registry
+  (:mod:`repro.obs.metrics`).
 * **Nesting via contextvars.** Span depth lives in a
   :class:`contextvars.ContextVar`, so nesting is correct across
   threads and ``asyncio`` tasks without locks on the hot path.
@@ -28,7 +31,7 @@ Design constraints (see ``docs/observability.md``):
   tracer against that epoch (``perf_counter`` is CLOCK_MONOTONIC on
   Linux — system-wide, so timestamps stay comparable), stamp events
   with their OS pid, and :meth:`Tracer.drain` / :meth:`Tracer.absorb`
-  move the buffers back through the existing progress queue. The
+  move the event buffers back through the existing progress queue. The
   merged trace renders one lane per worker process.
 
 Usage::
@@ -48,7 +51,7 @@ from contextlib import contextmanager
 from time import perf_counter as _perf_counter
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.util.timing import WallClock
 from repro.util.validation import check_positive_int
@@ -58,11 +61,10 @@ _get_ident = threading.get_ident
 #: Event phases, mirroring the Chrome trace_event vocabulary.
 PHASE_SPAN = "span"
 PHASE_INSTANT = "instant"
-PHASE_COUNTER = "counter"
 
 
 class TraceEvent(NamedTuple):
-    """One recorded event (a completed span, an instant, or a count).
+    """One recorded event (a completed span or an instant).
 
     ``ts`` and ``dur`` are seconds relative to the tracer's epoch (its
     construction, or the last :meth:`Tracer.clear`). ``depth`` is the
@@ -79,7 +81,6 @@ class TraceEvent(NamedTuple):
     dur: float = 0.0
     depth: int = 0
     tid: int = 0
-    value: float = 0.0
     args: Mapping[str, Any] | None = None
     pid: int = 0
 
@@ -117,14 +118,14 @@ class Span:
         depth = _DEPTH.get()
         _DEPTH.reset(self._token)
         start = self._start if self._start is not None else end
-        tracer._record(
+        tracer._events.append(
             TraceEvent(
                 phase=PHASE_SPAN,
                 name=self.name,
                 ts=start,
                 dur=end - start,
                 depth=depth,
-                tid=threading.get_ident(),
+                tid=_get_ident(),
                 args=self.args,
                 pid=tracer.pid,
             )
@@ -149,25 +150,8 @@ _NULL_SPAN = _NullSpan()
 _DEPTH: ContextVar[int] = ContextVar("repro_obs_depth", default=0)
 
 
-@dataclass
-class Counter:
-    """A named counter bound to one tracer (convenience handle)."""
-
-    tracer: "Tracer"
-    name: str
-
-    def add(self, value: float = 1.0) -> None:
-        """Increment the counter (no-op on a disabled tracer)."""
-        self.tracer.count(self.name, value)
-
-    @property
-    def value(self) -> float:
-        """Current accumulated total."""
-        return self.tracer.counters.get(self.name, 0.0)
-
-
 class Tracer:
-    """Collects spans, instants and counters for one observed run.
+    """Collects spans and instants for one observed run.
 
     Parameters
     ----------
@@ -191,12 +175,12 @@ class Tracer:
         one node per GEMM batch, emitting hundreds of ``sd.batch``
         instants per frame; recording every one costs more decode time
         than the whole rest of the stack and produces unreadable
-        traces. Hot paths that honour the stride (the traversal expand
-        hook) record every ``mark_stride``-th single-node mark and
-        every pooled (``pool > 1``) mark. Exact expansion counts are
-        unaffected — they live in the metrics registry and in
-        ``DecodeStats``; marks are timeline *samples*. ``1`` records
-        everything.
+        traces. Hot paths that honour the stride (the leaf-first
+        traversal loops) record every ``mark_stride``-th single-node
+        mark of a solve, starting with the first, and every pooled
+        (``pool > 1``) mark. Exact expansion counts are unaffected —
+        they live in the metrics registry and in ``DecodeStats``; marks
+        are timeline *samples*. ``1`` records everything.
     """
 
     def __init__(
@@ -219,45 +203,41 @@ class Tracer:
         self.on_span_enter = None
         self.on_span_exit = None
         self._clock = clock or WallClock()
-        # One bound call per mark(): the default WallClock is a pure
-        # perf_counter wrapper, so the hot path skips the wrapper frame.
-        self._mark_now = _perf_counter if clock is None else self._clock.now
+        # The default WallClock reads perf_counter, the clock mark rows
+        # are stamped with, so their epoch offset is exact.
+        self._perf_clock = clock is None
         self._epoch = self._clock.now() if epoch is None else float(epoch)
         self.pid = pid
         self._events: list[TraceEvent] = []
-        #: Deferred :meth:`mark` rows: ``(name, ts, tid, level, pool)``.
-        self._marks: list[tuple[str, float, int, int, int]] = []
-        self.counters: dict[str, float] = {}
-        #: Counter totals already shipped by :meth:`drain`.
-        self._drained_counters: dict[str, float] = {}
+        #: Deferred :meth:`marks` chunks: ``(name, offset, tid, rows)``.
+        #: Recording never materialises them (span exits land inside
+        #: the decode loop, and the exporters ts-sort anyway).
+        self._marks: list[tuple[str, float, int, Sequence]] = []
 
     # -- recording ------------------------------------------------------
 
     def _now(self) -> float:
+        if self._perf_clock:
+            return _perf_counter() - self._epoch
         return self._clock.now() - self._epoch
 
     def _materialize(self) -> None:
-        """Turn deferred :meth:`mark` rows into real instant events."""
-        marks, self._marks = self._marks, []
+        """Turn deferred :meth:`marks` rows into real instant events."""
+        chunks, self._marks = self._marks, []
         append = self._events.append
         pid = self.pid
-        for name, ts, tid, level, pool in marks:
-            append(
-                TraceEvent(
-                    phase=PHASE_INSTANT,
-                    name=name,
-                    ts=ts,
-                    tid=tid,
-                    args={"level": level, "pool": pool},
-                    pid=pid,
+        for name, offset, tid, rows in chunks:
+            for t, level, pool in rows:
+                append(
+                    TraceEvent(
+                        phase=PHASE_INSTANT,
+                        name=name,
+                        ts=t - offset,
+                        tid=tid,
+                        args={"level": level, "pool": pool},
+                        pid=pid,
+                    )
                 )
-            )
-
-    def _record(self, event: TraceEvent) -> None:
-        # Deliberately does NOT materialise pending marks: span exits
-        # land inside the decode hot loop, and the exporters ts-sort
-        # anyway, so mark conversion can wait for the first inspection.
-        self._events.append(event)
 
     @property
     def events(self) -> list[TraceEvent]:
@@ -281,7 +261,7 @@ class Tracer:
         """Record a point-in-time event (Chrome ``i`` phase)."""
         if not self.enabled:
             return
-        self._record(
+        self._events.append(
             TraceEvent(
                 phase=PHASE_INSTANT,
                 name=name,
@@ -293,105 +273,50 @@ class Tracer:
             )
         )
 
-    def mark(self, name: str, level: int, pool: int) -> None:
-        """Deferred instant for per-expansion hot paths.
+    def marks(self, name: str, rows: Sequence[tuple[float, int, int]]) -> None:
+        """Record sampled expansion instants in one call.
 
-        Semantically ``instant(name, level=..., pool=...)`` but built
-        from one raw tuple append — no kwargs dict, no event object, no
-        depth lookup — and materialised lazily. The traversal engine
-        calls this once per GEMM batch (tens of thousands of times per
-        sweep); the full ``instant`` path there is what used to push
-        enabled-tracer overhead past the CI budget.
+        Each row is ``(time, level, pool)``, ``time`` a
+        :func:`time.perf_counter` reading; each becomes
+        ``instant(name, level=..., pool=...)`` at that time. The
+        leaf-first traversal loops sample rows themselves — reusing the
+        clock reading they take for ``gemm_time_s`` — and hand them
+        over once per solve, so a sampled mark costs a tuple append on
+        the hot path. Materialised lazily, at the first inspection.
         """
-        if not self.enabled:
+        if not self.enabled or not rows:
             return
-        self._marks.append(
-            (name, self._mark_now() - self._epoch, _get_ident(), level, pool)
-        )
-
-    def mark_bindings(self):
-        """Raw pieces of the :meth:`mark` fast path, or ``None`` when off.
-
-        Returns ``(append, now, epoch, tid)`` — the mark-buffer append,
-        the mark clock, the epoch offset and the *calling thread's*
-        ident — so a hot-path caller can fuse
-        ``append((name, now() - epoch, tid, level, pool))`` into its own
-        prebound closure: every per-call attribute lookup and the extra
-        call frame of :meth:`mark` paid once per solve instead of tens
-        of thousands of times per sweep. Rebind per solve (a
-        :meth:`clear` swaps the buffer, and the thread ident is frozen
-        at binding time).
-        """
-        if not self.enabled:
-            return None
-        return self._marks.append, self._mark_now, self._epoch, _get_ident()
-
-    def count(self, name: str, value: float = 1.0) -> None:
-        """Accumulate a named counter and record the running total."""
-        if not self.enabled:
-            return
-        total = self.counters.get(name, 0.0) + value
-        self.counters[name] = total
-        self._record(
-            TraceEvent(
-                phase=PHASE_COUNTER,
-                name=name,
-                ts=self._now(),
-                tid=threading.get_ident(),
-                value=total,
-                pid=self.pid,
-            )
-        )
-
-    def counter(self, name: str) -> Counter:
-        """A bound :class:`Counter` handle for repeated increments."""
-        return Counter(self, name)
+        # perf_counter reading at this tracer's time zero.
+        offset = self._epoch if self._perf_clock else _perf_counter() - self._now()
+        self._marks.append((name, offset, _get_ident(), rows))
 
     # -- cross-process propagation --------------------------------------
 
-    def drain(self) -> tuple[list[TraceEvent], dict[str, float]]:
-        """Pop buffered events plus counter *deltas* since the last drain.
+    def drain(self) -> list[TraceEvent]:
+        """Pop every event buffered since the last drain.
 
         The worker-side half of shard telemetry: called after every
         channel block (and from the crash path, so a dying shard still
-        ships its partial trace), the returned pair is small enough to
-        ride the existing Manager progress queue. Counter deltas — not
-        totals — keep parent-side :meth:`absorb` merges exact no matter
-        how many flushes a shard makes.
+        ships its partial trace), the returned list is small enough to
+        ride the existing Manager progress queue.
         """
         if self._marks:
             self._materialize()
         events, self._events = self._events, []
-        deltas: dict[str, float] = {}
-        for name, total in self.counters.items():
-            delta = total - self._drained_counters.get(name, 0.0)
-            if delta:
-                deltas[name] = delta
-            self._drained_counters[name] = total
-        return events, deltas
+        return events
 
-    def absorb(
-        self,
-        events: Iterable[TraceEvent],
-        counters: Mapping[str, float] | None = None,
-    ) -> None:
-        """Fold a worker's drained events and counter deltas into this
-        tracer.
+    def absorb(self, events: Iterable[TraceEvent]) -> None:
+        """Fold a worker's drained events into this tracer.
 
-        Events are appended as-is (they already carry the worker's
-        ``pid`` stamp and share this tracer's epoch — see
-        :class:`TraceContext`); counter deltas add into this tracer's
-        totals *without* re-emitting counter events, since the worker's
-        own counter events are in ``events`` and render on its lane.
+        Events are appended as-is: they already carry the worker's
+        ``pid`` stamp and share this tracer's epoch (see
+        :class:`TraceContext`).
         """
         if not self.enabled:
             return
         if self._marks:
             self._materialize()
         self._events.extend(events)
-        if counters:
-            for name, delta in counters.items():
-                self.counters[name] = self.counters.get(name, 0.0) + delta
 
     # -- inspection ------------------------------------------------------
 
@@ -412,11 +337,9 @@ class Tracer:
         return grouped
 
     def clear(self) -> None:
-        """Drop all recorded events/counters and restart the epoch."""
+        """Drop all recorded events and restart the epoch."""
         self._events = []
         self._marks = []
-        self.counters = {}
-        self._drained_counters = {}
         self._epoch = self._clock.now()
 
 
@@ -490,8 +413,3 @@ class TraceContext:
             metrics_enabled=metrics.enabled,
             epoch=tracer._epoch if tracer.enabled else 0.0,
         )
-
-    @property
-    def observed(self) -> bool:
-        """Whether anything at all is being collected."""
-        return self.trace_enabled or self.metrics_enabled

@@ -22,9 +22,11 @@ The service itself owns no clock or thread. Three drivers sit on top:
   drive on a fake clock.
 
 Serving telemetry rides the ambient tracer/metrics exactly like the
-decode path: ``serve.batch`` spans, ``serve.frames``/``serve.batches``
-counters, ``serve.batch_fill`` / ``serve.latency_seconds`` histograms
-and a ``serve.queue_depth`` gauge.
+decode path: ``serve.batch`` spans, and registry series bound once per
+registry — ``serve.frames``/``serve.batches``/``serve.rejected``
+counters, ``serve.batch_fill`` / ``serve.latency_seconds`` /
+``serve.queue_wait_seconds`` histograms and a ``serve.queue_depth``
+gauge.
 """
 
 from __future__ import annotations
@@ -165,6 +167,38 @@ def fpga_service_model(pipeline) -> Callable:
     return model
 
 
+class _ServeSeries:
+    """The registry series a service writes, bound once per registry and
+    detector kind (:meth:`MetricsRegistry.bundle`)."""
+
+    def __init__(self, metrics, detector: str) -> None:
+        counter, histogram = metrics.counter, metrics.histogram
+        self._batches = counter("serve.batches")
+        self._detector = detector
+        self._by_reason: dict = {}
+        self.frames = counter("serve.frames").labels(detector=detector)
+        self.rejected = counter("serve.rejected").labels(detector=detector)
+        self.batch_fill = histogram("serve.batch_fill", edges=FILL_BUCKETS).labels(
+            detector=detector
+        )
+        self.latency, self.wait = (
+            histogram(name, edges=LATENCY_BUCKETS).labels(detector=detector)
+            for name in ("serve.latency_seconds", "serve.queue_wait_seconds")
+        )
+        self.queue_depth = metrics.gauge("serve.queue_depth").labels(
+            detector=detector
+        )
+
+    def batches(self, reason: str):
+        """The ``serve.batches`` series of one flush reason."""
+        series = self._by_reason.get(reason)
+        if series is None:
+            series = self._by_reason[reason] = self._batches.labels(
+                detector=self._detector, reason=reason
+            )
+        return series
+
+
 class DetectionService:
     """Serving shell: registry spec + scheduler + channel blocks.
 
@@ -198,6 +232,13 @@ class DetectionService:
         self._detectors: dict[str, Detector] = {}
         self._channels: dict[str, tuple[np.ndarray, float]] = {}
         self._delivery: dict[str, _StreamDelivery] = {}
+
+    def _metric_series(self) -> _ServeSeries | None:
+        """Series bound for the ambient registry; ``None`` when it is off."""
+        metrics = current_metrics()
+        if not metrics.enabled:
+            return None
+        return metrics.bundle(_ServeSeries, self.spec.kind)
 
     # ------------------------------------------------------------------
     # Channel registration
@@ -258,11 +299,9 @@ class DetectionService:
                 payload=payload,
             )
         except BackpressureError:
-            metrics = current_metrics()
-            if metrics.enabled:
-                metrics.counter("serve.rejected").inc(
-                    1, detector=self.spec.kind
-                )
+            series = self._metric_series()
+            if series is not None:
+                series.rejected.inc()
             raise
 
     def process(self, batch: Batch) -> _Decoded:
@@ -295,19 +334,11 @@ class DetectionService:
             else measured_s
         )
         self.scheduler.observe_service(len(batch), service_s)
-        if tracer.enabled:
-            tracer.count("serve.frames", len(batch))
-            tracer.count("serve.batches", 1)
-        metrics = current_metrics()
-        if metrics.enabled:
-            det = self.spec.kind
-            metrics.counter("serve.frames").inc(len(batch), detector=det)
-            metrics.counter("serve.batches").inc(
-                1, detector=det, reason=batch.reason
-            )
-            metrics.histogram("serve.batch_fill", edges=FILL_BUCKETS).observe(
-                len(batch), detector=det
-            )
+        series = self._metric_series()
+        if series is not None:
+            series.frames.inc(len(batch))
+            series.batches(batch.reason).inc()
+            series.batch_fill.observe(len(batch))
         return _Decoded(
             results=list(results), service_s=service_s, measured_s=measured_s
         )
@@ -321,7 +352,6 @@ class DetectionService:
         fewer or more than the batch's own frames, as earlier-seq
         stragglers unblock later-seq holds).
         """
-        metrics = current_metrics()
         delivered: list[FrameResult] = []
         for frame, result in zip(batch.frames, decoded.results):
             fr = FrameResult(
@@ -337,20 +367,13 @@ class DetectionService:
                 frame.stream_id, _StreamDelivery()
             )
             delivered.extend(buffer.push(fr))
-        if metrics.enabled:
-            det = self.spec.kind
-            latency = metrics.histogram(
-                "serve.latency_seconds", edges=LATENCY_BUCKETS
-            )
-            wait = metrics.histogram(
-                "serve.queue_wait_seconds", edges=LATENCY_BUCKETS
-            )
+        series = self._metric_series()
+        if series is not None:
+            latency, wait = series.latency, series.wait
             for fr in delivered:
-                latency.observe(fr.latency_s, detector=det)
-                wait.observe(fr.queue_wait_s, detector=det)
-            metrics.gauge("serve.queue_depth").set(
-                self.scheduler.pending, detector=det
-            )
+                latency.observe(fr.latency_s)
+                wait.observe(fr.queue_wait_s)
+            series.queue_depth.set(self.scheduler.pending)
         return delivered
 
     def complete(self, batch: Batch, now: float) -> list[FrameResult]:
@@ -484,7 +507,7 @@ def serve_trace(
     """
     events = sorted(trace.events, key=lambda ev: ev.arrival_s)
     service.register_trace_channels(trace)
-    metrics = current_metrics()
+    series = service._metric_series()
     results: list[FrameResult] = []
     rejected = 0
     n_batches = 0
@@ -529,10 +552,8 @@ def serve_trace(
             else:
                 now = next_deadline
             run(service.scheduler.poll(now), now)
-            if metrics.enabled:
-                metrics.gauge("serve.queue_depth").set(
-                    service.scheduler.pending, detector=service.spec.kind
-                )
+            if series is not None:
+                series.queue_depth.set(service.scheduler.pending)
     if service.undelivered:
         raise AssertionError(
             f"{service.undelivered} result(s) stuck in reorder buffers"

@@ -106,7 +106,6 @@ def _event_log(tmp_path):
     with use_tracer(tracer):
         with tracer.span("mc.block", snr_db=8.0):
             tracer.instant("mc.heartbeat", blocks_done=1)
-        tracer.count("mc.frames", 3)
     return write_jsonl(tracer, tmp_path / "events.jsonl")
 
 

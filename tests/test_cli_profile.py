@@ -175,7 +175,6 @@ def _event_log(tmp_path):
         with tracer.span("mc.block", snr_db=8.0):
             with tracer.span("sd.detect"):
                 pass
-        tracer.count("mc.frames", 3)
     return write_jsonl(tracer, tmp_path / "events.jsonl")
 
 
@@ -185,12 +184,13 @@ class TestStatsJson:
         code = main(["stats", "--from-jsonl", str(log), "--json", "-"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)  # nothing but the JSON
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["source"] == str(log)
         assert {"mc.block", "sd.detect"} <= set(doc["spans"])
         assert doc["spans"]["mc.block"]["count"] == 1
-        assert doc["counters"]["mc.frames"] == 3
-        assert "rates" in doc
+        # An event log holds spans and instants only: no counts.
+        assert "instruments" not in doc
+        assert doc["rates"] == {}
 
     def test_json_to_file_keeps_human_tables(self, tmp_path, capsys):
         log = _event_log(tmp_path)
@@ -199,7 +199,7 @@ class TestStatsJson:
         assert code == 0
         printed = capsys.readouterr().out
         assert "metrics:" in printed  # human tables still render
-        assert json.loads(out.read_text())["schema"] == 1
+        assert json.loads(out.read_text())["schema"] == 2
 
     def test_missing_jsonl_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"
@@ -216,3 +216,10 @@ class TestStatsJson:
         doc = json.loads(capsys.readouterr().out)
         assert doc["source"] == "smoke"
         assert any(name.startswith("sd.") for name in doc["spans"])
+        # Counters come from the registry the replay ran under.
+        counters = doc["instruments"]["counters"]
+        for name in ("mc.frames", "detector.frames", "traversal.nodes_expanded"):
+            assert sum(
+                v for k, v in counters.items() if k.startswith(name + "{")
+            ) > 0, name
+        assert doc["rates"] and all(v > 0 for v in doc["rates"].values())

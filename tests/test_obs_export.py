@@ -5,17 +5,19 @@ import json
 import pytest
 
 from repro.obs import (
+    MetricsRegistry,
     Tracer,
     chrome_trace,
     chrome_trace_events,
-    counter_totals,
     format_metrics,
     jsonl_lines,
+    read_jsonl,
     span_metrics,
     write_chrome_trace,
     write_jsonl,
 )
 from repro.obs.log import configure, get_logger, verbosity_level
+from repro.obs.metrics import counter_rows
 from repro.util.timing import WallClock
 
 
@@ -35,9 +37,14 @@ def sample_tracer() -> Tracer:
         with tracer.span("search"):
             clock.t += 0.001
         tracer.instant("batch", level=3)
-        tracer.count("nodes", 7)
-    tracer.count("nodes", 3)
     return tracer
+
+
+def sample_registry() -> MetricsRegistry:
+    registry = MetricsRegistry()
+    registry.counter("nodes").inc(7)
+    registry.counter("nodes").inc(3)
+    return registry
 
 
 class TestChromeTrace:
@@ -71,9 +78,8 @@ class TestChromeTrace:
         events = chrome_trace_events(sample_tracer())
         instant = next(e for e in events if e["name"] == "batch")
         assert instant["ph"] == "i"
-        counters = [e for e in events if e["name"] == "nodes"]
-        assert all(e["ph"] == "C" for e in counters)
-        assert counters[-1]["args"] == {"nodes": 10.0}
+        # Counts live in the metrics registry, never in the trace.
+        assert {e["ph"] for e in events} <= {"M", "X", "i"}
 
     def test_all_events_share_pid(self):
         events = chrome_trace_events(sample_tracer())
@@ -95,7 +101,18 @@ class TestJsonl:
         lines = path.read_text().splitlines()
         assert len(lines) == len(tracer.events)
         rows = [json.loads(line) for line in lines]
-        assert {r["phase"] for r in rows} == {"span", "instant", "counter"}
+        assert {r["phase"] for r in rows} == {"span", "instant"}
+
+    def test_counter_rows_of_old_logs_rejected(self, tmp_path):
+        """An event log written when the tracer still kept counters has
+        ``counter`` rows; the reader rejects them as an unknown phase."""
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"phase": "counter", "name": "sd.nodes_expanded", '
+            '"ts": 0.1, "value": 97}\n'
+        )
+        with pytest.raises(ValueError, match="unknown phase 'counter'"):
+            read_jsonl(path)
 
     def test_span_rows_have_dur_and_depth(self):
         rows = [json.loads(line) for line in jsonl_lines(sample_tracer())]
@@ -125,16 +142,31 @@ class TestMetrics:
         assert summary.p50 == pytest.approx(0.002)
 
     def test_counter_totals(self):
-        tracer = sample_tracer()
-        assert counter_totals(tracer) == {"nodes": 10.0}
+        assert counter_rows(sample_registry().snapshot()) == {"nodes": 10.0}
+
+    def test_counter_rows_sum_levels(self):
+        registry = MetricsRegistry()
+        nodes = registry.counter("traversal.nodes_expanded")
+        nodes.inc(4, detector="sd", level="0")
+        nodes.inc(6, detector="sd", level="1")
+        nodes.inc(1, detector="bfs", level="0")
+        assert counter_rows(registry.snapshot()) == {
+            "traversal.nodes_expanded{detector=bfs}": 1.0,
+            "traversal.nodes_expanded{detector=sd}": 10.0,
+        }
 
     def test_format_metrics_table(self):
-        text = format_metrics(sample_tracer(), title="unit test")
+        text = format_metrics(
+            sample_tracer(), sample_registry(), title="unit test"
+        )
         assert "== unit test ==" in text
         assert "p95_ms" in text
         assert "decode" in text
         assert "counters:" in text
         assert "nodes" in text
+
+    def test_format_metrics_without_registry_has_no_counters(self):
+        assert "counters:" not in format_metrics(sample_tracer())
 
     def test_format_metrics_no_spans(self):
         tracer = Tracer(clock=FakeClock())

@@ -72,6 +72,64 @@ class TestLabelledSeries:
             m.gauge("x")
 
 
+class TestBoundSeries:
+    """``handle.labels(...)`` binds one series: its label key is built
+    once, and every call writes the same series ``inc``/``set``/
+    ``observe`` would."""
+
+    def test_bound_counter_handle(self):
+        m = MetricsRegistry()
+        nodes = m.counter("nodes").labels(detector="sd", level=3)
+        nodes.inc()
+        nodes.inc(9)
+        m.counter("nodes").inc(5, level=3, detector="sd")
+        snap = m.snapshot()
+        assert snap.counters == {
+            ("nodes", (("detector", "sd"), ("level", "3"))): 15.0
+        }
+
+    def test_binding_admits_nothing_until_written(self):
+        m = MetricsRegistry(max_series=1)
+        first = m.counter("x").labels(k="a")
+        second = m.counter("x").labels(k="b")
+        assert m.snapshot().empty
+        first.inc(1)
+        with pytest.raises(ValueError, match="max_series"):
+            second.inc(1)
+
+    def test_bound_series_survive_drain_and_clear(self):
+        m = MetricsRegistry()
+        c = m.counter("c").labels(snr=8)
+        c.inc(3)
+        assert m.drain().counter_total("c") == 3
+        c.inc(2)
+        assert m.drain().counter_total("c") == 2
+        c.inc(4)
+        m.clear()
+        assert m.snapshot().empty
+        c.inc(1)
+        assert m.snapshot().counter_total("c") == 1
+
+    def test_bound_gauge_and_histogram(self):
+        m = MetricsRegistry()
+        depth = m.gauge("q").labels(detector="sd")
+        depth.set(4)
+        depth.set(2)
+        lat = m.histogram("lat", edges=(1.0, 2.0)).labels(detector="sd")
+        lat.observe(0.5)
+        lat.observe(1.5)
+        snap = m.snapshot()
+        assert snap.gauge_series("q") == {(("detector", "sd"),): 2.0}
+        hist = snap.histograms[("lat", (("detector", "sd"),))]
+        assert hist.count == 2 and hist.counts == [1, 1, 0]
+
+    def test_disabled_registry_binds_noops(self):
+        NULL_METRICS.counter("x").labels(detector="sd").inc(5)
+        NULL_METRICS.gauge("x").labels(detector="sd").set(5)
+        NULL_METRICS.histogram("x").labels(detector="sd").observe(5)
+        assert NULL_METRICS.snapshot().empty
+
+
 class TestCardinalityGuard:
     def test_admission_caps_distinct_series(self):
         m = MetricsRegistry(max_series=4)
@@ -145,13 +203,20 @@ class TestSnapshotMerge:
         m.histogram("h", edges=(1.0, 2.0)).observe(sum(v for _, v in counter_vals))
         return m.snapshot()
 
+    @staticmethod
+    def _merged(*snaps):
+        m = MetricsRegistry()
+        for snap in snaps:
+            m.merge_snapshot(snap)
+        return m.snapshot()
+
     def test_merge_is_associative_and_commutative(self):
         a = self._registry([({"snr": 8}, 1)], gauge_val=10, t=1.0)
         b = self._registry([({"snr": 8}, 2)], gauge_val=20, t=2.0)
         c = self._registry([({"snr": 12}, 4)], t=3.0)
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        swapped = c.merge(a).merge(b)
+        left = self._merged(a, b, c)
+        right = self._merged(a, self._merged(b, c))
+        swapped = self._merged(c, a, b)
         for merged in (right, swapped):
             assert merged.counters == left.counters
             assert merged.histograms == left.histograms
@@ -161,8 +226,8 @@ class TestSnapshotMerge:
     def test_gauges_merge_latest_timestamp_wins(self):
         early = self._registry([], gauge_val=10, t=1.0)
         late = self._registry([], gauge_val=99, t=5.0)
-        assert early.merge(late).gauge_series("g") == {(): 99.0}
-        assert late.merge(early).gauge_series("g") == {(): 99.0}
+        assert self._merged(early, late).gauge_series("g") == {(): 99.0}
+        assert self._merged(late, early).gauge_series("g") == {(): 99.0}
 
     def test_snapshot_dict_round_trip(self):
         snap = self._registry([({"snr": 8}, 3)], gauge_val=7)
@@ -325,6 +390,8 @@ class TestTraversalAccountingConsistency:
             "traversal.expansions",
             "traversal.nodes_generated",
             "traversal.nodes_pruned",
+            "traversal.leaves_reached",
+            "traversal.gemm_flops",
         }
         assert len(levels) > len(names)  # one row per level, not totals
         assert sum(sum(counts) for counts in peaks.values()) == len(received)
@@ -358,3 +425,110 @@ class TestTraversalAccountingConsistency:
             kbest.detect(received[0])
         with pytest.raises(AssertionError, match="ExpandRequest"):
             kbest.decode_batch(received)
+
+
+def _engine_kinds():
+    from repro.detectors.engine import EngineDetector
+    from repro.detectors.registry import detector_entries, spec
+    from repro.mimo.constellation import Constellation
+
+    qam4 = Constellation.qam(4)
+    return tuple(
+        entry.kind
+        for entry in detector_entries()
+        if isinstance(spec(entry.kind, qam4)(), EngineDetector)
+    )
+
+
+ENGINE_KINDS = _engine_kinds()
+
+
+def _decode_block(kind, path, *, n=4, snr_db=10.0, frames=6, seed=5):
+    """Decode one channel block of ``kind`` under a fresh registry."""
+    import numpy as np
+
+    from repro.detectors.registry import spec
+    from repro.mimo.system import MIMOSystem
+
+    system = MIMOSystem(n, n, "4qam")
+    rng = np.random.default_rng(seed)
+    channel = system.channel_model.draw_channel(rng)
+    received = np.stack(
+        [
+            system.random_frame(snr_db, rng, channel=channel).received
+            for _ in range(frames)
+        ]
+    )
+    m = MetricsRegistry()
+    with use_metrics(m):
+        detector = spec(kind, system.constellation)()
+        detector.prepare(channel, noise_var=system.noise_var(snr_db))
+        if path == "detect":
+            results = [detector.detect(row) for row in received]
+        else:
+            results = detector.decode_batch(received)
+    return detector.name, results, m.snapshot()
+
+
+class TestRegistryConformance:
+    """Every engine kind books exactly its ``DecodeStats`` — one frame,
+    one decode-time observation — under a ``detect`` loop and under
+    ``decode_batch``."""
+
+    def test_all_engine_kinds_covered(self):
+        assert len(ENGINE_KINDS) == 11
+
+    @pytest.mark.parametrize("path", ["detect", "decode_batch"])
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_series_equal_decode_stats(self, kind, path):
+        name, results, snap = _decode_block(kind, path)
+
+        def total(series):
+            return sum(
+                v
+                for (n, key), v in snap.counters.items()
+                if n == series and dict(key)["detector"] == name
+            )
+
+        def stats_sum(field):
+            return sum(getattr(r.stats, field) for r in results)
+
+        for field in ("nodes_expanded", "nodes_generated", "nodes_pruned"):
+            assert total(f"traversal.{field}") == stats_sum(field), field
+        assert total("traversal.expansions") == stats_sum("gemm_calls")
+        assert total("traversal.leaves_reached") == stats_sum("leaves_reached")
+        assert total("traversal.gemm_flops") == stats_sum("gemm_flops")
+        assert total("detector.frames") == len(results)
+        # One decode-time observation per frame, a batch's split evenly.
+        seconds = snap.histograms[("detector.decode_seconds", (("detector", name),))]
+        assert seconds.count == len(results)
+        assert seconds.sum == pytest.approx(stats_sum("wall_time_s"))
+        peaks = snap.histograms[("traversal.frontier_peak", (("detector", name),))]
+        assert peaks.count == len(results)
+
+
+class TestDecodeTiming:
+    @pytest.mark.parametrize("path", ["detect", "decode_batch"])
+    def test_flush_stays_out_of_the_decode_timer(self, path, monkeypatch):
+        """A registry flush that takes 50 ms adds nothing to
+        ``wall_time_s`` or to the ``detector.decode_seconds`` series."""
+        import time
+
+        from repro.detectors.engine import EngineDetector
+
+        flush = EngineDetector._flush_traversal_metrics
+        calls = []
+
+        def slow_flush(*args, **kwargs):
+            calls.append(1)
+            time.sleep(0.05)
+            return flush(*args, **kwargs)
+
+        monkeypatch.setattr(
+            EngineDetector, "_flush_traversal_metrics", slow_flush
+        )
+        name, results, snap = _decode_block("sd", path, frames=2)
+        assert calls
+        assert all(r.stats.wall_time_s < 0.05 for r in results)
+        seconds = snap.histograms[("detector.decode_seconds", (("detector", name),))]
+        assert seconds.max < 0.05

@@ -6,7 +6,7 @@ import pytest
 
 from repro.mimo.metrics import ErrorCounter
 from repro.mimo.montecarlo import SnrPoint, SweepResult
-from repro.obs import NULL_RECORDER, RunRegistry, Tracer
+from repro.obs import NULL_RECORDER, MetricsRegistry, RunRegistry, Tracer
 from repro.obs.registry import (
     MANIFEST_FILE,
     METRICS_FILE,
@@ -47,16 +47,20 @@ class TestRecorder:
         registry = RunRegistry(tmp_path / "runs")
         recorder = registry.new_run("fig6", seed=7, config={"channels": 2})
         tracer = Tracer()
+        metrics = MetricsRegistry()
         with tracer.span("sd.detect"):
-            tracer.count("nodes", 5)
+            metrics.counter("nodes").inc(5)
         recorder.record_series(FakeSeries())
         recorder.record_sweep(tiny_sweep())
-        recorder.record_metrics(tracer)
+        recorder.record_metrics(tracer, metrics)
         recorder.record_trace(tracer)
         path = recorder.finalize()
         assert path is not None and path.is_dir()
         for name in (MANIFEST_FILE, SERIES_FILE, SWEEP_FILE, METRICS_FILE, TRACE_FILE):
             assert (path / name).is_file(), name
+        doc = json.loads((path / METRICS_FILE).read_text())
+        assert doc["instruments"]["counters"] == {"nodes": 5.0}
+        assert "counters" not in doc  # the registry is the only count store
         manifest = json.loads((path / MANIFEST_FILE).read_text())
         assert manifest["experiment"] == "fig6"
         assert manifest["seed"] == 7
@@ -102,13 +106,15 @@ class TestSerialisation:
 
     def test_metrics_to_dict(self):
         tracer = Tracer()
+        metrics = MetricsRegistry()
         with tracer.span("a"):
             pass
-        tracer.count("n", 2)
-        doc = metrics_to_dict(tracer)
+        metrics.counter("n").inc(2)
+        doc = metrics_to_dict(tracer, metrics)
         assert doc["spans"]["a"]["count"] == 1
         assert set(doc["spans"]["a"]) >= {"p50_s", "p95_s", "p99_s", "total_s"}
-        assert doc["counters"] == {"n": 2.0}
+        assert doc["instruments"]["counters"] == {"n": 2.0}
+        assert "instruments" not in metrics_to_dict(tracer)
 
     def test_environment_fields(self):
         env = capture_environment()

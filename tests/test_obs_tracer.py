@@ -1,17 +1,18 @@
-"""Tests for repro.obs.tracer: spans, counters, the ambient tracer."""
+"""Tests for repro.obs.tracer: spans, instants, the ambient tracer."""
 
 import numpy as np
 import pytest
 
 from repro.obs import (
     NULL_TRACER,
-    PHASE_COUNTER,
     PHASE_INSTANT,
     PHASE_SPAN,
+    MetricsRegistry,
     Tracer,
     current_tracer,
     reset_tracer,
     set_tracer,
+    use_metrics,
     use_tracer,
 )
 from repro.util.timing import WallClock
@@ -85,10 +86,8 @@ class TestDisabled:
         with tracer.span("work", detail=1):
             pass
         tracer.instant("tick")
-        tracer.count("n", 5)
-        tracer.counter("m").add(2)
+        tracer.marks("sd.batch", [(1.0, 3, 8)])
         assert tracer.events == []
-        assert tracer.counters == {}
 
     def test_disabled_span_is_shared_noop(self):
         tracer = Tracer(enabled=False)
@@ -100,20 +99,11 @@ class TestDisabled:
 
 
 class TestCounters:
-    def test_count_accumulates(self):
-        tracer = Tracer(clock=FakeClock())
-        tracer.count("nodes", 3)
-        tracer.count("nodes", 4)
-        assert tracer.counters["nodes"] == 7
-        events = [e for e in tracer.events if e.phase == PHASE_COUNTER]
-        assert [e.value for e in events] == [3, 7]
-
-    def test_bound_counter_handle(self):
-        tracer = Tracer(clock=FakeClock())
-        nodes = tracer.counter("nodes")
-        nodes.add()
-        nodes.add(9)
-        assert nodes.value == 10
+    def test_no_counter_api(self):
+        """Counts live in the metrics registry; the tracer keeps events."""
+        tracer = Tracer()
+        for attr in ("count", "counter", "counters"):
+            assert not hasattr(tracer, attr)
 
     def test_instant(self):
         tracer = Tracer(clock=FakeClock())
@@ -125,11 +115,10 @@ class TestCounters:
     def test_clear(self):
         clock = FakeClock()
         tracer = Tracer(clock=clock)
-        tracer.count("n")
+        tracer.instant("before")
         clock.t += 5.0
         tracer.clear()
         assert tracer.events == []
-        assert tracer.counters == {}
         tracer.instant("after")
         assert tracer.events[0].ts == pytest.approx(0.0)  # epoch restarted
 
@@ -161,19 +150,49 @@ class TestAmbientTracer:
         assert current_tracer() is NULL_TRACER
 
 
-class TestMarkSampling:
-    def test_mark_bindings_none_when_disabled(self):
-        assert Tracer(enabled=False).mark_bindings() is None
+def _decode_marks(strategy, *, tracer, seed=3):
+    """``sd.batch`` instants of one 6x6 decode, plus its stats."""
+    import threading
 
-    def test_mark_bindings_append_lands_as_instant(self):
-        tracer = Tracer(clock=FakeClock())
-        append, now, epoch, tid = tracer.mark_bindings()
-        append(("sd.batch", now() - epoch, tid, 3, 8))
-        (event,) = tracer.events
-        assert event.phase == PHASE_INSTANT
-        assert event.name == "sd.batch"
-        assert event.args == {"level": 3, "pool": 8}
-        assert event.tid == tid
+    from repro.detectors.sphere import SphereDecoder
+    from repro.mimo.system import MIMOSystem
+
+    system = MIMOSystem(6, 6, "4qam")
+    frame = system.random_frame(8.0, np.random.default_rng(seed))
+    decoder = SphereDecoder(system.constellation, strategy=strategy)
+    decoder.prepare(frame.channel, noise_var=frame.noise_var)
+    with use_tracer(tracer):
+        result = decoder.detect(frame.received)
+    marks = [e for e in tracer.events if e.name == "sd.batch"]
+    return marks, result.stats, threading.get_ident()
+
+
+class TestMarkSampling:
+    def test_disabled_tracer_records_no_marks(self):
+        marks, stats, _ = _decode_marks("dfs", tracer=Tracer(enabled=False))
+        assert marks == [] and stats.gemm_calls > 0
+
+    def test_decode_marks_land_as_instants(self):
+        tracer = Tracer(mark_stride=1)
+        marks, stats, tid = _decode_marks("best-first", tracer=tracer)
+        assert len(marks) == stats.gemm_calls  # every expansion marked
+        (detect,) = tracer.spans("sd.detect")
+        for event in marks:
+            assert event.phase == PHASE_INSTANT
+            assert event.tid == tid
+            assert set(event.args) == {"level", "pool"}
+            # Stamped on the tracer's own timeline, inside the decode.
+            assert detect.ts <= event.ts <= detect.ts + detect.dur
+        # The marks replay the batch trace, level and pool alike.
+        assert [(e.args["level"], e.args["pool"]) for e in marks] == list(
+            zip(stats.batches.levels, stats.batches.pools)
+        )
+
+    def test_pooled_marks_always_recorded(self):
+        marks, stats, _ = _decode_marks("best-first", tracer=Tracer())
+        pooled = [p for p in stats.batches.pools if p > 1]
+        assert pooled, "workload has no pooled expansion"
+        assert [e.args["pool"] for e in marks if e.args["pool"] > 1] == pooled
 
     def test_mark_stride_validated(self):
         with pytest.raises(ValueError):
@@ -227,12 +246,16 @@ class TestDecoderIntegration:
         system, frame = self.make_frame()
         decoder = SphereDecoder(system.constellation)
         decoder.prepare(frame.channel, noise_var=frame.noise_var)
-        with use_tracer(Tracer()) as tracer:
+        with use_tracer(Tracer()) as tracer, use_metrics(MetricsRegistry()) as m:
             result = decoder.detect(frame.received)
         assert tracer.spans("sd.detect")
         assert tracer.spans("sd.solve")
-        assert tracer.counters["sd.nodes_expanded"] == result.stats.nodes_expanded
-        assert tracer.counters["sd.gemm_calls"] == result.stats.gemm_calls
+        snap = m.snapshot()
+        stats = result.stats
+        assert snap.counter_total("traversal.nodes_expanded") == stats.nodes_expanded
+        assert snap.counter_total("traversal.expansions") == stats.gemm_calls
+        assert snap.counter_total("traversal.leaves_reached") == stats.leaves_reached
+        assert snap.counter_total("traversal.gemm_flops") == stats.gemm_flops
 
     def test_decode_without_tracer_emits_nothing(self):
         from repro.detectors.sphere import SphereDecoder
@@ -250,11 +273,11 @@ class TestDecoderIntegration:
         system, frame = self.make_frame()
         decoder = GemmBfsDecoder(system.constellation)
         decoder.prepare(frame.channel, noise_var=frame.noise_var)
-        with use_tracer(Tracer()) as tracer:
+        with use_tracer(Tracer()) as tracer, use_metrics(MetricsRegistry()) as m:
             decoder.detect(frame.received)
         assert tracer.spans("bfs.detect")
         assert tracer.spans("bfs.level")
-        assert tracer.counters["bfs.nodes_expanded"] > 0
+        assert m.snapshot().counter_total("traversal.nodes_expanded") > 0
 
     def test_montecarlo_instrumented(self):
         from repro.core.radius import NoiseScaledRadius
@@ -266,7 +289,7 @@ class TestDecoderIntegration:
         engine = MonteCarloEngine(
             system, channels=1, frames_per_channel=2, seed=1
         )
-        with use_tracer(Tracer()) as tracer:
+        with use_tracer(Tracer()) as tracer, use_metrics(MetricsRegistry()) as m:
             engine.run(
                 lambda: SphereDecoder(
                     system.constellation,
@@ -276,4 +299,4 @@ class TestDecoderIntegration:
             )
         assert len(tracer.spans("mc.point")) == 1
         assert len(tracer.spans("mc.frame")) == 2
-        assert tracer.counters["mc.frames"] == 2
+        assert m.snapshot().counter_total("mc.frames") == 2

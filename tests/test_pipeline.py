@@ -182,14 +182,29 @@ class TestDecodeReport:
         assert "%" in text
 
     def test_decode_report_emits_stage_counters(self):
-        from repro.obs import Tracer, use_tracer
+        from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
 
         stats = realistic_stats()
         pipe = FPGAPipeline(PipelineConfig.optimized(4), n_tx=10, n_rx=10, order=4)
-        with use_tracer(Tracer()) as tracer:
+        with use_tracer(Tracer()) as tracer, use_metrics(MetricsRegistry()) as m:
             report = pipe.decode_report(stats)
-        assert tracer.counters["fpga.cycles.total"] == report.total_cycles
+        snap = m.snapshot()
+        assert snap.counter_total("fpga.cycles_total") == report.total_cycles
         assert tracer.spans("fpga.decode_report")
+        # Charged cycles per stage plus the attributed overhead buckets
+        # account for every cycle of the report.
+        charged = {
+            dict(key)["stage"]: v
+            for (name, key), v in snap.counters.items()
+            if name == "fpga.charged_cycles"
+        }
+        stalls = {
+            dict(key)["bucket"]: v
+            for (name, key), v in snap.counters.items()
+            if name == "fpga.stall_cycles"
+        }
+        assert {**charged, **stalls} == report.attributed
+        assert sum(charged.values()) + sum(stalls.values()) == report.total_cycles
 
     def test_transfer_under_three_percent(self):
         """The paper's <3% host->HBM staging claim on a realistic trace."""
