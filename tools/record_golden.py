@@ -27,12 +27,14 @@ change *is* the point of the regen.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = REPO_ROOT / "tests" / "data" / "golden_decodes.json"
+LEAF_FIRST_PATH = REPO_ROOT / "tests" / "data" / "leaf_first_cases.json"
 
 #: (label, n_antennas, modulation, snr_db, frames, seed)
 SCENARIOS = (
@@ -103,6 +105,164 @@ def record() -> dict:
     return doc
 
 
+# ----------------------------------------------------------------------
+# Leaf-first cases: seeded draws over the Best-FS / sorted-DFS axes
+# ----------------------------------------------------------------------
+
+#: Number of leaf-first draws and the seed of the generator drawing them.
+LEAF_FIRST_CASES = 200
+LEAF_FIRST_SEED = 20230517
+#: Frames per case, decoded by ``detect`` and by one ``decode_batch``.
+LEAF_FIRST_FRAMES = 2
+LEAF_FIRST_SNRS = (6.0, 14.0, 30.0)
+
+
+def _radius_policies() -> dict:
+    """The five radius policies a case may draw, by name.
+
+    Exact seeds (Babai, infinite) and tiny radii that force escalation
+    rounds (noise-scaled, fixed) or, when escalation is off, the Babai
+    fallback.
+    """
+    from repro.core.radius import (
+        BabaiRadius,
+        FixedRadius,
+        InfiniteRadius,
+        NoiseScaledRadius,
+    )
+
+    class NoEscalationRadius(FixedRadius):
+        """A fixed radius that never grows: an empty sphere falls back
+        to the Babai point."""
+
+        def can_escalate(self) -> bool:
+            return False
+
+    return {
+        "babai": BabaiRadius,
+        "infinite": InfiniteRadius,
+        "noise-tiny-alpha": lambda: NoiseScaledRadius(alpha=1e-3),
+        "fixed-tiny": lambda: FixedRadius(radius_sq=1e-4),
+        "fixed-no-escalation": lambda: NoEscalationRadius(radius_sq=1e-4),
+    }
+
+
+def draw_leaf_first_cases(
+    n: int = LEAF_FIRST_CASES, seed: int = LEAF_FIRST_SEED
+) -> list[dict]:
+    """``n`` seeded case configurations over the leaf-first axes.
+
+    Strategy, pool size 1-64, l2/linf, sorted/natural child order,
+    complex/real-reordered lattice, an optional node cap, the radius
+    policy, 1-8 antennas, BPSK/4-/16-QAM, the SNR and the channel seed.
+    Real lattices need square QAM, so BPSK cases stay complex.
+    """
+    rng = np.random.default_rng(seed)
+    radii = sorted(_radius_policies())
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    cases = []
+    for _ in range(n):
+        case = {
+            "strategy": pick(("dfs", "best-first")),
+            "pool_size": int(rng.integers(1, 65)),
+            "n_tx": int(rng.integers(1, 9)),
+            "modulation": pick(("bpsk", "4qam", "16qam")),
+            "metric": pick(("l2", "linf")),
+            "child_ordering": pick(("sorted", "natural")),
+            "lattice": pick(("complex", "real-reordered")),
+            "max_nodes": (
+                None if rng.integers(2) else int(rng.integers(1, 65))
+            ),
+            "radius": pick(radii),
+            "snr_db": pick(LEAF_FIRST_SNRS),
+            "seed": int(rng.integers(2**32)),
+        }
+        if case["modulation"] == "bpsk":
+            case["lattice"] = "complex"
+        cases.append(case)
+    return cases
+
+
+def leaf_first_record(case: dict, engine: str = "numpy") -> dict:
+    """Decode one case: per-frame ``detect``, then one ``decode_batch``.
+
+    Both run under one fresh metrics registry; the record holds every
+    frame's :func:`frame_record` and the registry's ``traversal.*``
+    series.
+    """
+    from repro.detectors.sphere import SphereDecoder
+    from repro.mimo.system import MIMOSystem
+    from repro.obs.metrics import MetricsRegistry, use_metrics
+
+    system = MIMOSystem(case["n_tx"], case["n_tx"], case["modulation"])
+    rng = np.random.default_rng(case["seed"])
+    channel = system.channel_model.draw_channel(rng)
+    received = np.stack(
+        [
+            system.random_frame(case["snr_db"], rng, channel=channel).received
+            for _ in range(LEAF_FIRST_FRAMES)
+        ]
+    )
+    metrics = MetricsRegistry()
+    with use_metrics(metrics):
+        decoder = SphereDecoder(
+            system.constellation,
+            strategy=case["strategy"],
+            radius_policy=_radius_policies()[case["radius"]](),
+            pool_size=case["pool_size"],
+            child_ordering=case["child_ordering"],
+            max_nodes=case["max_nodes"],
+            metric=case["metric"],
+            lattice=case["lattice"],
+            engine=engine,
+        )
+        if decoder.engine_name != engine:
+            raise RuntimeError(f"engine {engine!r} is not available")
+        decoder.prepare(channel, noise_var=system.noise_var(case["snr_db"]))
+        detect = [frame_record(decoder.detect(row)) for row in received]
+        batch = [frame_record(r) for r in decoder.decode_batch(received)]
+    snapshot = metrics.snapshot().to_dict()
+    series = {
+        table: {
+            key: value
+            for key, value in snapshot[table].items()
+            if key.startswith("traversal.")
+        }
+        for table in ("counters", "histograms")
+    }
+    return {"detect": detect, "batch": batch, "series": series}
+
+
+def record_leaf_first() -> tuple[dict, list[str]]:
+    """Every leaf-first case through the scalar loops and the kernels.
+
+    Returns the document (the loops' records) and the cases on which
+    the compiled kernels, run interpreted where Numba is absent, or the
+    batch path disagree with the loops' ``detect``.
+    """
+    from repro.core import compiled
+
+    if not compiled.NUMBA_AVAILABLE:
+        os.environ[compiled.INTERPRET_ENV] = "1"
+    cases, disagree = [], []
+    for i, case in enumerate(draw_leaf_first_cases()):
+        loops = leaf_first_record(case, "numpy")
+        kernels = leaf_first_record(case, "compiled")
+        if loops != kernels or loops["batch"] != loops["detect"]:
+            disagree.append(f"case {i}: {case}")
+        cases.append({"case": case, **loops})
+    doc = {
+        "schema": 1,
+        "seed": LEAF_FIRST_SEED,
+        "frames": LEAF_FIRST_FRAMES,
+        "cases": cases,
+    }
+    return doc, disagree
+
+
 def check_preserves_existing(doc: dict) -> list[str]:
     """Names of existing (scenario, kind) records the fresh run changed."""
     if not GOLDEN_PATH.is_file():
@@ -129,6 +289,14 @@ def main(argv=None) -> int:
         "intentional decode-behaviour change)",
     )
     args = parser.parse_args(argv)
+    leaf_first, disagree = record_leaf_first()
+    if disagree:
+        print(
+            f"refusing to write: the loops and the kernels disagree on "
+            f"{len(disagree)} leaf-first case(s):"
+        )
+        print("\n".join(disagree))
+        return 1
     doc = record()
     changed = check_preserves_existing(doc)
     if changed and not args.force:
@@ -145,6 +313,14 @@ def main(argv=None) -> int:
     print(
         f"golden decodes written: {GOLDEN_PATH} "
         f"({len(doc['scenarios'])} scenarios x {n_kinds} detector kinds)"
+    )
+    LEAF_FIRST_PATH.write_text(
+        json.dumps(leaf_first, sort_keys=True, separators=(",", ":")) + "\n"
+    )
+    n_cases = len(leaf_first["cases"])
+    print(
+        f"leaf-first cases written: {LEAF_FIRST_PATH} ({n_cases} cases; "
+        f"loops and kernels agree on {n_cases}/{n_cases})"
     )
     return 0
 
