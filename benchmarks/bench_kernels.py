@@ -18,7 +18,6 @@ variants) are judged by (see ``EXPERIMENTS.md``).
 
 import argparse
 import json
-import sys
 import time
 
 import numpy as np
@@ -166,16 +165,10 @@ def _decode_throughput(
     repeats=5,
     metric="l2",
     lattice="complex",
-    engine="numpy",
 ):
     """Best-of-``repeats`` nodes/s for one full-decode configuration."""
     system, frame = _fixture(n=n, snr_db=snr_db)
-    kwargs = {
-        "record_trace": False,
-        "metric": metric,
-        "lattice": lattice,
-        "engine": engine,
-    }
+    kwargs = {"record_trace": False, "metric": metric, "lattice": lattice}
     if strategy == "best-first":
         kwargs["pool_size"] = pool_size
     else:
@@ -193,60 +186,30 @@ def _decode_throughput(
     return {"nodes_expanded": int(nodes), "nodes_per_sec": best}
 
 
-def _engine_entries(repeats, engine):
-    """The per-policy throughput rows for one traversal engine."""
+def traversal_report(repeats=5):
+    """Nodes/s per (strategy, pool size) — the refactor's scoreboard."""
     entries = {}
     for b in TRAVERSAL_POOL_SIZES:
         entries[f"best-first/pool{b}"] = _decode_throughput(
-            "best-first", b, repeats=repeats, engine=engine
+            "best-first", b, repeats=repeats
         )
-    entries["dfs"] = _decode_throughput("dfs", 1, repeats=repeats, engine=engine)
+    entries["dfs"] = _decode_throughput("dfs", 1, repeats=repeats)
     # The evaluation-layer axes: ℓ∞ compare kernel and the interleaved
     # real lattice, both on the DFS reference configuration.
     entries["dfs/linf"] = _decode_throughput(
-        "dfs", 1, repeats=repeats, metric="linf", engine=engine
+        "dfs", 1, repeats=repeats, metric="linf"
     )
     entries["dfs/real-reordered"] = _decode_throughput(
-        "dfs", 1, repeats=repeats, lattice="real-reordered", engine=engine
+        "dfs", 1, repeats=repeats, lattice="real-reordered"
     )
-    return entries
-
-
-def traversal_report(repeats=5, engines=("numpy",)):
-    """Nodes/s per (strategy, pool size) — the refactor's scoreboard.
-
-    With ``engines=("numpy", "compiled")`` the compiled-engine rows are
-    keyed ``compiled/<name>`` and the report gains
-    ``mean_nodes_per_sec_compiled`` plus the compiled/numpy speedup.
-    Node counts are bit-identical across engines by contract, so only
-    the rates differ.
-    """
-    entries = dict(_engine_entries(repeats, "numpy"))
     rates = [e["nodes_per_sec"] for e in entries.values()]
-    report = {
+    return {
         "schema": 1,
         "workload": "10x10 4-QAM @ 8 dB, single frame, best of repeats",
         "repeats": repeats,
-        "engines": list(engines),
         "entries": entries,
         "mean_nodes_per_sec": float(np.mean(rates)),
     }
-    if "compiled" in engines:
-        from repro.core.compiled import jit_active, warmup_kernels
-
-        warmup_kernels()
-        compiled = _engine_entries(repeats, "compiled")
-        for name, entry in compiled.items():
-            entries[f"compiled/{name}"] = entry
-        crates = [e["nodes_per_sec"] for e in compiled.values()]
-        report["mean_nodes_per_sec_compiled"] = float(np.mean(crates))
-        report["compiled_speedup"] = (
-            report["mean_nodes_per_sec_compiled"] / report["mean_nodes_per_sec"]
-            if report["mean_nodes_per_sec"] > 0
-            else 0.0
-        )
-        report["jit_active"] = jit_active()
-    return report
 
 
 def main(argv=None):
@@ -258,31 +221,8 @@ def main(argv=None):
         help="also write the report as JSON",
     )
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument(
-        "--engine",
-        choices=("numpy", "compiled", "both", "auto"),
-        default="auto",
-        help="traversal engine(s) to time; 'auto' adds the compiled rows "
-        "when the compiled engine is available on this host, 'compiled' "
-        "and 'both' fail when it is not",
-    )
     args = parser.parse_args(argv)
-    from repro.core.compiled import compiled_available
-
-    if args.engine == "auto":
-        engines = ("numpy", "compiled") if compiled_available() else ("numpy",)
-    elif args.engine == "numpy":
-        engines = ("numpy",)
-    else:
-        if not compiled_available():
-            print(
-                "error: engine 'compiled' requires Numba, which is not "
-                "installed (pip install '.[compiled]')",
-                file=sys.stderr,
-            )
-            return 2
-        engines = ("numpy", "compiled")
-    report = traversal_report(repeats=args.repeats, engines=engines)
+    report = traversal_report(repeats=args.repeats)
     width = max(len(k) for k in report["entries"])
     print(f"workload: {report['workload']}")
     for name, entry in report["entries"].items():
@@ -291,14 +231,6 @@ def main(argv=None):
             f"  ({entry['nodes_expanded']} nodes)"
         )
     print(f"  {'mean'.ljust(width)}  {report['mean_nodes_per_sec']:12,.0f} nodes/s")
-    if "mean_nodes_per_sec_compiled" in report:
-        label = "mean (compiled)"
-        print(
-            f"  {label.ljust(width)}  "
-            f"{report['mean_nodes_per_sec_compiled']:12,.0f} nodes/s"
-            f"  ({report['compiled_speedup']:.2f}x numpy"
-            f"{', jit' if report['jit_active'] else ', interpreted'})"
-        )
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(report, fh, indent=1)

@@ -1171,11 +1171,7 @@ def smoke_experiment(
     ``*_linf`` columns (``sd-linf``) and ``*_rr`` columns
     (``sd-real-reordered``), so the regression gate pins node counts and
     throughput for every metric x lattice combination the registry
-    ships, not just the reference one. When the compiled traversal
-    engine is usable (:func:`repro.core.compiled.compiled_available`)
-    the sweep adds ``*_compiled`` columns — the canonical ``sd`` kind
-    rerun with ``engine="compiled"`` on the same frames, pinning both
-    its (bit-identical) node counts and its fused-kernel throughput.
+    ships, not just the reference one.
     """
     workload = run_workload_sweep(
         6,
@@ -1207,18 +1203,11 @@ def smoke_experiment(
                 "frames": point.frames,
             }
         )
-    # Metric/lattice/engine variant series: decode a deterministic frame
-    # set per SNR with the ℓ∞, reordered-real and (when available)
-    # compiled-engine configurations so the regression gate also pins
-    # their node counts (deterministic) and host throughput (rate-gated).
-    from repro.core.compiled import compiled_available
-
-    variants = [
-        ("linf", "sd-linf", {}),
-        ("rr", "sd-real-reordered", {}),
-    ]
-    if compiled_available():
-        variants.append(("compiled", "sd", {"engine": "compiled"}))
+    # Metric/lattice variant series: decode a deterministic frame set
+    # per SNR with the ℓ∞ and reordered-real configurations so the
+    # regression gate also pins their node counts (deterministic) and
+    # host throughput (rate-gated).
+    variants = (("linf", "sd-linf"), ("rr", "sd-real-reordered"))
     system = MIMOSystem(6, 6, "4qam")
     const = system.constellation
     for row in rows:
@@ -1233,11 +1222,11 @@ def smoke_experiment(
                     for _ in range(frames_per_channel - 1)
                 ]
             )
-        for suffix, kind, params in variants:
+        for suffix, kind in variants:
             total_nodes = 0
             total_wall = 0.0
             for frames in frame_sets:
-                detector = spec(kind, const, **params)()
+                detector = spec(kind, const)()
                 detector.prepare(
                     frames[0].channel, noise_var=frames[0].noise_var
                 )
@@ -1262,10 +1251,8 @@ def smoke_experiment(
         "mean_nodes_per_sec_linf",
         "mean_nodes_rr",
         "mean_nodes_per_sec_rr",
+        "frames",
     ]
-    for suffix, _kind, _params in variants[2:]:
-        columns += [f"mean_nodes_{suffix}", f"mean_nodes_per_sec_{suffix}"]
-    columns.append("frames")
     return SeriesResult(
         experiment="smoke",
         title="smoke sweep, 6x6 4-QAM (regression-gate workload)",

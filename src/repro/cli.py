@@ -175,13 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--frames", type=int, default=None, help="frames per channel")
     exp.add_argument("--seed", type=int, default=2023)
     exp.add_argument(
-        "--engine",
-        choices=("numpy", "compiled"),
-        default=None,
-        help="traversal engine for every tree-search detector in the "
-        "experiment (compiled requires numba; bit-identical results)",
-    )
-    exp.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -213,13 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--seed", type=int, default=0)
     dec.add_argument(
         "--strategy", choices=("best-first", "dfs"), default="best-first"
-    )
-    dec.add_argument(
-        "--engine",
-        choices=("numpy", "compiled"),
-        default=None,
-        help="traversal engine (compiled = fused jitted kernels; "
-        "bit-identical to numpy)",
     )
 
     ber = sub.add_parser("ber", help="quick BER sweep")
@@ -324,12 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         "JSON to PATH ('-' for stdout), mirroring bench_kernels.py "
         "--json",
     )
-    st.add_argument(
-        "--engine",
-        choices=("numpy", "compiled"),
-        default=None,
-        help="traversal engine for the replayed experiment",
-    )
 
     prof = sub.add_parser(
         "profile",
@@ -366,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         default=None,
         metavar="BASE",
-        help="write BASE.profile.json, BASE.collapsed.txt and "
-        "BASE.speedscope.json",
+        help="write BASE.profile.json, BASE.pstats, BASE.collapsed.txt "
+        "and BASE.speedscope.json",
     )
     prun.add_argument(
         "--record",
@@ -617,11 +597,9 @@ def _cmd_list() -> int:
 
 
 def _cmd_detectors(args: argparse.Namespace | None = None) -> int:
-    from repro.core.compiled import compiled_available
     from repro.detectors.registry import detector_entries
 
     exact_only = bool(args is not None and getattr(args, "exact_only", False))
-    have_compiled = compiled_available()
     for entry in detector_entries():
         if exact_only and not entry.exact:
             continue
@@ -634,37 +612,15 @@ def _cmd_detectors(args: argparse.Namespace | None = None) -> int:
             )
             if flag
         ]
-        engines = ", ".join(entry.engines)
-        if "compiled" in entry.engines and not have_compiled:
-            engines += "  (compiled unavailable: numba not installed)"
         print(f"{entry.kind}: {entry.summary}")
         print(f"    capabilities : {', '.join(caps) if caps else '-'}")
         print(f"    metric       : {entry.metric}")
         print(f"    lattice      : {entry.lattice}")
-        print(f"    engines      : {engines}")
         params = ", ".join(f"{k}={v!r}" for k, v in entry.defaults.items())
         print(f"    params       : {params if params else '-'}")
         figures = ", ".join(entry.figures)
         print(f"    figures      : {figures if figures else '-'}")
     return 0
-
-
-def _engine_scope(engine: str | None):
-    """Context applying an explicit ``--engine`` choice (no-op for None).
-
-    An explicit ``--engine compiled`` on a host without Numba is a hard
-    configuration error (exit 2 via ``main``), not a silent fallback —
-    the user asked for a specific performance envelope.
-    """
-    from contextlib import nullcontext
-
-    if engine is None:
-        return nullcontext()
-    from repro.core.compiled import require_compiled, use_engine
-
-    if engine == "compiled":
-        require_compiled()
-    return use_engine(engine)
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -712,7 +668,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         metrics = MetricsRegistry()
         metrics.stream = recorder.stream_writer()
         try:
-            with _engine_scope(args.engine), use_tracer(tracer), use_metrics(metrics):
+            with use_tracer(tracer), use_metrics(metrics):
                 result = fn(**kwargs)
         except BaseException:
             metrics.tick(force=True)
@@ -730,8 +686,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(result.format())
         print(f"[obs] run recorded: {path}")
     else:
-        with _engine_scope(args.engine):
-            result = fn(**kwargs)
+        result = fn(**kwargs)
         print(result.format())
     if args.plot:
         chart = _plot_experiment(result)
@@ -787,15 +742,12 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     system = MIMOSystem(n_tx, n_rx, args.mod)
     rng = np.random.default_rng(args.seed)
     frame = system.random_frame(args.snr, rng)
-    params = {} if args.engine is None else {"engine": args.engine}
-    with _engine_scope(args.engine):
-        decoder = spec(_STRATEGY_KINDS[args.strategy], system.constellation, **params)()
-        decoder.prepare(frame.channel, noise_var=frame.noise_var)
-        result = decoder.detect(frame.received)
+    decoder = spec(_STRATEGY_KINDS[args.strategy], system.constellation)()
+    decoder.prepare(frame.channel, noise_var=frame.noise_var)
+    result = decoder.detect(frame.received)
     correct = bool(np.array_equal(result.indices, frame.symbol_indices))
     stats = result.stats
     print(f"system        : {system!r} @ {args.snr:g} dB")
-    print(f"engine        : {decoder.engine_name}")
     print(f"sent indices  : {frame.symbol_indices.tolist()}")
     print(f"decoded       : {result.indices.tolist()}  ({'OK' if correct else 'symbol errors'})")
     print(f"metric        : {result.metric:.4f}")
@@ -992,7 +944,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             "seed": args.seed,
         }
     tracer, metrics = Tracer(), MetricsRegistry()
-    with _engine_scope(args.engine), use_tracer(tracer), use_metrics(metrics):
+    with use_tracer(tracer), use_metrics(metrics):
         result = fn(**kwargs)
     if args.json_out == "-":
         _emit_stats_json(tracer, metrics, args.name, args.json_out)
@@ -1046,12 +998,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             base.parent.mkdir(parents=True, exist_ok=True)
             profile_path = base.with_suffix(".profile.json")
             profile_path.write_text(_json_dumps(tree.to_dict()))
+            pstats_path = base.with_suffix(".pstats")
+            result.profiler.combined_stats().dump_stats(pstats_path)
             collapsed = write_collapsed(tree, base.with_suffix(".collapsed.txt"))
             speedscope = write_speedscope(
                 tree, base.with_suffix(".speedscope.json"), name=args.name
             )
             print()
-            print(f"profile artifacts: {profile_path}, {collapsed}, {speedscope}")
+            print(
+                f"profile artifacts: {profile_path}, {pstats_path}, "
+                f"{collapsed}, {speedscope}"
+            )
         if args.record:
             from repro.obs import RunRegistry
 

@@ -128,13 +128,9 @@ class DecodeStats:
     #: child-PD arithmetic of the Best-FS / DFS scalar loops); the
     #: rest of ``wall_time_s`` is host-side search bookkeeping. Under
     #: fused batch decoding the shared GEMM time is split evenly across
-    #: the batch's frames, mirroring ``wall_time_s``. Under the compiled
-    #: engine (:class:`repro.core.compiled.CompiledTraversalEngine`)
-    #: the pop/expand/prune loop is fused into one kernel, so this field
-    #: times each *whole kernel invocation* — arithmetic and traversal
-    #: bookkeeping together — and ``host_overhead_s`` shrinks to the
-    #: Python-side escalation shell. Kernels are warmed at ``prepare``
-    #: time, so first-call JIT compilation never lands here.
+    #: the batch's frames, mirroring ``wall_time_s``. The scalar loops
+    #: time each expansion's child-PD loop, so scheduling, pruning and
+    #: admission stay outside it.
     gemm_time_s: float = 0.0
     truncated: int = 0
     #: One entry per expansion batch; recorded only when the decoder
@@ -158,20 +154,14 @@ class DecodeStats:
     def host_overhead_s(self) -> float:
         """Wall time spent outside the GEMM/NORM arithmetic.
 
-        Under the compiled engine the fused kernel subsumes the search
-        bookkeeping, so this measures only the Python escalation shell
-        (radius policy, stat folding) around the kernel calls.
+        That is search bookkeeping (pops, pruning, admission), the
+        radius shell and stat folding.
         """
         return max(self.wall_time_s - self.gemm_time_s, 0.0)
 
     @property
     def gemm_fraction(self) -> float:
-        """Share of wall time inside the evaluator (1.0 = compute-bound).
-
-        For the compiled engine this is the share of wall time inside
-        the fused jitted kernel (compilation excluded via warm-up) —
-        values near 1.0 mean the decode is kernel-bound, the goal state.
-        """
+        """Share of wall time inside the evaluator (1.0 = compute-bound)."""
         if self.wall_time_s <= 0.0:
             return 0.0
         return min(self.gemm_time_s / self.wall_time_s, 1.0)

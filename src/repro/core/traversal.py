@@ -46,10 +46,10 @@ are evaluated*. This module is that separation made concrete:
     whatever evaluated it.
 
 Exactness of the best-first / DFS policies is property-tested against
-brute force in ``tests/test_sphere_decoder_exactness.py``; equivalence
-of the scalar and fused backends in ``tests/test_parallel_mc.py``, and
-of the leaf-first loops and the compiled kernels in
-``tests/test_compiled_engine.py``.
+brute force in ``tests/test_sphere_decoder_exactness.py`` and
+``tests/test_golden_decodes.py``, which also replays the loops'
+recorded leaf-first cases; equivalence of the scalar and fused backends
+is tested in ``tests/test_parallel_mc.py``.
 """
 
 from __future__ import annotations
@@ -223,10 +223,9 @@ class _PooledTreePolicy(TraversalPolicy):
     Each round is one call of ``_search``: a scalar loop over Python
     lists, floats and complexes fed by
     :meth:`ChannelKernel.scalar_tables`, whose arithmetic follows the
-    matching :mod:`repro.core.compiled` kernel statement for statement
-    (the same order of operations as the evaluators), so every
-    decision, metric, counter and trace is bit-identical to the GEMM
-    path. Only the ℓ₂ and ℓ∞ metrics are supported.
+    evaluators' order of operations, so every decision, metric, counter
+    and trace is bit-identical to the GEMM path. Only the ℓ₂ and ℓ∞
+    metrics are supported.
     """
 
     #: Strategy label used in ``sd.solve`` span args and detector attrs.
@@ -237,14 +236,11 @@ class _PooledTreePolicy(TraversalPolicy):
             None if max_nodes is None else check_positive_int(max_nodes, "max_nodes")
         )
 
-    def solve(self, engine, r, ybar, noise_var, stats, tracer, search):
+    def solve(self, engine, r, ybar, noise_var, stats, tracer, frame, marks):
         """The radius shell around one frame's search rounds.
 
-        ``search(bound, incumbent)`` runs one full tree exploration
-        under ``bound`` and returns the best complete solution found
-        (ascending-level indices) and its metric — or ``(incumbent,
-        bound)`` unchanged when the sphere is empty. The NumPy engine
-        passes its scalar loop, the compiled engine its kernel.
+        ``frame`` and ``marks`` are passed through to every
+        :meth:`_search` round.
         """
         n_tx = int(r.shape[1])
         with tracer.span("sd.solve", strategy=self.strategy, n_tx=n_tx):
@@ -257,7 +253,9 @@ class _PooledTreePolicy(TraversalPolicy):
             stats.radius_trace.append(bound)
             while True:
                 with tracer.span("sd.search", bound=bound):
-                    incumbent, bound = search(bound, incumbent)
+                    incumbent, bound = self._search(
+                        engine, frame, n_tx, bound, incumbent, stats, marks
+                    )
                 if incumbent is not None or not engine.radius_policy.can_escalate():
                     break
                 if stats.truncated:
@@ -285,8 +283,9 @@ class _PooledTreePolicy(TraversalPolicy):
 
         ``frame`` is ``(points, rows, diag_points, ybar)`` as Python
         lists and ``marks`` the solve's :class:`_MarkSample` (``None``
-        when the tracer is off). Returns what the ``search`` callable of
-        :meth:`solve` returns.
+        when the tracer is off). Returns the best complete solution
+        found (ascending-level indices) and its metric, or ``(incumbent,
+        bound)`` unchanged when the sphere is empty.
         """
 
     @staticmethod
@@ -328,9 +327,6 @@ class _PooledTreePolicy(TraversalPolicy):
 
 class BestFirstPolicy(_PooledTreePolicy):
     """Global priority queue on PD with same-level pooling (Alg. 1).
-
-    The search follows :func:`repro.core.compiled._best_first_kernel`
-    statement for statement (see :class:`_PooledTreePolicy`).
 
     Parameters
     ----------
@@ -460,8 +456,8 @@ class BestFirstPolicy(_PooledTreePolicy):
                     best = (pool[i_best // p], i_best % p)
                     radii.append(bound)
             else:
-                # Row-major admission (pool row, then child): the
-                # kernel's push order, so rows number identically.
+                # Row-major admission (pool row, then child) fixes
+                # the row numbers, and with them the heap's pop order.
                 before = len(lv)
                 k -= 1
                 i = 0
@@ -497,9 +493,6 @@ class BestFirstPolicy(_PooledTreePolicy):
 class DfsPolicy(_PooledTreePolicy):
     """Depth-first with per-level PD-sorted child insertion (Fig. 3).
 
-    The search follows :func:`repro.core.compiled._dfs_kernel`
-    statement for statement (see :class:`_PooledTreePolicy`).
-
     Parameters
     ----------
     child_ordering:
@@ -525,8 +518,7 @@ class DfsPolicy(_PooledTreePolicy):
         Nodes are rows of two lists, ``lv`` (the level their children
         assign) and ``paths`` (root-first index tuples); the LIFO holds
         ``(pd, row)``. Pop-prunes are counted per level where they
-        happen, as :func:`repro.core.compiled._dfs_kernel` keeps
-        ``acc_pruned``.
+        happen.
         """
         pts, rows, diag, ybar = frame
         p = len(pts)
@@ -917,46 +909,6 @@ class SerialBatch(NamedTuple):
     fused_gemm_calls: int
 
 
-def build_engine(
-    engine: str,
-    constellation,
-    policy: "TraversalPolicy",
-    *,
-    radius_policy=None,
-    metric=None,
-    record_trace: bool = True,
-) -> "TraversalEngine":
-    """Construct a :class:`TraversalEngine` for the named ``engine``.
-
-    ``"numpy"`` builds the reference engine defined here;
-    ``"compiled"`` builds the fused-kernel
-    :class:`~repro.core.compiled.CompiledTraversalEngine` (imported
-    lazily so :mod:`repro.core.traversal` never depends on the optional
-    Numba machinery). Callers are expected to have resolved
-    availability already (:func:`repro.core.compiled.resolve_engine`);
-    passing ``"compiled"`` here always builds the compiled engine, which
-    runs interpreted when Numba is absent.
-    """
-    check_in(engine, "engine", ("numpy", "compiled"))
-    if engine == "compiled":
-        from repro.core.compiled import CompiledTraversalEngine
-
-        return CompiledTraversalEngine(
-            constellation,
-            policy,
-            radius_policy=radius_policy,
-            metric=metric,
-            record_trace=record_trace,
-        )
-    return TraversalEngine(
-        constellation,
-        policy,
-        radius_policy=radius_policy,
-        metric=metric,
-        record_trace=record_trace,
-    )
-
-
 class TraversalEngine:
     """One search policy bound to a constellation and radius schedule.
 
@@ -1032,7 +984,6 @@ class TraversalEngine:
         The leaf-first policies run their scalar loop; the sweeps run
         against a :class:`ScalarGemvBackend`.
         """
-        policy = self.policy
         if not self._leaf_first:
             return ScalarGemvBackend().run(
                 self, r, ybar, noise_var, stats, tracer, kernel=kernel
@@ -1044,15 +995,10 @@ class TraversalEngine:
             np.complex128
         )
         frame = (*kernel.scalar_tables(), ybar_c.tolist())
-        n_tx = kernel.n_tx
         marks = _MarkSample(tracer.mark_stride) if tracer.enabled else None
-
-        def search(bound, incumbent):
-            return policy._search(
-                self, frame, n_tx, bound, incumbent, stats, marks
-            )
-
-        result = policy.solve(self, r, ybar, noise_var, stats, tracer, search)
+        result = self.policy.solve(
+            self, r, ybar, noise_var, stats, tracer, frame, marks
+        )
         if marks is not None:
             tracer.marks("sd.batch", marks.rows)
         return result

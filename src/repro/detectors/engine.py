@@ -27,7 +27,6 @@ from contextlib import ExitStack
 
 import numpy as np
 
-from repro.core.compiled import resolve_engine, warmup_kernels
 from repro.core.gemm import ChannelKernel
 from repro.core.lattice import resolve_lattice
 from repro.core.metric import resolve_metric
@@ -35,7 +34,6 @@ from repro.core.traversal import (
     LevelAccumulator,
     TraversalEngine,
     TraversalPolicy,
-    build_engine,
 )
 from repro.detectors.base import DecodeStats, DetectionResult, Detector
 from repro.mimo.preprocessing import (
@@ -47,7 +45,7 @@ from repro.mimo.preprocessing import (
 from repro.obs.metrics import current_metrics, exponential_buckets, inc_each
 from repro.obs.tracer import current_tracer
 from repro.util.timing import Timer
-from repro.util.validation import check_in, check_matrix, check_vector
+from repro.util.validation import check_finite, check_matrix, check_vector
 
 
 #: Buckets for the frontier-peak histogram: frontier sizes are node
@@ -105,6 +103,10 @@ class EngineDetector(Detector):
     post-construction attribute tweaks — e.g. tests setting
     ``decoder.max_nodes`` — keep working) and set the class attributes
     below to fix their trace vocabulary.
+
+    A NaN or Inf in the channel, the noise variance or a received
+    vector raises :class:`~repro.util.validation.NonFiniteInputError`
+    before any search starts (``prepare``, ``detect``, ``decode_batch``).
     """
 
     #: Prefix of every span this detector emits (``sd``, ``bfs``…).
@@ -123,10 +125,6 @@ class EngineDetector(Detector):
     #: Lattice representation the search runs over (name or instance);
     #: applied at :meth:`prepare` time. May be overridden per instance.
     lattice = "complex"
-    #: Traversal engine (``"numpy"`` | ``"compiled"``); ``None`` defers
-    #: to the ambient default (:func:`repro.core.compiled.use_engine`).
-    #: May be overridden per instance or via :meth:`prepare`.
-    engine: str | None = None
 
     constellation = None
     radius_policy = None
@@ -134,17 +132,6 @@ class EngineDetector(Detector):
     #: Per-level accumulator the last :meth:`solve` fed (``None`` when no
     #: registry was live); :meth:`detect` flushes it.
     _level_acc: LevelAccumulator | None = None
-
-    @property
-    def engine_name(self) -> str:
-        """The engine that will actually run (availability-resolved).
-
-        Resolved fresh on every access: a detector constructed with
-        ``engine=None`` follows the ambient default, and a ``"compiled"``
-        request degrades to ``"numpy"`` (with one warning) when Numba is
-        unavailable — see :func:`repro.core.compiled.resolve_engine`.
-        """
-        return resolve_engine(self.engine)
 
     @property
     def metric_obj(self):
@@ -189,8 +176,7 @@ class EngineDetector(Detector):
         raise NotImplementedError
 
     def _engine(self) -> TraversalEngine:
-        return build_engine(
-            self.engine_name,
+        return TraversalEngine(
             self.search_constellation,
             self._policy(),
             radius_policy=self.radius_policy,
@@ -208,20 +194,11 @@ class EngineDetector(Detector):
     # Detector protocol
     # ------------------------------------------------------------------
 
-    def prepare(
-        self,
-        channel: np.ndarray,
-        noise_var: float = 0.0,
-        *,
-        engine: str | None = None,
-    ) -> None:
-        channel = check_matrix(channel, "channel")
+    def prepare(self, channel: np.ndarray, noise_var: float = 0.0) -> None:
+        channel = check_finite(check_matrix(channel, "channel"), "channel")
+        check_finite(noise_var, "noise_var")
         if noise_var < 0:
             raise ValueError(f"noise_var must be non-negative, got {noise_var}")
-        if engine is not None:
-            # Pin the engine axis for this detector from here on (the
-            # per-prepare override the registry/CLI flow threads down).
-            self.engine = check_in(engine, "engine", ("numpy", "compiled"))
         self._check_channel(channel)
         self._channel = channel
         # The lattice representation decides which system the QR (and
@@ -242,16 +219,13 @@ class EngineDetector(Detector):
             self._qr.r, self.search_constellation, metric=self.metric_obj
         )
         self._noise_var = rep.scale_noise(noise_var)
-        if self.engine_name == "compiled":
-            # First-call JIT compilation happens here, outside every
-            # timed region (gemm_time_s / benchmarks stay compile-free).
-            warmup_kernels()
         self._prepared = True
 
     def detect(self, received: np.ndarray) -> DetectionResult:
         self._require_prepared()
-        received = check_vector(
-            received, "received", length=self._channel.shape[0]
+        received = check_finite(
+            check_vector(received, "received", length=self._channel.shape[0]),
+            "received",
         )
         tracer = current_tracer()
         series = self._metric_series()
@@ -343,6 +317,7 @@ class EngineDetector(Detector):
             )
         if received.shape[0] == 0:
             return []
+        check_finite(received, "received")
         n_frames = received.shape[0]
         tracer = current_tracer()
         series = self._metric_series()

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.compiled import ENGINES
 from repro.core.traversal import FsdPolicy, TraversalPolicy
 from repro.detectors.engine import EngineDetector
 from repro.mimo.constellation import Constellation
-from repro.util.validation import check_in, check_positive_int
+from repro.util.validation import check_positive_int
 
 
 class FixedComplexityDecoder(EngineDetector):
@@ -56,14 +55,10 @@ class FixedComplexityDecoder(EngineDetector):
         *,
         rho: int = 1,
         record_trace: bool = True,
-        engine: str | None = None,
     ) -> None:
         self.constellation = constellation
         self.rho = check_positive_int(rho, "rho")
         self.record_trace = record_trace
-        self.engine = (
-            None if engine is None else check_in(engine, "engine", ENGINES)
-        )
         self._qr = None
         self._channel = None
         self._noise_var = 0.0

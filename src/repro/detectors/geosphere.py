@@ -39,7 +39,6 @@ class GeosphereDecoder(SphereDecoder):
         radius_policy: RadiusPolicy | None = None,
         max_nodes: int | None = None,
         record_trace: bool = True,
-        engine: str | None = None,
     ) -> None:
         super().__init__(
             constellation,
@@ -50,5 +49,4 @@ class GeosphereDecoder(SphereDecoder):
             child_ordering="sorted",
             max_nodes=max_nodes,
             record_trace=record_trace,
-            engine=engine,
         )

@@ -52,7 +52,6 @@ class RealSphereDecoder(SphereDecoder):
         max_nodes: int | None = None,
         lattice: str = "real",
         record_trace: bool = True,
-        engine: str | None = None,
     ) -> None:
         super().__init__(
             constellation,
@@ -61,7 +60,6 @@ class RealSphereDecoder(SphereDecoder):
             max_nodes=max_nodes,
             lattice=lattice,
             record_trace=record_trace,
-            engine=engine,
         )
         #: The per-dimension PAM search alphabet (back-compat alias).
         self.pam = self.search_constellation

@@ -20,12 +20,11 @@ preprocessing and the ``bfs.*`` obs vocabulary.
 
 from __future__ import annotations
 
-from repro.core.compiled import ENGINES
 from repro.core.radius import NoiseScaledRadius, RadiusPolicy
 from repro.core.traversal import BfsPolicy, TraversalPolicy
 from repro.detectors.engine import EngineDetector
 from repro.mimo.constellation import Constellation
-from repro.util.validation import check_in, check_positive_int
+from repro.util.validation import check_positive_int
 
 
 class GemmBfsDecoder(EngineDetector):
@@ -58,7 +57,6 @@ class GemmBfsDecoder(EngineDetector):
         radius_policy: RadiusPolicy | None = None,
         max_frontier: int | None = None,
         record_trace: bool = True,
-        engine: str | None = None,
     ) -> None:
         self.constellation = constellation
         self.radius_policy = radius_policy or NoiseScaledRadius(alpha=2.0)
@@ -68,9 +66,6 @@ class GemmBfsDecoder(EngineDetector):
             else check_positive_int(max_frontier, "max_frontier")
         )
         self.record_trace = record_trace
-        self.engine = (
-            None if engine is None else check_in(engine, "engine", ENGINES)
-        )
         self._qr = None
         self._channel = None
         self._noise_var = 0.0

@@ -51,7 +51,6 @@ hot path pays one local check per expansion — see
 
 from __future__ import annotations
 
-from repro.core.compiled import ENGINES
 from repro.core.enumeration import CHILD_ORDERS
 from repro.core.radius import BabaiRadius, RadiusPolicy
 from repro.core.traversal import BestFirstPolicy, DfsPolicy, TraversalPolicy
@@ -106,11 +105,6 @@ class SphereDecoder(EngineDetector):
         Ayanoglu interleaving). Real lattices need square QAM.
     record_trace:
         Keep the per-expansion :class:`BatchTrace` in the stats.
-    engine:
-        Traversal engine: ``"numpy"`` (reference), ``"compiled"``
-        (fused Numba kernels, bit-identical) or ``None`` (default) to
-        follow the ambient default
-        (:func:`repro.core.compiled.use_engine`).
     """
 
     name = "sphere-gemm"
@@ -129,7 +123,6 @@ class SphereDecoder(EngineDetector):
         metric: str = "l2",
         lattice: str = "complex",
         record_trace: bool = True,
-        engine: str | None = None,
     ) -> None:
         self.constellation = constellation
         self.strategy = check_in(strategy, "strategy", STRATEGIES)
@@ -145,9 +138,6 @@ class SphereDecoder(EngineDetector):
         self.metric = metric
         self.lattice = lattice
         self.record_trace = record_trace
-        self.engine = (
-            None if engine is None else check_in(engine, "engine", ENGINES)
-        )
         self._resolve_axes()
         self._qr = None
         self._channel = None

@@ -373,8 +373,8 @@ class SpanProfiler:
     what the switch discipline guarantees.
 
     This is a *profiling-mode* tool: the per-span enable/disable costs
-    real time, so it lives behind ``repro-sd profile run`` and
-    ``tools/profile_smoke.py``, never on the default telemetry path.
+    real time, so it lives behind ``repro-sd profile run``, never on
+    the default telemetry path.
     """
 
     def __init__(self) -> None:
@@ -447,8 +447,8 @@ class SpanProfiler:
     def combined_stats(self) -> pstats.Stats:
         """All per-span profiles merged into one :class:`pstats.Stats`.
 
-        The whole-run view ``tools/profile_smoke.py`` ships as its
-        ``.pstats`` artifact; code that ran outside any span is not
+        The whole-run view ``repro-sd profile run --out BASE`` writes
+        to ``BASE.pstats``; code that ran outside any span is not
         covered (by construction nothing was being profiled there).
         """
         profiles = [p for p in self.profiles.values() if p.getstats()]

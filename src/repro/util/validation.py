@@ -12,6 +12,23 @@ from typing import Any, Iterable
 import numpy as np
 
 
+class NonFiniteInputError(ValueError):
+    """An input array or scalar holds NaN or Inf.
+
+    Raised where data enters a detector (``prepare``, ``detect``,
+    ``decode_batch``), before a non-finite value can reach a tree search
+    that would hang, index out of range or return a NaN metric on it.
+    """
+
+
+def check_finite(value: Any, name: str) -> Any:
+    """Return ``value`` if every element is finite, else raise
+    :class:`NonFiniteInputError`."""
+    if not np.isfinite(value).all():
+        raise NonFiniteInputError(f"{name} must be finite, got NaN or Inf")
+    return value
+
+
 def check_positive_int(value: Any, name: str) -> int:
     """Return ``value`` as ``int`` if it is a positive integer, else raise.
 

@@ -8,6 +8,7 @@ missing files exit 2 with a single ``error: ...`` line.
 from __future__ import annotations
 
 import json
+import pstats
 
 import pytest
 
@@ -128,11 +129,13 @@ class TestProfileRunCli:
         out = capsys.readouterr().out
         assert "span-covered wall" in out
         assert "top functions by internal time" in out
-        # artifact trio next to --out
+        # the four artifacts next to --out
         profile_doc = json.loads(
             base.with_suffix(".profile.json").read_text()
         )
         assert profile_doc["tree"], "profile artifact recorded no spans"
+        functions = pstats.Stats(str(base.with_suffix(".pstats"))).stats
+        assert functions, "pstats artifact holds no functions"
         assert base.with_suffix(".collapsed.txt").is_file()
         assert base.with_suffix(".speedscope.json").is_file()
         # recorded registry run carries the profile + manifest entry

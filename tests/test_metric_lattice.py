@@ -100,6 +100,22 @@ class TestResolvers:
         with pytest.raises(ValueError):
             SphereDecoder(bpsk, lattice="real-reordered")
 
+    def test_leaf_first_loops_reject_other_metrics(self):
+        """Both leaf-first loops implement the l2 and linf metrics only."""
+        from repro.core.metric import PartialDistanceMetric
+        from repro.core.traversal import (
+            BestFirstPolicy,
+            DfsPolicy,
+            TraversalEngine,
+        )
+
+        class L1(PartialDistanceMetric):
+            name = "l1"
+
+        for policy in (DfsPolicy(), BestFirstPolicy()):
+            with pytest.raises(ValueError, match="'l2' and 'linf'"):
+                TraversalEngine(Constellation.qam(4), policy, metric=L1())
+
 
 class TestLinfMetric:
     def test_increment_and_accumulate_semantics(self):

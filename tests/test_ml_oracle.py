@@ -69,18 +69,8 @@ def test_registry_enrols_expected_kinds():
     assert "ml" not in EXACT_KINDS  # the oracle itself, no trace
 
 
-def _engine_spec(kind, const, engine):
-    """Spec for ``kind`` under ``engine``, or None when unsupported."""
-    entry = next(e for e in detector_entries() if e.kind == kind)
-    if engine not in entry.engines:
-        return None
-    if "engine" in entry.defaults:
-        return spec(kind, const, engine=engine)
-    return spec(kind, const)
-
-
 @pytest.mark.parametrize("n,order", SYSTEMS, ids=lambda v: str(v))
-def test_every_exact_detector_matches_brute_force(n, order, traversal_engine):
+def test_every_exact_detector_matches_brute_force(n, order):
     oracle_mismatches = []
     for seed in range(N_SEEDS):
         const, channel, received, noise_var = _instance(n, order, seed)
@@ -88,10 +78,7 @@ def test_every_exact_detector_matches_brute_force(n, order, traversal_engine):
         oracle.prepare(channel, noise_var=noise_var)
         truth = oracle.detect(received)
         for kind in EXACT_KINDS:
-            detector_spec = _engine_spec(kind, const, traversal_engine)
-            if detector_spec is None:
-                continue
-            detector = detector_spec()
+            detector = spec(kind, const)()
             detector.prepare(channel, noise_var=noise_var)
             result = detector.detect(received)
             if not np.array_equal(result.indices, truth.indices):
@@ -111,7 +98,7 @@ def test_every_exact_detector_matches_brute_force(n, order, traversal_engine):
 
 
 @pytest.mark.parametrize("n,order", [(3, 4), (4, 4), (2, 16)])
-def test_decode_batch_matches_brute_force(n, order, traversal_engine):
+def test_decode_batch_matches_brute_force(n, order):
     """The lockstep batch path is also exactly ML on every frame."""
     rng = np.random.default_rng(99)
     const = Constellation.qam(order)
@@ -132,10 +119,7 @@ def test_decode_batch_matches_brute_force(n, order, traversal_engine):
     truths = [oracle.detect(row) for row in received]
 
     for kind in EXACT_BATCH_KINDS:
-        detector_spec = _engine_spec(kind, const, traversal_engine)
-        if detector_spec is None:
-            continue
-        detector = detector_spec()
+        detector = spec(kind, const)()
         detector.prepare(channel, noise_var=noise_var)
         results = detector.decode_batch(received)
         assert len(results) == frames

@@ -31,6 +31,17 @@ class TestStatsConsistency:
         st = result.stats
         assert sum(ev.pool_size for ev in st.batches) == st.nodes_expanded
 
+    @pytest.mark.parametrize("strategy", ["best-first", "dfs"])
+    def test_gemm_time_semantics(self, strategy):
+        """The child-PD arithmetic is timed inside the decode's wall time."""
+        system = MIMOSystem(6, 6, "4qam")
+        decoder = SphereDecoder(system.constellation, strategy=strategy)
+        _, result = decode_one(decoder, system)
+        st = result.stats
+        assert 0.0 < st.gemm_time_s <= st.wall_time_s
+        assert 0.0 < st.gemm_fraction <= 1.0
+        assert st.host_overhead_s == st.wall_time_s - st.gemm_time_s
+
     def test_batch_levels_in_range(self):
         system = MIMOSystem(6, 6, "4qam")
         decoder = SphereDecoder(system.constellation)

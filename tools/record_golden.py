@@ -1,33 +1,37 @@
 #!/usr/bin/env python
 """Record golden decode outputs for the bit-identity regression suite.
 
-Runs every FPGA-replayable detector kind in the registry over fixed
-deterministic frames (per-frame ``detect`` and, where supported, fused
-``decode_batch``) and writes the decisions, metrics (as exact float
-hex) and search counters to ``tests/data/golden_decodes.json``.
+Writes two files, both replayed by ``tests/test_golden_decodes.py``,
+which requires bit-identical results:
 
-``tests/test_nodepool.py::test_registry_bit_identity_vs_golden`` replays
-the same frames against the current implementation and requires
-bit-identical results. The committed golden file was generated by the
-pre-SoA-frontier implementation (tuple-path ``SearchNode`` frontier), so
-the suite proves the structure-of-arrays refactor changed no decode
-output anywhere in the registry.
+``tests/data/golden_decodes.json``
+    Every FPGA-replayable detector kind in the registry over fixed
+    deterministic frames (per-frame ``detect`` and, where supported,
+    fused ``decode_batch``): decisions, metrics (as exact float hex),
+    batch and radius traces and the nine search counters.
+``tests/data/leaf_first_cases.json``
+    200 seeded draws over the Best-FS / sorted-DFS configuration space
+    (:func:`draw_leaf_first_cases`), each decoded by ``detect`` and by
+    ``decode_batch``: the same per-frame fields plus the ``traversal.*``
+    metrics-registry series. These cases were first recorded when the
+    scalar loops and a second, kernel-based implementation of both
+    searches (since deleted) agreed on every one of them.
 
 Regenerate (only when *intentionally* changing decode behaviour) with::
 
     PYTHONPATH=src python tools/record_golden.py
 
-Regeneration is merge-guarded: every (scenario, kind) record already in
-the committed file must come out byte-identical from the fresh run, so
-adding a newly registered replayable kind can never silently change an
-existing recording. Pass ``--force`` to override when a decode-behaviour
-change *is* the point of the regen.
+Regeneration is merge-guarded: every record already in the committed
+files — each (scenario, kind) pair and each leaf-first case — must come
+out byte-identical from the fresh run, so adding a newly registered
+replayable kind can never silently change an existing recording. Pass
+``--force`` to override when a decode-behaviour change *is* the point
+of the regen.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -117,7 +121,7 @@ LEAF_FIRST_FRAMES = 2
 LEAF_FIRST_SNRS = (6.0, 14.0, 30.0)
 
 
-def _radius_policies() -> dict:
+def radius_policies() -> dict:
     """The five radius policies a case may draw, by name.
 
     Exact seeds (Babai, infinite) and tiny radii that force escalation
@@ -158,7 +162,7 @@ def draw_leaf_first_cases(
     Real lattices need square QAM, so BPSK cases stay complex.
     """
     rng = np.random.default_rng(seed)
-    radii = sorted(_radius_policies())
+    radii = sorted(radius_policies())
 
     def pick(options):
         return options[int(rng.integers(len(options)))]
@@ -186,7 +190,7 @@ def draw_leaf_first_cases(
     return cases
 
 
-def leaf_first_record(case: dict, engine: str = "numpy") -> dict:
+def leaf_first_record(case: dict) -> dict:
     """Decode one case: per-frame ``detect``, then one ``decode_batch``.
 
     Both run under one fresh metrics registry; the record holds every
@@ -211,16 +215,13 @@ def leaf_first_record(case: dict, engine: str = "numpy") -> dict:
         decoder = SphereDecoder(
             system.constellation,
             strategy=case["strategy"],
-            radius_policy=_radius_policies()[case["radius"]](),
+            radius_policy=radius_policies()[case["radius"]](),
             pool_size=case["pool_size"],
             child_ordering=case["child_ordering"],
             max_nodes=case["max_nodes"],
             metric=case["metric"],
             lattice=case["lattice"],
-            engine=engine,
         )
-        if decoder.engine_name != engine:
-            raise RuntimeError(f"engine {engine!r} is not available")
         decoder.prepare(channel, noise_var=system.noise_var(case["snr_db"]))
         detect = [frame_record(decoder.detect(row)) for row in received]
         batch = [frame_record(r) for r in decoder.decode_batch(received)]
@@ -236,45 +237,36 @@ def leaf_first_record(case: dict, engine: str = "numpy") -> dict:
     return {"detect": detect, "batch": batch, "series": series}
 
 
-def record_leaf_first() -> tuple[dict, list[str]]:
-    """Every leaf-first case through the scalar loops and the kernels.
-
-    Returns the document (the loops' records) and the cases on which
-    the compiled kernels, run interpreted where Numba is absent, or the
-    batch path disagree with the loops' ``detect``.
-    """
-    from repro.core import compiled
-
-    if not compiled.NUMBA_AVAILABLE:
-        os.environ[compiled.INTERPRET_ENV] = "1"
-    cases, disagree = [], []
-    for i, case in enumerate(draw_leaf_first_cases()):
-        loops = leaf_first_record(case, "numpy")
-        kernels = leaf_first_record(case, "compiled")
-        if loops != kernels or loops["batch"] != loops["detect"]:
-            disagree.append(f"case {i}: {case}")
-        cases.append({"case": case, **loops})
-    doc = {
+def record_leaf_first() -> dict:
+    """Every leaf-first case with its record."""
+    return {
         "schema": 1,
         "seed": LEAF_FIRST_SEED,
         "frames": LEAF_FIRST_FRAMES,
-        "cases": cases,
+        "cases": [
+            {"case": case, **leaf_first_record(case)}
+            for case in draw_leaf_first_cases()
+        ],
     }
-    return doc, disagree
 
 
-def check_preserves_existing(doc: dict) -> list[str]:
-    """Names of existing (scenario, kind) records the fresh run changed."""
-    if not GOLDEN_PATH.is_file():
-        return []
-    old = json.loads(GOLDEN_PATH.read_text())
+def check_preserves_existing(doc: dict, leaf_first: dict) -> list[str]:
+    """Names of committed records the fresh run changed."""
     changed = []
-    for label, old_scenario in old.get("scenarios", {}).items():
-        new_scenario = doc["scenarios"].get(label, {"detectors": {}})
-        for kind, old_record in old_scenario["detectors"].items():
-            new_record = new_scenario["detectors"].get(kind)
-            if new_record != old_record:
-                changed.append(f"{label}/{kind}")
+    if GOLDEN_PATH.is_file():
+        old = json.loads(GOLDEN_PATH.read_text())
+        for label, old_scenario in old.get("scenarios", {}).items():
+            new_scenario = doc["scenarios"].get(label, {"detectors": {}})
+            for kind, old_record in old_scenario["detectors"].items():
+                new_record = new_scenario["detectors"].get(kind)
+                if new_record != old_record:
+                    changed.append(f"{label}/{kind}")
+    if LEAF_FIRST_PATH.is_file():
+        new_cases = leaf_first["cases"]
+        old_cases = json.loads(LEAF_FIRST_PATH.read_text())["cases"]
+        for i, old_case in enumerate(old_cases):
+            if i >= len(new_cases) or new_cases[i] != old_case:
+                changed.append(f"leaf-first case {i}")
     return changed
 
 
@@ -289,16 +281,9 @@ def main(argv=None) -> int:
         "intentional decode-behaviour change)",
     )
     args = parser.parse_args(argv)
-    leaf_first, disagree = record_leaf_first()
-    if disagree:
-        print(
-            f"refusing to write: the loops and the kernels disagree on "
-            f"{len(disagree)} leaf-first case(s):"
-        )
-        print("\n".join(disagree))
-        return 1
     doc = record()
-    changed = check_preserves_existing(doc)
+    leaf_first = record_leaf_first()
+    changed = check_preserves_existing(doc, leaf_first)
     if changed and not args.force:
         print(
             "refusing to overwrite: existing golden records changed "
@@ -317,10 +302,9 @@ def main(argv=None) -> int:
     LEAF_FIRST_PATH.write_text(
         json.dumps(leaf_first, sort_keys=True, separators=(",", ":")) + "\n"
     )
-    n_cases = len(leaf_first["cases"])
     print(
-        f"leaf-first cases written: {LEAF_FIRST_PATH} ({n_cases} cases; "
-        f"loops and kernels agree on {n_cases}/{n_cases})"
+        f"leaf-first cases written: {LEAF_FIRST_PATH} "
+        f"({len(leaf_first['cases'])} cases)"
     )
     return 0
 
