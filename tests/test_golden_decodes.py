@@ -13,6 +13,14 @@ Both data files are written by ``tools/record_golden.py``.
   through ``detect`` and ``decode_batch``, ``traversal.*`` registry
   series included. A hypothesis test over the same space (ℓ₂, up to
   five antennas) holds every untruncated decode to brute-force ML.
+* The sweep cases: 150 seeded BFS / K-best / FSD configurations
+  (radius policy and escalation, ``max_frontier``, ``k``, ``rho``,
+  metric, lattice, antennas, alphabet), 50 list (soft-output)
+  detections and 50 partitioned multi-PE decodes must reproduce
+  ``tests/data/sweep_cases.json``: decisions, counters and traces, the
+  sweeps through ``detect`` and ``decode_batch`` with their registry
+  series, the list detector's LLRs and list sizes, the partitioned
+  decoder's per-PE expansions and radius broadcasts.
 * :func:`repro.core.traversal.extend_paths`, the BFS/K-best/FSD
   survivor-path step, against the concatenation it replaced.
 """
@@ -42,6 +50,7 @@ import record_golden  # noqa: E402
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_PATH = DATA_DIR / "golden_decodes.json"
 LEAF_FIRST_PATH = DATA_DIR / "leaf_first_cases.json"
+SWEEP_PATH = DATA_DIR / "sweep_cases.json"
 
 
 class TestExtendPaths:
@@ -176,6 +185,34 @@ def test_leaf_first_cases_replay(leaf_first):
         fresh = record_golden.leaf_first_record(recorded["case"])
         for key in ("detect", "batch", "series"):
             assert fresh[key] == recorded[key], f"case {i} {key}: {recorded['case']}"
+
+
+# ----------------------------------------------------------------------
+# Sweep cases: BFS / K-best / FSD, list detection, partitioned search
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sweep_cases():
+    return json.loads(SWEEP_PATH.read_text())
+
+
+@pytest.mark.parametrize("family", sorted(record_golden.SWEEP_FAMILIES))
+def test_sweep_cases_replay(sweep_cases, family):
+    """Every recorded case of a family decodes bit-identically."""
+    record = record_golden.SWEEP_FAMILIES[family]
+    assert sweep_cases[family], family
+    for i, recorded in enumerate(sweep_cases[family]):
+        fresh = record(recorded["case"])
+        for key, value in fresh.items():
+            assert value == recorded[key], (
+                f"{family} case {i} {key}: {recorded['case']}"
+            )
+
+
+def test_sweep_cases_agree_between_detect_and_batch(sweep_cases):
+    """The recorded sweeps decode the same through both entry points."""
+    assert record_golden.sweep_disagreements(sweep_cases) == []
 
 
 @settings(max_examples=100, deadline=None)

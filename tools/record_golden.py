@@ -16,6 +16,13 @@ which requires bit-identical results:
     metrics-registry series. These cases were first recorded when the
     scalar loops and a second, kernel-based implementation of both
     searches (since deleted) agreed on every one of them.
+``tests/data/sweep_cases.json``
+    Seeded draws over the GEMM-evaluated searches: 150 BFS / K-best /
+    FSD sweeps (:func:`draw_sweep_cases`, recorded like the leaf-first
+    cases and written only when ``detect`` and ``decode_batch`` agree on
+    every one), 50 list (soft-output) detections with their LLRs and
+    list sizes, and 50 partitioned multi-PE decodes with their per-PE
+    expansions and radius-broadcast counts.
 
 Regenerate (only when *intentionally* changing decode behaviour) with::
 
@@ -39,6 +46,7 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = REPO_ROOT / "tests" / "data" / "golden_decodes.json"
 LEAF_FIRST_PATH = REPO_ROOT / "tests" / "data" / "leaf_first_cases.json"
+SWEEP_PATH = REPO_ROOT / "tests" / "data" / "sweep_cases.json"
 
 #: (label, n_antennas, modulation, snr_db, frames, seed)
 SCENARIOS = (
@@ -198,18 +206,9 @@ def leaf_first_record(case: dict) -> dict:
     series.
     """
     from repro.detectors.sphere import SphereDecoder
-    from repro.mimo.system import MIMOSystem
     from repro.obs.metrics import MetricsRegistry, use_metrics
 
-    system = MIMOSystem(case["n_tx"], case["n_tx"], case["modulation"])
-    rng = np.random.default_rng(case["seed"])
-    channel = system.channel_model.draw_channel(rng)
-    received = np.stack(
-        [
-            system.random_frame(case["snr_db"], rng, channel=channel).received
-            for _ in range(LEAF_FIRST_FRAMES)
-        ]
-    )
+    system, channel, noise_var, received = _case_link(case, LEAF_FIRST_FRAMES)
     metrics = MetricsRegistry()
     with use_metrics(metrics):
         decoder = SphereDecoder(
@@ -222,11 +221,32 @@ def leaf_first_record(case: dict) -> dict:
             metric=case["metric"],
             lattice=case["lattice"],
         )
-        decoder.prepare(channel, noise_var=system.noise_var(case["snr_db"]))
+        decoder.prepare(channel, noise_var=noise_var)
         detect = [frame_record(decoder.detect(row)) for row in received]
         batch = [frame_record(r) for r in decoder.decode_batch(received)]
+    return {"detect": detect, "batch": batch, "series": _registry_series(metrics)}
+
+
+def _case_link(case: dict, frames: int):
+    """The system, channel, noise variance and received rows of a case."""
+    from repro.mimo.system import MIMOSystem
+
+    system = MIMOSystem(case["n_tx"], case["n_tx"], case["modulation"])
+    rng = np.random.default_rng(case["seed"])
+    channel = system.channel_model.draw_channel(rng)
+    received = np.stack(
+        [
+            system.random_frame(case["snr_db"], rng, channel=channel).received
+            for _ in range(frames)
+        ]
+    )
+    return system, channel, system.noise_var(case["snr_db"]), received
+
+
+def _registry_series(metrics) -> dict:
+    """The ``traversal.*`` counters and histograms of a registry."""
     snapshot = metrics.snapshot().to_dict()
-    series = {
+    return {
         table: {
             key: value
             for key, value in snapshot[table].items()
@@ -234,7 +254,6 @@ def leaf_first_record(case: dict) -> dict:
         }
         for table in ("counters", "histograms")
     }
-    return {"detect": detect, "batch": batch, "series": series}
 
 
 def record_leaf_first() -> dict:
@@ -250,7 +269,218 @@ def record_leaf_first() -> dict:
     }
 
 
-def check_preserves_existing(doc: dict, leaf_first: dict) -> list[str]:
+# ----------------------------------------------------------------------
+# Sweep, list and partitioned cases: the GEMM-evaluated searches
+# ----------------------------------------------------------------------
+
+#: Case counts per family and the seed of the generator drawing them.
+SWEEP_CASES = 150
+SOFT_CASES = 50
+PARTITIONED_CASES = 50
+SWEEP_SEED = 20231018
+#: Frames per sweep case (one ``decode_batch`` of them mixes levels in
+#: lockstep rounds whenever the frames escalate differently) and per
+#: list / partitioned case (``detect`` only).
+SWEEP_FRAMES = 3
+OTHER_FRAMES = 2
+#: BFS keeps every in-sphere node only on trees of at most this many
+#: leaves; larger trees draw a small ``max_frontier`` instead.
+UNCAPPED_BFS_LEAVES = 4096
+
+
+def draw_sweep_cases(seed: int = SWEEP_SEED) -> dict[str, list[dict]]:
+    """Seeded configurations of the BFS / K-best / FSD sweeps, the list
+    detector and the partitioned decoder.
+
+    Every case draws 1-8 antennas, BPSK/4-/16-QAM, the SNR and the
+    channel seed. Sweeps add the policy and its parameter (BFS radius
+    policy and ``max_frontier`` None or 1-64, K-best ``k``, FSD ``rho``),
+    the metric and the lattice; list cases a fixed or noise-scaled
+    radius and ``max_list``; partitioned cases ``n_pes`` 1-32, the
+    noise-scaled ``alpha`` (None for the Babai seed) and ``max_rounds``.
+    The list and partitioned detectors search the complex lattice with
+    the l2 metric only.
+    """
+    rng = np.random.default_rng(seed)
+    radii = sorted(radius_policies())
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    def link():
+        return {
+            "n_tx": int(rng.integers(1, 9)),
+            "modulation": pick(("bpsk", "4qam", "16qam")),
+            "snr_db": pick(LEAF_FIRST_SNRS),
+            "seed": int(rng.integers(2**32)),
+        }
+
+    order = {"bpsk": 2, "4qam": 4, "16qam": 16}
+    sweeps = []
+    for _ in range(SWEEP_CASES):
+        case = {
+            "policy": pick(("bfs", "kbest", "fsd")),
+            "metric": pick(("l2", "linf")),
+            "lattice": pick(("complex", "real-reordered")),
+            **link(),
+        }
+        radius, uncapped = pick(radii), bool(rng.integers(2))
+        frontier, k, rho = (int(v) for v in rng.integers(1, 65, size=3))
+        if case["modulation"] == "bpsk":
+            case["lattice"] = "complex"
+        if case["policy"] == "bfs":
+            leaves = order[case["modulation"]] ** case["n_tx"]
+            case["radius"] = radius
+            case["max_frontier"] = (
+                None if uncapped and leaves <= UNCAPPED_BFS_LEAVES else frontier
+            )
+        elif case["policy"] == "kbest":
+            case["k"] = k
+        else:
+            case["rho"] = 1 + rho % min(case["n_tx"], 3)
+        sweeps.append(case)
+    soft = []
+    for _ in range(SOFT_CASES):
+        case = link()
+        case["radius"] = pick(("fixed", "noise"))
+        case["radius_sq"] = pick((1e-3, 0.1, 1.0, 10.0))
+        case["alpha"] = pick((0.5, 2.0, 4.0, 16.0))
+        case["max_list"] = int(rng.integers(1, 513))
+        soft.append(case)
+    partitioned = []
+    for _ in range(PARTITIONED_CASES):
+        case = link()
+        case["n_pes"] = int(rng.integers(1, 33))
+        case["alpha"] = pick((None, 2.0))
+        case["max_rounds"] = None if rng.integers(2) else int(rng.integers(1, 65))
+        partitioned.append(case)
+    return {"sweep": sweeps, "soft": soft, "partitioned": partitioned}
+
+
+def sweep_decoder(case: dict, constellation):
+    """The BFS, K-best or FSD detector of a sweep case."""
+    from repro.detectors.fsd import FixedComplexityDecoder
+    from repro.detectors.kbest import KBestDecoder
+    from repro.detectors.sd_bfs import GemmBfsDecoder
+
+    if case["policy"] == "bfs":
+        decoder = GemmBfsDecoder(
+            constellation,
+            radius_policy=radius_policies()[case["radius"]](),
+            max_frontier=case["max_frontier"],
+        )
+    elif case["policy"] == "kbest":
+        decoder = KBestDecoder(constellation, k=case["k"])
+    else:
+        decoder = FixedComplexityDecoder(constellation, rho=case["rho"])
+    decoder.metric = case["metric"]
+    decoder.lattice = case["lattice"]
+    decoder._resolve_axes()
+    return decoder
+
+
+def sweep_record(case: dict) -> dict:
+    """Decode one sweep case by ``detect`` and by one ``decode_batch``,
+    as :func:`leaf_first_record` does."""
+    from repro.obs.metrics import MetricsRegistry, use_metrics
+
+    system, channel, noise_var, received = _case_link(case, SWEEP_FRAMES)
+    metrics = MetricsRegistry()
+    with use_metrics(metrics):
+        decoder = sweep_decoder(case, system.constellation)
+        decoder.prepare(channel, noise_var=noise_var)
+        detect = [frame_record(decoder.detect(row)) for row in received]
+        batch = [frame_record(r) for r in decoder.decode_batch(received)]
+    return {"detect": detect, "batch": batch, "series": _registry_series(metrics)}
+
+
+def soft_record(case: dict) -> dict:
+    """List detection of one case: the hard decision's record plus the
+    LLRs (float hex) and the list size, per frame."""
+    from repro.core.radius import FixedRadius, NoiseScaledRadius
+    from repro.detectors.soft import SoftOutputSphereDetector
+
+    system, channel, noise_var, received = _case_link(case, OTHER_FRAMES)
+    radius_policy = (
+        FixedRadius(radius_sq=case["radius_sq"])
+        if case["radius"] == "fixed"
+        else NoiseScaledRadius(alpha=case["alpha"])
+    )
+    detector = SoftOutputSphereDetector(
+        system.constellation,
+        radius_policy=radius_policy,
+        max_list=case["max_list"],
+    )
+    detector.prepare(channel, noise_var=noise_var)
+    detect = []
+    for row in received:
+        soft = detector.detect_soft(row)
+        rec = frame_record(soft.hard)
+        rec["llrs_hex"] = [float(v).hex() for v in soft.llrs]
+        rec["list_size"] = int(soft.list_size)
+        detect.append(rec)
+    return {"detect": detect}
+
+
+def partitioned_record(case: dict) -> dict:
+    """Partitioned decode of one case: each frame's record plus its
+    per-PE expansions and radius-broadcast events."""
+    from repro.core.radius import BabaiRadius, NoiseScaledRadius
+    from repro.detectors.partitioned import PartitionedSphereDecoder
+
+    system, channel, noise_var, received = _case_link(case, OTHER_FRAMES)
+    decoder = PartitionedSphereDecoder(
+        system.constellation,
+        n_pes=case["n_pes"],
+        radius_policy=(
+            BabaiRadius()
+            if case["alpha"] is None
+            else NoiseScaledRadius(alpha=case["alpha"])
+        ),
+        max_rounds=case["max_rounds"],
+    )
+    decoder.prepare(channel, noise_var=noise_var)
+    detect = []
+    for row in received:
+        rec = frame_record(decoder.detect(row))
+        rec["pe_expansions"] = [int(n) for n in decoder.last_pe_expansions]
+        rec["sync_events"] = int(decoder.last_sync_events)
+        detect.append(rec)
+    return {"detect": detect}
+
+
+#: Per family: the record function of one case.
+SWEEP_FAMILIES = {
+    "sweep": sweep_record,
+    "soft": soft_record,
+    "partitioned": partitioned_record,
+}
+
+
+def record_sweeps() -> dict:
+    """Every sweep, list and partitioned case with its record."""
+    doc = {
+        "schema": 1,
+        "seed": SWEEP_SEED,
+        "frames": {"sweep": SWEEP_FRAMES, "other": OTHER_FRAMES},
+    }
+    for family, cases in draw_sweep_cases().items():
+        doc[family] = [
+            {"case": case, **SWEEP_FAMILIES[family](case)} for case in cases
+        ]
+    return doc
+
+
+def sweep_disagreements(sweeps: dict) -> list[int]:
+    """Sweep cases whose ``detect`` and ``decode_batch`` records differ."""
+    return [
+        i for i, rec in enumerate(sweeps["sweep"]) if rec["detect"] != rec["batch"]
+    ]
+
+
+def check_preserves_existing(
+    doc: dict, leaf_first: dict, sweeps: dict
+) -> list[str]:
     """Names of committed records the fresh run changed."""
     changed = []
     if GOLDEN_PATH.is_file():
@@ -267,6 +497,13 @@ def check_preserves_existing(doc: dict, leaf_first: dict) -> list[str]:
         for i, old_case in enumerate(old_cases):
             if i >= len(new_cases) or new_cases[i] != old_case:
                 changed.append(f"leaf-first case {i}")
+    if SWEEP_PATH.is_file():
+        old = json.loads(SWEEP_PATH.read_text())
+        for family in SWEEP_FAMILIES:
+            new_cases = sweeps[family]
+            for i, old_case in enumerate(old.get(family, [])):
+                if i >= len(new_cases) or new_cases[i] != old_case:
+                    changed.append(f"{family} case {i}")
     return changed
 
 
@@ -283,7 +520,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     doc = record()
     leaf_first = record_leaf_first()
-    changed = check_preserves_existing(doc, leaf_first)
+    sweeps = record_sweeps()
+    disagree = sweep_disagreements(sweeps)
+    if disagree:
+        print(
+            "refusing to write: detect and decode_batch disagree on sweep "
+            f"cases {disagree}"
+        )
+        return 1
+    changed = check_preserves_existing(doc, leaf_first, sweeps)
     if changed and not args.force:
         print(
             "refusing to overwrite: existing golden records changed "
@@ -306,6 +551,11 @@ def main(argv=None) -> int:
         f"leaf-first cases written: {LEAF_FIRST_PATH} "
         f"({len(leaf_first['cases'])} cases)"
     )
+    SWEEP_PATH.write_text(
+        json.dumps(sweeps, sort_keys=True, separators=(",", ":")) + "\n"
+    )
+    counts = ", ".join(f"{len(sweeps[f])} {f}" for f in SWEEP_FAMILIES)
+    print(f"sweep cases written: {SWEEP_PATH} ({counts})")
     return 0
 
 
