@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from repro.core.gemm import GemmEvaluator
+from repro.core.gemm import ChannelKernel
 from repro.core.radius import NoiseScaledRadius, babai_point
 from repro.core.traversal import extend_paths
 from repro.detectors.sphere import SphereDecoder
@@ -60,11 +60,11 @@ def bench_gemm_expand_pool64(benchmark):
     system, frame = _fixture(n=10, modulation="16qam")
     qr = qr_decompose(frame.channel)
     ybar = effective_receive(qr, frame.received)
-    ev = GemmEvaluator(qr.r, ybar, system.constellation)
+    kernel = ChannelKernel(qr.r, system.constellation)
     rng = np.random.default_rng(0)
     pool = rng.integers(0, 16, size=(64, 5)).astype(np.int64)
     pds = rng.uniform(0, 1, 64)
-    benchmark(ev.expand, 4, pool, pds)
+    benchmark(kernel.expand, 4, pool, pds, ybar[4])
 
 
 def bench_decode_10x10_4qam_8db(benchmark):

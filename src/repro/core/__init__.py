@@ -1,14 +1,13 @@
 """The paper's core contribution: GEMM evaluation + traversal policies.
 
-Since the policy/backend split, ``repro.core`` holds the search
-machinery only — traversal policies, evaluators, radius schedules,
-lattice tools. The detector classes built on top of them live in
-:mod:`repro.detectors`.
+``repro.core`` holds the search machinery only — the per-channel
+partial-distance kernel, the lockstep driver, traversal policies, radius
+schedules, lattice tools. The detector classes built on top of them
+live in :mod:`repro.detectors`.
 """
 
-from repro.core.gemm import ChannelKernel, GemmEvaluator
+from repro.core.gemm import ChannelKernel
 from repro.core.stats import BatchEvent, BatchTrace, DecodeStats
-from repro.core.tree import SearchNode, path_symbols
 from repro.core.radius import (
     RadiusPolicy,
     InfiniteRadius,
@@ -25,22 +24,17 @@ from repro.core.traversal import (
     BfsPolicy,
     KBestPolicy,
     FsdPolicy,
-    ScalarGemvBackend,
-    FusedGemmBackend,
     TraversalEngine,
     extend_paths,
 )
 from repro.core.lattice import lll_reduce, LLLResult, orthogonality_defect
 
 __all__ = [
-    "GemmEvaluator",
     "ChannelKernel",
     "extend_paths",
     "BatchEvent",
     "BatchTrace",
     "DecodeStats",
-    "SearchNode",
-    "path_symbols",
     "RadiusPolicy",
     "InfiniteRadius",
     "NoiseScaledRadius",
@@ -54,8 +48,6 @@ __all__ = [
     "BfsPolicy",
     "KBestPolicy",
     "FsdPolicy",
-    "ScalarGemvBackend",
-    "FusedGemmBackend",
     "TraversalEngine",
     "lll_reduce",
     "LLLResult",

@@ -1,23 +1,21 @@
-"""Lockstep scheduling of concurrent frame searches over fused GEMMs.
+"""Lockstep scheduling of sweep searches over one partial-distance kernel.
 
 The level sweeps — BFS, K-best and FSD — express their traversal as
 *search generators*: plain Python generators that yield an
 :class:`ExpandRequest` whenever they need child partial distances and
 receive the ``(B, P)`` result back at the ``yield``. The search logic
 (pruning, incumbent updates, stats accounting) lives entirely inside the
-generator; *who* evaluates the GEMM is the driver's choice:
+generator; :func:`drive_lockstep` evaluates the requests.
 
-* :func:`drive_serial` — one frame, one
-  :class:`~repro.core.gemm.GemmEvaluator`; reproduces the classic
-  per-frame decode exactly.
-* :func:`drive_lockstep` — many frames against one shared
-  :class:`~repro.core.gemm.BatchedGemmEvaluator`. Each round, every
-  live frame has exactly one pending expansion; requests at the same
-  tree level are stacked into a single fused GEMM (the paper's
-  BLAS-2 -> BLAS-3 refactor applied across frames). Each frame still
-  sees bit-identical child PDs — rows of the fused product are the
-  same independent dot products the serial evaluator computes — so
-  batched decoding never changes a decode result or a node count.
+It runs one to ``B`` generators against one
+:class:`~repro.core.gemm.ChannelKernel`. Each round, every live search
+has exactly one pending expansion; requests at the same tree level are
+stacked into a single :meth:`~repro.core.gemm.ChannelKernel.expand`
+call (the paper's BLAS-2 -> BLAS-3 refactor applied across frames),
+each row carrying its own frame's receive value. Rows of a fused product
+are the same independent dot products a search alone would get, so a
+frame decodes to the same bits whether it is driven alone (``detect``)
+or with others (``decode_batch``).
 
 The leaf-first searches are not generator clients: their pools are a
 node or a few, so :class:`~repro.core.traversal.BestFirstPolicy` and
@@ -27,11 +25,12 @@ distances in scalar loops and their batches decode frame by frame.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Generator, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.gemm import BatchedGemmEvaluator, GemmEvaluator
+from repro.core.gemm import ChannelKernel
 
 
 class ExpandRequest(NamedTuple):
@@ -43,9 +42,10 @@ class ExpandRequest(NamedTuple):
         Tree level being expanded (``n_tx - 1`` at the root's children,
         ``0`` at the leaves).
     parent_indices:
-        ``(B, depth)`` root-first index paths of the pool nodes.
+        ``(B, depth)`` ``int64`` root-first index paths of the pool nodes.
     parent_pds:
-        ``(B,)`` accumulated partial distances of the pool nodes.
+        ``(B,)`` ``float64`` accumulated partial distances of the pool
+        nodes.
     """
 
     level: int
@@ -58,88 +58,75 @@ class ExpandRequest(NamedTuple):
 SearchGenerator = Generator[ExpandRequest, np.ndarray, object]
 
 
-def drive_serial(search: SearchGenerator, evaluator: GemmEvaluator):
-    """Run one search generator to completion against one evaluator.
-
-    Returns the generator's return value. Requests are evaluated on the
-    unchecked fast path (:meth:`GemmEvaluator.expand_unchecked`): the
-    sweep policies emit correctly-shaped ``int64``/``float64``
-    arrays by construction, so per-call re-validation would only tax
-    the hot loop. Hand-written generators must honour the same
-    contract (or be driven against :meth:`GemmEvaluator.expand`).
-    """
-    try:
-        request = next(search)
-        while True:
-            child_pds = evaluator.expand_unchecked(
-                request.level, request.parent_indices, request.parent_pds
-            )
-            request = search.send(child_pds)
-    except StopIteration as stop:
-        return stop.value
-
-
 def drive_lockstep(
     searches: Sequence[SearchGenerator],
-    evaluator: BatchedGemmEvaluator,
-) -> list:
-    """Run many frame searches in lockstep rounds with fused expansions.
+    kernel: ChannelKernel,
+    ybars: np.ndarray,
+) -> tuple[list, int, float]:
+    """Run search generators in lockstep rounds with fused expansions.
 
-    Each round collects the pending request of every live frame, groups
-    them by tree level (requests at different levels have different
-    interference depths and cannot share an operand), issues **one**
-    fused :meth:`BatchedGemmEvaluator.expand` per level group, and
-    resumes each frame with its slice of the result. Frames finish
-    independently; the rounds continue until every generator returns.
+    ``ybars[f]`` is search ``f``'s ``complex128`` rotated receive
+    vector. Each round collects the pending request of every live
+    search, groups them by tree level (requests at different levels have
+    different interference depths and cannot share an operand), issues
+    **one** :meth:`ChannelKernel.expand` per level group, and resumes
+    each search with its slice of the result. A group of one request is
+    evaluated on its own arrays with the scalar ``ybars[f, level]``; a
+    larger group is concatenated, with a ``(B, 1)`` column of the rows'
+    frame values. Searches finish independently; the rounds continue
+    until every generator returns.
 
-    Returns the generators' return values, in input order. Grouping and
-    stacking follow ascending ``(level, frame)`` order, so the schedule
-    — and therefore every floating-point result — is deterministic.
+    Returns ``(results, calls, seconds)``: the generators' return values
+    in input order, the number of ``expand`` calls issued and the
+    seconds spent inside them. Grouping and stacking follow ascending
+    ``(level, search)`` order, so the schedule — and therefore every
+    floating-point result — is deterministic.
     """
-    if evaluator.n_frames < len(searches):
-        raise ValueError(
-            f"evaluator holds {evaluator.n_frames} frames but "
-            f"{len(searches)} searches were supplied"
-        )
     results = [None] * len(searches)
     pending: dict[int, ExpandRequest] = {}
+    calls = 0
+    seconds = 0.0
 
-    def advance(frame: int, payload, *, first: bool = False) -> None:
+    def advance(frame: int, payload) -> None:
         try:
-            request = (
-                next(searches[frame]) if first else searches[frame].send(payload)
-            )
+            pending[frame] = searches[frame].send(payload)
         except StopIteration as stop:
             results[frame] = stop.value
-        else:
-            pending[frame] = request
 
     for frame in range(len(searches)):
-        advance(frame, None, first=True)
+        advance(frame, None)
     while pending:
-        round_requests = sorted(pending.items())
+        if len(pending) == 1:  # one live search (``detect``): no grouping
+            groups = [list(pending.items())]
+        else:
+            by_level: dict[int, list[tuple[int, ExpandRequest]]] = {}
+            for frame, request in sorted(pending.items()):
+                by_level.setdefault(request.level, []).append((frame, request))
+            groups = [by_level[level] for level in sorted(by_level)]
         pending.clear()
-        by_level: dict[int, list[tuple[int, ExpandRequest]]] = {}
-        for frame, request in round_requests:
-            by_level.setdefault(request.level, []).append((frame, request))
-        for level in sorted(by_level):
-            group = by_level[level]
-            parent_indices = np.concatenate(
-                [req.parent_indices for _, req in group], axis=0
-            )
-            parent_pds = np.concatenate([req.parent_pds for _, req in group])
-            frame_rows = np.concatenate(
-                [
-                    np.full(req.parent_pds.shape[0], frame, dtype=np.int64)
-                    for frame, req in group
-                ]
-            )
-            child_pds = evaluator.expand_unchecked(
-                level, parent_indices, parent_pds, frame_rows
-            )
+        for group in groups:
+            frame, request = group[0]
+            level = request.level
+            if len(group) == 1:
+                parent_indices = request.parent_indices
+                parent_pds = request.parent_pds
+                ybar_k = ybars[frame, level]
+            else:
+                parent_indices = np.concatenate(
+                    [req.parent_indices for _, req in group]
+                )
+                parent_pds = np.concatenate([req.parent_pds for _, req in group])
+                ybar_k = np.repeat(
+                    ybars[[frame for frame, _ in group], level],
+                    [req.parent_pds.shape[0] for _, req in group],
+                )[:, None]
+            t0 = perf_counter()
+            child_pds = kernel.expand(level, parent_indices, parent_pds, ybar_k)
+            seconds += perf_counter() - t0
+            calls += 1
             offset = 0
-            for frame, req in group:
-                rows = req.parent_pds.shape[0]
+            for frame, request in group:
+                rows = request.parent_pds.shape[0]
                 advance(frame, child_pds[offset : offset + rows])
                 offset += rows
-    return results
+    return results, calls, seconds

@@ -17,12 +17,12 @@ with respect to the ML (ℓ₂) decision; the BER loss is bounded by the
 norm-equivalence factor (see ``docs/algorithms.md``).
 
 This module makes the metric a first-class object threaded through
-:class:`~repro.core.gemm.ChannelKernel`, both evaluators, and the
-traversal backends, so every policy (best-first/DFS/BFS/K-best/FSD)
-composes with every metric. Bit-identity discipline: the ℓ₂ singleton
-implements exactly the expressions the evaluators used before this
-abstraction existed — same NumPy ops in the same order — so the golden
-decode suite replays unchanged.
+:class:`~repro.core.gemm.ChannelKernel` and the traversal engine, so
+every policy (best-first/DFS/BFS/K-best/FSD) composes with every
+metric. Bit-identity discipline: the ℓ₂ singleton implements exactly
+the expressions the GEMM evaluation used before this abstraction
+existed — same NumPy ops in the same order — so the golden decode suite
+replays unchanged.
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ class PartialDistanceMetric:
     exact_ml:
         True when minimising this metric recovers the ML (ℓ₂) decision.
     flops_per_norm:
-        Flop-equivalent cost charged per child in the NORM stage; the
-        ℓ₂ value matches the historical ``FLOPS_PER_NORM`` constant so
-        recorded ``norm_flops`` counters stay bit-identical.
+        Flop-equivalent cost charged per child in the NORM stage: for
+        ℓ₂ a complex subtract (2), the ``R_kk`` product folded into the
+        point table, and ``|.|^2`` (3), booked as 8.
     norm_kind:
         FPGA NORM-stage implementation this metric maps to
         (``"mac"`` multiply-accumulate vs ``"compare"`` compare tree);
@@ -95,8 +95,8 @@ class PartialDistanceMetric:
 class L2SquaredMetric(PartialDistanceMetric):
     """Squared Euclidean distance — the exact-ML reference metric.
 
-    The method bodies are verbatim the expressions the evaluators and
-    ``babai_point`` used before the metric axis existed; do not
+    The method bodies are verbatim the expressions the GEMM evaluation
+    and ``babai_point`` used before the metric axis existed; do not
     "simplify" them, the golden decode suite pins their bit patterns.
     """
 

@@ -123,8 +123,8 @@ class DecodeStats:
     gemm_flops: int = 0
     max_list_size: int = field(default=0, metadata={"merge": "max"})
     wall_time_s: float = 0.0
-    #: Seconds spent inside the evaluator's GEMM + NORM arithmetic
-    #: (:meth:`repro.core.gemm.GemmEvaluator.expand_unchecked`, or the
+    #: Seconds spent inside the GEMM + NORM arithmetic
+    #: (:meth:`repro.core.gemm.ChannelKernel.expand`, or the
     #: child-PD arithmetic of the Best-FS / DFS scalar loops); the
     #: rest of ``wall_time_s`` is host-side search bookkeeping. Under
     #: fused batch decoding the shared GEMM time is split evenly across
@@ -161,7 +161,8 @@ class DecodeStats:
 
     @property
     def gemm_fraction(self) -> float:
-        """Share of wall time inside the evaluator (1.0 = compute-bound)."""
+        """Share of wall time inside the GEMM + NORM arithmetic
+        (1.0 = compute-bound)."""
         if self.wall_time_s <= 0.0:
             return 0.0
         return min(self.gemm_time_s / self.wall_time_s, 1.0)

@@ -1,4 +1,4 @@
-"""Unified tree-traversal engine: search policy x evaluation backend.
+"""Unified tree-traversal engine: search policy x partial-distance kernel.
 
 The paper's central claim is that one sphere-decoding algorithm can be
 re-targeted across execution substrates (CPU BLAS-3, GPU, FPGA dataflow)
@@ -14,8 +14,9 @@ are evaluated*. This module is that separation made concrete:
       sorted DFS of Fig. 3 — are leaf-first searches. Their pools are a
       node or a few, too small to amortise a GEMM call, so each
       evaluates its own partial distances in one scalar loop over
-      Python lists with the evaluators' order of operations,
-      bit-identical to them.
+      Python lists with :meth:`~repro.core.gemm.ChannelKernel.expand`'s
+      order of operations, bit-identical to it. Their batches decode
+      frame by frame.
     * :class:`BfsPolicy` — level-synchronous frontier sweep (the GPU
       baseline of Arfaoui et al., one GEMM per level) — plus
       :class:`KBestPolicy` (K survivors per level; fixed-throughput
@@ -24,18 +25,11 @@ are evaluated*. This module is that separation made concrete:
       exact) are sweeps: search **generators** over the
       :class:`~repro.core.lockstep.ExpandRequest` protocol that yield
       one frontier per level and receive its ``(B, P)`` child partial
-      distances, never touching an evaluator directly.
-
-``ScalarGemvBackend`` / ``FusedGemmBackend``
-    How the sweeps' child PDs are computed. The scalar backend drives
-    one frame's generator serially against a
-    :class:`~repro.core.gemm.GemmEvaluator`; the fused backend runs many
-    frames' generators in lockstep against a
-    :class:`~repro.core.gemm.BatchedGemmEvaluator`, stacking same-level
-    frontiers across frames into single BLAS-3 calls. Both produce
-    bit-identical child PDs (shared ``_stacked_gemv`` kernel), so BFS,
-    K-best and FSD get cross-frame batch decoding for free. Leaf-first
-    batches decode frame by frame, with identical results.
+      distances. :func:`~repro.core.lockstep.drive_lockstep` evaluates
+      them on the channel's :class:`~repro.core.gemm.ChannelKernel`:
+      one frame for ``solve``, many for ``solve_batch``, whose
+      same-level frontiers stack into single BLAS-3 calls with
+      bit-identical child PDs.
 
 ``TraversalEngine``
     Binds a constellation, a policy and a radius policy. The detector
@@ -47,9 +41,9 @@ are evaluated*. This module is that separation made concrete:
 
 Exactness of the best-first / DFS policies is property-tested against
 brute force in ``tests/test_sphere_decoder_exactness.py`` and
-``tests/test_golden_decodes.py``, which also replays the loops'
-recorded leaf-first cases; equivalence of the scalar and fused backends
-is tested in ``tests/test_parallel_mc.py``.
+``tests/test_golden_decodes.py``, which also replays the recorded
+leaf-first and sweep cases; per-frame and fused batch decoding are
+held equal in ``tests/test_parallel_mc.py``.
 """
 
 from __future__ import annotations
@@ -62,14 +56,8 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.enumeration import CHILD_ORDERS
-from repro.core.gemm import (
-    FLOPS_PER_CMAC,
-    BatchedGemmEvaluator,
-    ChannelKernel,
-    GemmEvaluator,
-    _check_metric_match,
-)
-from repro.core.lockstep import ExpandRequest, drive_lockstep, drive_serial
+from repro.core.gemm import FLOPS_PER_CMAC, ChannelKernel
+from repro.core.lockstep import ExpandRequest, drive_lockstep
 from repro.core.metric import L2SquaredMetric, LInfinityMetric, resolve_metric
 from repro.core.radius import babai_point
 from repro.core.stats import DecodeStats
@@ -100,6 +88,53 @@ def extend_paths(
     return out
 
 
+def _level_sweep(engine, n_tx, stats, select, tracer=None):
+    """One root-to-leaves level sweep, shared by BFS, K-best and FSD.
+
+    Yields one :class:`ExpandRequest` per level and books the level's
+    expansion in ``stats`` and the engine's level accumulator.
+    ``select(level, n_tx, child_pds, stats)`` returns the survivors
+    ``(keep_n, keep_c, pds)`` — parent rows, child columns, PDs — and
+    books its own prunes, or returns ``None`` to end the sweep empty.
+    Returns the leaf frontier ``(paths, pds)`` with root-first
+    ``(L, n_tx)`` paths, or ``None``. Under a ``tracer`` (BFS passes
+    its own) each expansion is a ``bfs.level`` span.
+    """
+    p = engine.constellation.order
+    norm_flops = engine.metric.flops_per_norm * p
+    # Frontier state: (F, depth) root-first index paths + (F,) PDs.
+    paths = np.empty((1, 0), dtype=np.int64)
+    pds = np.zeros(1, dtype=float)
+    for level in range(n_tx - 1, -1, -1):
+        width = paths.shape[0]
+        request = ExpandRequest(level, paths, pds)
+        if tracer is None:
+            child_pds = yield request  # (F, P)
+        else:
+            with tracer.span("bfs.level", level=level, frontier=width):
+                child_pds = yield request
+        stats.nodes_expanded += width
+        stats.nodes_generated += width * p
+        stats.gemm_calls += 1
+        stats.gemm_flops += (FLOPS_PER_CMAC * (n_tx - 1 - level) + norm_flops) * width
+        if engine.record_trace:
+            stats.batches.append(level, width)
+        pruned_before = stats.nodes_pruned
+        kept = select(level, n_tx, child_pds, stats)
+        acc = engine.level_acc
+        if acc is not None:
+            acc.nodes[level] += width
+            acc.exps[level] += 1
+            acc.pruned[level] += stats.nodes_pruned - pruned_before
+        if kept is None:
+            return None
+        keep_n, keep_c, pds = kept
+        paths = extend_paths(paths, keep_n, keep_c)
+        stats.max_list_size = max(stats.max_list_size, paths.shape[0])
+    stats.leaves_reached += paths.shape[0]
+    return paths, pds
+
+
 class TraversalPolicy(abc.ABC):
     """What to expand next — a search schedule over the SD tree.
 
@@ -107,7 +142,7 @@ class TraversalPolicy(abc.ABC):
     (:class:`BestFirstPolicy`, :class:`DfsPolicy`) run their search
     through ``solve``; the sweep policies implement :meth:`solve_gen`,
     which returns a fresh generator per frame, so one policy instance
-    can drive many interleaved frames (the fused backend relies on
+    can drive many interleaved frames (lockstep batching relies on
     this).
     """
 
@@ -115,8 +150,7 @@ class TraversalPolicy(abc.ABC):
         """Search generator for one frame's full sweep (sweep policies).
 
         Yields :class:`~repro.core.lockstep.ExpandRequest`s and returns
-        ``(indices_by_level, reduced_metric)``; the backend chooses the
-        evaluator (serial or cross-frame fused). ``tracer`` scopes any
+        ``(indices_by_level, reduced_metric)``. ``tracer`` scopes any
         spans the policy opens — pass ``NULL_TRACER`` when several
         generators run interleaved (lockstep batching), where spans
         opened across yields of different frames would corrupt the
@@ -222,10 +256,10 @@ class _PooledTreePolicy(TraversalPolicy):
 
     Each round is one call of ``_search``: a scalar loop over Python
     lists, floats and complexes fed by
-    :meth:`ChannelKernel.scalar_tables`, whose arithmetic follows the
-    evaluators' order of operations, so every decision, metric, counter
-    and trace is bit-identical to the GEMM path. Only the ℓ₂ and ℓ∞
-    metrics are supported.
+    :meth:`ChannelKernel.scalar_tables`, whose arithmetic follows
+    :meth:`ChannelKernel.expand`'s order of operations, so every
+    decision, metric, counter and trace is bit-identical to the GEMM
+    path. Only the ℓ₂ and ℓ∞ metrics are supported.
     """
 
     #: Strategy label used in ``sd.solve`` span args and detector attrs.
@@ -298,8 +332,8 @@ class _PooledTreePolicy(TraversalPolicy):
         ``lv``/``queue``/``levels``/``pools``/``pops`` as in
         :func:`_fold_levels`; ``nodes`` is the number of nodes expanded
         and ``pruned`` every prune, pop-prunes included. The FLOP count
-        uses the exact formulas of
-        :class:`~repro.core.gemm.GemmEvaluator`.
+        uses the sweeps' formulas: one CMAC per assigned symbol of every
+        pool row, one NORM per child.
         """
         stats.nodes_expanded += nodes
         stats.nodes_generated += nodes * order
@@ -656,56 +690,31 @@ class BfsPolicy(TraversalPolicy):
             else check_positive_int(max_frontier, "max_frontier")
         )
 
-    def _sweep(self, engine, n_tx, radius_sq, stats, tracer):
+    def sweep(self, engine, n_tx, radius_sq, stats, tracer):
         """One full root-to-leaves BFS sweep under a fixed radius.
 
         Yields one :class:`ExpandRequest` per level and receives the
-        child PDs. Returns ``(best_indices_by_level, best_metric)`` or
-        ``(None, inf)`` when the sphere is empty.
+        child PDs. Returns the in-sphere leaf frontier, ``(paths, pds)``
+        with root-first ``(L, n_tx)`` paths (at most ``max_frontier``
+        of them), or ``None`` when the sphere is empty. The list
+        detector's candidate list is this frontier.
         """
-        p = engine.constellation.order
-        # Frontier state: (F, depth) root-first index paths + (F,) PDs.
-        paths = np.empty((1, 0), dtype=np.int64)
-        pds = np.zeros(1, dtype=float)
-        for level in range(n_tx - 1, -1, -1):
-            with tracer.span("bfs.level", level=level, frontier=paths.shape[0]):
-                child_pds = yield ExpandRequest(level, paths, pds)  # (F, P)
-            frontier = paths.shape[0]
-            stats.nodes_expanded += frontier
-            stats.nodes_generated += frontier * p
-            stats.gemm_calls += 1
-            depth = n_tx - 1 - level
-            if depth:
-                stats.gemm_flops += FLOPS_PER_CMAC * frontier * depth
-            stats.gemm_flops += engine.metric.flops_per_norm * frontier * p
-            if engine.record_trace:
-                stats.batches.append(level, frontier)
+        cap = self.max_frontier
+
+        def select(level, n_tx, child_pds, stats):
             keep_n, keep_c = np.nonzero(child_pds < radius_sq)
-            stats.nodes_pruned += frontier * p - keep_n.size
-            acc = engine.level_acc
-            if acc is not None:
-                acc.nodes[level] += frontier
-                acc.exps[level] += 1
-                acc.pruned[level] += frontier * p - keep_n.size
+            stats.nodes_pruned += child_pds.size - keep_n.size
             if keep_n.size == 0:
-                return None, float("inf")
+                return None
             new_pds = child_pds[keep_n, keep_c]
-            if self.max_frontier is not None and keep_n.size > self.max_frontier:
+            if cap is not None and keep_n.size > cap:
                 # K-best truncation: keep the lowest-PD survivors.
-                top = np.argpartition(new_pds, self.max_frontier)[
-                    : self.max_frontier
-                ]
+                top = np.argpartition(new_pds, cap)[:cap]
                 keep_n, keep_c, new_pds = keep_n[top], keep_c[top], new_pds[top]
                 stats.truncated += 1
-            paths = extend_paths(paths, keep_n, keep_c)
-            pds = new_pds
-            stats.max_list_size = max(stats.max_list_size, paths.shape[0])
-        stats.leaves_reached += paths.shape[0]
-        best = int(np.argmin(pds))
-        stats.radius_updates += 1
-        stats.radius_trace.append(float(pds[best]))
-        # paths are root-first (level M-1 .. 0); flip to ascending level.
-        return paths[best, ::-1].copy(), float(pds[best])
+            return keep_n, keep_c, new_pds
+
+        return (yield from _level_sweep(engine, n_tx, stats, select, tracer))
 
     def solve_gen(self, engine, r, ybar, noise_var, stats, tracer):
         n_tx = int(r.shape[1])
@@ -715,19 +724,20 @@ class BfsPolicy(TraversalPolicy):
         )
         radius_sq = float(init.radius_sq)
         stats.radius_trace.append(radius_sq)
-        best, metric = yield from self._sweep(engine, n_tx, radius_sq, stats, tracer)
-        while best is None and engine.radius_policy.can_escalate():
+        leaves = yield from self.sweep(engine, n_tx, radius_sq, stats, tracer)
+        while leaves is None and engine.radius_policy.can_escalate():
             radius_sq *= engine.radius_policy.escalation_factor
             stats.radius_trace.append(radius_sq)
-            best, metric = yield from self._sweep(
-                engine, n_tx, radius_sq, stats, tracer
-            )
-        if best is None:
-            best, metric = babai_point(
-                r, ybar, engine.constellation, metric=engine.metric
-            )
+            leaves = yield from self.sweep(engine, n_tx, radius_sq, stats, tracer)
+        if leaves is None:
             stats.truncated += 1
-        return best, metric
+            return babai_point(r, ybar, engine.constellation, metric=engine.metric)
+        paths, pds = leaves
+        best = int(np.argmin(pds))
+        stats.radius_updates += 1
+        stats.radius_trace.append(float(pds[best]))
+        # paths are root-first (level M-1 .. 0); flip to ascending level.
+        return paths[best, ::-1].copy(), float(pds[best])
 
 
 class _SweepPolicy(TraversalPolicy):
@@ -746,31 +756,7 @@ class _SweepPolicy(TraversalPolicy):
 
     def solve_gen(self, engine, r, ybar, noise_var, stats, tracer):
         n_tx = int(r.shape[1])
-        p = engine.constellation.order
-        paths = np.empty((1, 0), dtype=np.int64)
-        pds = np.zeros(1, dtype=float)
-        for level in range(n_tx - 1, -1, -1):
-            child_pds = yield ExpandRequest(level, paths, pds)
-            width = paths.shape[0]
-            stats.nodes_expanded += width
-            stats.nodes_generated += width * p
-            stats.gemm_calls += 1
-            depth = n_tx - 1 - level
-            if depth:
-                stats.gemm_flops += FLOPS_PER_CMAC * width * depth
-            stats.gemm_flops += engine.metric.flops_per_norm * width * p
-            if engine.record_trace:
-                stats.batches.append(level, width)
-            pruned_before = stats.nodes_pruned
-            keep_n, keep_c, pds = self._select(level, n_tx, child_pds, stats)
-            acc = engine.level_acc
-            if acc is not None:
-                acc.nodes[level] += width
-                acc.exps[level] += 1
-                acc.pruned[level] += stats.nodes_pruned - pruned_before
-            paths = extend_paths(paths, keep_n, keep_c)
-            stats.max_list_size = max(stats.max_list_size, paths.shape[0])
-        stats.leaves_reached += paths.shape[0]
+        paths, pds = yield from _level_sweep(engine, n_tx, stats, self._select)
         best = int(np.argmin(pds))
         if self.final_metric_in_trace:
             stats.radius_updates += 1
@@ -844,66 +830,13 @@ class FsdPolicy(_SweepPolicy):
         return keep_n, keep_c, child_pds[keep_n, keep_c]
 
 
-class ScalarGemvBackend:
-    """Per-frame serial PD evaluation (one GEMM per sweep level).
+class BatchInfo(NamedTuple):
+    """What :meth:`TraversalEngine.solve_batch` returns beside the outcomes.
 
-    Drives a single frame's sweep generator to completion against a
-    :class:`~repro.core.gemm.GemmEvaluator` — the CPU reference path.
-    Passing a prebuilt :class:`~repro.core.gemm.ChannelKernel` skips the
-    per-frame R validation and per-level precompute (block fading: R is
-    shared by every frame of a block).
-    """
-
-    def run(self, engine, r, ybar, noise_var, stats, tracer, *, kernel=None):
-        evaluator = GemmEvaluator(
-            r, ybar, engine.constellation, kernel=kernel, metric=engine.metric
-        )
-        result = drive_serial(
-            engine.solve_gen(r, ybar, noise_var, stats, tracer), evaluator
-        )
-        stats.gemm_time_s += evaluator.gemm_time_s
-        return result
-
-
-class FusedGemmBackend:
-    """Cross-frame fused PD evaluation (the BLAS-2 -> BLAS-3 refactor).
-
-    Runs ``B`` frames' sweep generators in lockstep against one
-    :class:`~repro.core.gemm.BatchedGemmEvaluator`, stacking same-level
-    frontiers into single GEMMs. Generators run with ``NULL_TRACER``:
-    the span stack is per-context, not per-frame, so spans opened across
-    yields of interleaved frames would corrupt the nesting.
-
-    After :meth:`run`, :attr:`fused_gemm_calls` holds the number of
-    cross-frame GEMMs the batch actually issued.
-    """
-
-    def __init__(self) -> None:
-        self.fused_gemm_calls = 0
-
-    def run(self, engine, r, ybars, noise_var, stats_list, *, kernel=None):
-        evaluator = BatchedGemmEvaluator(
-            r, ybars, engine.constellation, kernel=kernel, metric=engine.metric
-        )
-        searches = [
-            engine.solve_gen(r, ybars[f], noise_var, stats_list[f], NULL_TRACER)
-            for f in range(ybars.shape[0])
-        ]
-        outcomes = drive_lockstep(searches, evaluator)
-        self.fused_gemm_calls = evaluator.fused_gemm_calls
-        # GEMM time inside a fused call is not separable per frame; split
-        # it evenly, mirroring decode_batch's wall-time attribution.
-        share = evaluator.gemm_time_s / max(len(stats_list), 1)
-        for stats in stats_list:
-            stats.gemm_time_s += share
-        return outcomes
-
-
-class SerialBatch(NamedTuple):
-    """What :meth:`TraversalEngine.solve_batch` returns for per-frame decodes.
-
-    Frames decoded one after another share no GEMM, so
-    ``fused_gemm_calls`` is the sum of their per-frame ``gemm_calls``.
+    ``fused_gemm_calls`` counts the GEMMs the batch issued: one per
+    lockstep level group for the sweeps; for the leaf-first searches,
+    which decode frame by frame and share no GEMM, the sum of the
+    frames' ``gemm_calls``.
     """
 
     fused_gemm_calls: int
@@ -925,8 +858,8 @@ class TraversalEngine:
     metric:
         Partial-distance metric (name or
         :class:`~repro.core.metric.PartialDistanceMetric`); ``None``
-        selects the ℓ₂ reference. Threaded to the evaluators, the flop
-        accounting and the radius policy, so every traversal policy
+        selects the ℓ₂ reference. Threaded to the channel kernel, the
+        flop accounting and the radius policy, so every traversal policy
         composes with every metric — except the leaf-first policies,
         whose scalar loops implement ℓ₂ and ℓ∞ only (any other metric
         raises).
@@ -981,20 +914,17 @@ class TraversalEngine:
         :class:`~repro.core.gemm.ChannelKernel` for ``r`` — pass it when
         decoding many frames against one channel so the R validation and
         per-level precompute run once per block, not once per frame.
-        The leaf-first policies run their scalar loop; the sweeps run
-        against a :class:`ScalarGemvBackend`.
+        The leaf-first policies run their scalar loop; a sweep is the
+        one-frame case of :meth:`solve_batch`.
         """
+        kernel = self._channel_kernel(r, kernel)
+        ybar = check_vector(ybar, "ybar", length=kernel.n_tx)
         if not self._leaf_first:
-            return ScalarGemvBackend().run(
-                self, r, ybar, noise_var, stats, tracer, kernel=kernel
+            outcomes, _calls = self._drive_sweeps(
+                r, ybar[None, :], noise_var, [stats], tracer, kernel
             )
-        if kernel is None:
-            kernel = ChannelKernel(r, self.constellation, metric=self.metric)
-        _check_metric_match(kernel, self.metric)
-        ybar_c = check_vector(ybar, "ybar", length=kernel.n_tx).astype(
-            np.complex128
-        )
-        frame = (*kernel.scalar_tables(), ybar_c.tolist())
+            return outcomes[0]
+        frame = (*kernel.scalar_tables(), ybar.astype(np.complex128).tolist())
         marks = _MarkSample(tracer.mark_stride) if tracer.enabled else None
         result = self.policy.solve(
             self, r, ybar, noise_var, stats, tracer, frame, marks
@@ -1004,28 +934,64 @@ class TraversalEngine:
         return result
 
     def solve_batch(self, r, ybars, noise_var, stats_list, *, kernel=None):
-        """Solve ``B`` frames; returns ``(outcomes, backend)``.
+        """Solve ``B`` frames; returns ``(outcomes, info)``.
 
         ``outcomes[f]`` is frame ``f``'s ``(indices, metric)`` —
-        bit-identical to per-frame :meth:`solve` — and the backend
-        exposes ``fused_gemm_calls``. The leaf-first policies decode the
-        frames one by one (a :class:`SerialBatch`): their pools are too
-        small for cross-frame fusion to pay. The sweeps stack same-level
-        frontiers across frames into fused GEMMs (a
-        :class:`FusedGemmBackend`). ``kernel`` as in :meth:`solve`.
+        bit-identical to per-frame :meth:`solve` — and ``info`` is a
+        :class:`BatchInfo`. The sweeps run every frame's generator in
+        lockstep, stacking same-level frontiers across frames into fused
+        GEMMs; the leaf-first policies decode the frames one by one
+        (their pools are too small for cross-frame fusion to pay).
+        ``kernel`` as in :meth:`solve`.
         """
+        kernel = self._channel_kernel(r, kernel)
         if not self._leaf_first:
-            backend = FusedGemmBackend()
-            outcomes = backend.run(
-                self, r, ybars, noise_var, stats_list, kernel=kernel
+            outcomes, calls = self._drive_sweeps(
+                r, ybars, noise_var, stats_list, NULL_TRACER, kernel
             )
-            return outcomes, backend
-        if kernel is None:
-            kernel = ChannelKernel(r, self.constellation, metric=self.metric)
+            return outcomes, BatchInfo(calls)
         outcomes = [
             self.solve(
                 r, ybars[f], noise_var, stats_list[f], NULL_TRACER, kernel=kernel
             )
             for f in range(len(ybars))
         ]
-        return outcomes, SerialBatch(sum(st.gemm_calls for st in stats_list))
+        return outcomes, BatchInfo(sum(st.gemm_calls for st in stats_list))
+
+    def _channel_kernel(self, r, kernel):
+        """``kernel``, checked against the engine's metric, or a new one.
+
+        A kernel's tables are metric-independent but its PDs are not:
+        an ℓ∞ search on an ℓ₂ kernel (or vice versa) would corrupt the
+        radius state, so a mismatch raises.
+        """
+        if kernel is None:
+            return ChannelKernel(r, self.constellation, metric=self.metric)
+        if kernel.metric.name != self.metric.name:
+            raise ValueError(
+                f"metric mismatch: the search requested {self.metric.name!r} "
+                f"but the prebuilt ChannelKernel was prepared for "
+                f"{kernel.metric.name!r}"
+            )
+        return kernel
+
+    def _drive_sweeps(self, r, ybars, noise_var, stats_list, tracer, kernel):
+        """Run one sweep generator per row of ``ybars`` in lockstep.
+
+        Returns ``(outcomes, fused GEMM calls)``. GEMM time inside a
+        fused call is not separable per frame; it is split evenly over
+        the frames, mirroring ``decode_batch``'s wall-time attribution.
+        ``tracer`` goes to the generators: only a lone frame may open
+        spans across its yields.
+        """
+        searches = [
+            self.solve_gen(r, ybars[f], noise_var, stats_list[f], tracer)
+            for f in range(len(stats_list))
+        ]
+        outcomes, calls, seconds = drive_lockstep(
+            searches, kernel, np.asarray(ybars, dtype=np.complex128)
+        )
+        share = seconds / max(len(stats_list), 1)
+        for stats in stats_list:
+            stats.gemm_time_s += share
+        return outcomes, calls

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.stats import BatchEvent, BatchTrace, DecodeStats
+from repro.util.validation import check_finite, check_matrix, check_vector
 
 __all__ = [
     "BatchEvent",
@@ -91,6 +92,29 @@ class Detector(abc.ABC):
         if received.ndim != 2:
             raise ValueError(f"received must be 2-D, got shape {received.shape}")
         return [self.detect(row) for row in received]
+
+    def _checked_channel(self, channel: np.ndarray, noise_var: float) -> np.ndarray:
+        """``channel`` as a finite 2-D array; ``noise_var`` must be finite
+        and non-negative.
+
+        A NaN or Inf raises
+        :class:`~repro.util.validation.NonFiniteInputError` before it can
+        reach a search, which would hang, index out of range or return a
+        NaN metric on it.
+        """
+        channel = check_finite(check_matrix(channel, "channel"), "channel")
+        check_finite(noise_var, "noise_var")
+        if noise_var < 0:
+            raise ValueError(f"noise_var must be non-negative, got {noise_var}")
+        return channel
+
+    def _checked_received(self, received: np.ndarray) -> np.ndarray:
+        """``received`` as a finite vector of the prepared channel's
+        ``n_rx`` entries (NaN or Inf raises as in :meth:`_checked_channel`)."""
+        return check_finite(
+            check_vector(received, "received", length=self._channel.shape[0]),
+            "received",
+        )
 
     def _require_prepared(self, attr: str = "_prepared") -> None:
         if not getattr(self, attr, False):

@@ -2,8 +2,8 @@
 
 Every tree-search detector in the zoo is the same machine: QR-prepare a
 channel, map each received vector into the triangular domain, run a
-search policy against an evaluation backend, and fold the winning path
-back to antenna order. :class:`EngineDetector` implements that shell
+search policy on the channel's partial-distance kernel, and fold the
+winning path back to antenna order. :class:`EngineDetector` implements that shell
 once — ``prepare`` / ``detect`` / ``solve`` / ``decode_batch``, obs
 spans and registry series, per-frame wall-time accounting — and the concrete
 detectors (:class:`~repro.detectors.sphere.SphereDecoder`,
@@ -45,7 +45,7 @@ from repro.mimo.preprocessing import (
 from repro.obs.metrics import current_metrics, exponential_buckets, inc_each
 from repro.obs.tracer import current_tracer
 from repro.util.timing import Timer
-from repro.util.validation import check_finite, check_matrix, check_vector
+from repro.util.validation import check_finite
 
 
 #: Buckets for the frontier-peak histogram: frontier sizes are node
@@ -119,8 +119,8 @@ class EngineDetector(Detector):
     #: ``"sqrd"`` (sorted QR). May be overridden per instance.
     ordering = "natural"
     #: Partial-distance metric (name or instance) threaded to the
-    #: evaluators, flop accounting and radius policy. May be overridden
-    #: per instance.
+    #: channel kernel, flop accounting and radius policy. May be
+    #: overridden per instance.
     metric = "l2"
     #: Lattice representation the search runs over (name or instance);
     #: applied at :meth:`prepare` time. May be overridden per instance.
@@ -195,10 +195,7 @@ class EngineDetector(Detector):
     # ------------------------------------------------------------------
 
     def prepare(self, channel: np.ndarray, noise_var: float = 0.0) -> None:
-        channel = check_finite(check_matrix(channel, "channel"), "channel")
-        check_finite(noise_var, "noise_var")
-        if noise_var < 0:
-            raise ValueError(f"noise_var must be non-negative, got {noise_var}")
+        channel = self._checked_channel(channel, noise_var)
         self._check_channel(channel)
         self._channel = channel
         # The lattice representation decides which system the QR (and
@@ -223,10 +220,7 @@ class EngineDetector(Detector):
 
     def detect(self, received: np.ndarray) -> DetectionResult:
         self._require_prepared()
-        received = check_finite(
-            check_vector(received, "received", length=self._channel.shape[0]),
-            "received",
-        )
+        received = self._checked_received(received)
         tracer = current_tracer()
         series = self._metric_series()
         timer = Timer()
@@ -296,7 +290,7 @@ class EngineDetector(Detector):
         block-fading assumption), so every frame shares the triangular
         factor. For the sweeps (BFS, K-best, FSD) their same-level
         frontiers stack into single
-        :class:`~repro.core.gemm.BatchedGemmEvaluator` calls — the
+        :meth:`~repro.core.gemm.ChannelKernel.expand` calls — the
         paper's BLAS-2 -> BLAS-3 refactor applied across frames — with
         each frame's search running its own unmodified schedule in
         lockstep (:func:`~repro.core.lockstep.drive_lockstep`). The

@@ -11,7 +11,7 @@ and sub-optimal, which is why the paper pursues the exact SD instead.
 The schedule is :class:`~repro.core.traversal.FsdPolicy`: each level
 processes the entire ``P^rho``-wide candidate block with one
 :class:`ExpandRequest`, so FSD also serves as a stress test for the
-batched evaluator. Running through the shared engine shell gives FSD
+batched partial-distance kernel. Running through the shared engine shell gives FSD
 the cross-frame fused ``decode_batch`` path and ``fsd.*`` obs spans.
 """
 

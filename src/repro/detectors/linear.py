@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.detectors.base import DetectionResult, Detector
 from repro.mimo.constellation import Constellation
-from repro.util.validation import check_matrix, check_vector
+from repro.util.validation import check_finite
 
 
 class _LinearDetector(Detector):
@@ -28,18 +28,14 @@ class _LinearDetector(Detector):
         raise NotImplementedError
 
     def prepare(self, channel: np.ndarray, noise_var: float = 0.0) -> None:
-        channel = check_matrix(channel, "channel")
-        if noise_var < 0:
-            raise ValueError(f"noise_var must be non-negative, got {noise_var}")
+        channel = self._checked_channel(channel, noise_var)
         self._channel = channel
         self._filter = self._compute_filter(channel, float(noise_var))
         self._prepared = True
 
     def detect(self, received: np.ndarray) -> DetectionResult:
         self._require_prepared()
-        received = check_vector(
-            received, "received", length=self._channel.shape[0]
-        )
+        received = self._checked_received(received)
         estimate = self._filter @ received
         indices = self.constellation.nearest_indices(estimate)
         symbols = self.constellation.map_indices(indices)
@@ -65,6 +61,7 @@ class _LinearDetector(Detector):
                 f"received must have shape (F, {self._channel.shape[0]}), "
                 f"got {received.shape}"
             )
+        check_finite(received, "received")
         estimates = received @ self._filter.T  # (F, n_tx) in one GEMM
         indices = self.constellation.nearest_indices(estimates)
         symbols = self.constellation.points[indices]

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.detectors.base import DetectionResult, Detector
 from repro.mimo.constellation import Constellation
-from repro.util.validation import check_matrix, check_positive_int, check_vector
+from repro.util.validation import check_positive_int
 
 #: Refuse enumerations larger than this (prevents accidental 16-QAM 10x10).
 DEFAULT_MAX_CANDIDATES = 4_194_304
@@ -40,7 +40,7 @@ class MLDetector(Detector):
         self._prepared = False
 
     def prepare(self, channel: np.ndarray, noise_var: float = 0.0) -> None:
-        channel = check_matrix(channel, "channel")
+        channel = self._checked_channel(channel, noise_var)
         n_tx = channel.shape[1]
         total = self.constellation.order**n_tx
         if total > self.max_candidates:
@@ -65,7 +65,7 @@ class MLDetector(Detector):
     def detect(self, received: np.ndarray) -> DetectionResult:
         self._require_prepared()
         channel = self._channel
-        received = check_vector(received, "received", length=channel.shape[0])
+        received = self._checked_received(received)
         n_tx = channel.shape[1]
         total = self.constellation.order**n_tx
         best_metric = np.inf

@@ -24,26 +24,34 @@ expansion count, which bounds the parallel latency. Sub-linear scaling
 (radius updates arrive later when the best branch is split away from
 the others' work) is the effect [4] engineer around.
 
-Unlike the other tree-search detectors this one is *not* a
-:class:`~repro.core.traversal.TraversalEngine` configuration: its
-cooperative round-robin schedule interleaves per-PE expansions with
-shared-bound broadcasts, which does not fit the one-generator-per-frame
-``ExpandRequest`` protocol. It stays a direct :class:`Detector` and
-still emits the standard :class:`BatchTrace`.
+Its schedule is not a :class:`~repro.core.traversal.TraversalEngine`
+configuration: the cooperative round-robin interleaves per-PE
+expansions with shared-bound broadcasts, which does not fit the
+one-generator-per-frame ``ExpandRequest`` protocol. Its partial
+distances come from the same
+:meth:`~repro.core.gemm.ChannelKernel.expand` the sweeps use, on a
+kernel built once at ``prepare``, and it books GEMM calls and FLOPs as
+the sweeps do. It stays a direct :class:`Detector` and still emits the
+standard :class:`BatchTrace`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.gemm import GemmEvaluator
+from repro.core.gemm import FLOPS_PER_CMAC, ChannelKernel
 from repro.core.radius import BabaiRadius, RadiusPolicy, babai_point
-from repro.core.tree import SearchNode, path_to_level_indices
 from repro.detectors.base import DecodeStats, DetectionResult, Detector
 from repro.mimo.constellation import Constellation
 from repro.mimo.preprocessing import QRResult, effective_receive, qr_decompose
 from repro.util.timing import Timer
-from repro.util.validation import check_matrix, check_positive_int, check_vector
+from repro.util.validation import check_positive_int
+
+#: A search node: ``(pd, seq, level, path)``. Tuples compare
+#: lexicographically, so nodes sort by PD with the unique sequence
+#: number breaking ties; ``level`` is the level the node's children
+#: assign and ``path`` the root-first point indices assigned so far.
+Node = tuple[float, int, int, tuple[int, ...]]
 
 
 class PartitionedSphereDecoder(Detector):
@@ -63,6 +71,9 @@ class PartitionedSphereDecoder(Detector):
     max_rounds:
         Optional cap on cooperative rounds (safety valve, mirrors
         ``max_nodes`` of the sequential decoder).
+
+    A NaN or Inf in the channel, the noise variance or a received
+    vector raises :class:`~repro.util.validation.NonFiniteInputError`.
     """
 
     name = "sphere-partitioned"
@@ -93,22 +104,29 @@ class PartitionedSphereDecoder(Detector):
         self.last_sync_events: int = 0
 
     def prepare(self, channel: np.ndarray, noise_var: float = 0.0) -> None:
-        channel = check_matrix(channel, "channel")
-        if noise_var < 0:
-            raise ValueError(f"noise_var must be non-negative, got {noise_var}")
+        channel = self._checked_channel(channel, noise_var)
         self._channel = channel
         self._qr = qr_decompose(channel)
+        self._kernel = ChannelKernel(self._qr.r, self.constellation)
         self._noise_var = float(noise_var)
         self._prepared = True
 
     # ------------------------------------------------------------------
 
+    def _expand(self, level, paths, pds, ybar, stats) -> np.ndarray:
+        """Child PDs of a pool on the prepared kernel, booking its GEMM
+        call and FLOPs with the sweeps' formulas."""
+        pool, depth = paths.shape
+        stats.gemm_calls += 1
+        stats.gemm_flops += pool * (
+            FLOPS_PER_CMAC * depth
+            + self._kernel.metric.flops_per_norm * self.constellation.order
+        )
+        return self._kernel.expand(level, paths, pds, ybar[level])
+
     def _seed_stacks(
-        self,
-        evaluator: GemmEvaluator,
-        bound: float,
-        stats: DecodeStats,
-    ) -> tuple[list[list[SearchNode]], np.ndarray | None, float]:
+        self, ybar: np.ndarray, bound: float, stats: DecodeStats
+    ) -> tuple[list[list[Node]], np.ndarray | None, float]:
         """Grow enough sub-trees for every PE, then deal them round-robin.
 
         One root expansion yields only ``P`` sub-trees; with more PEs
@@ -117,9 +135,10 @@ class PartitionedSphereDecoder(Detector):
         until at least ``n_pes`` sub-trees exist or the leaves are
         reached.
         """
-        n_tx = evaluator.n_tx
+        n_tx = self._kernel.n_tx
+        order = self.constellation.order
         incumbent: np.ndarray | None = None
-        frontier: list[SearchNode] = []
+        frontier: list[Node] = []
         seq = 1
         level = n_tx - 1
         # Expand the root first.
@@ -129,42 +148,35 @@ class PartitionedSphereDecoder(Detector):
                 len(pools), n_tx - 1 - level
             )
             pds = np.asarray([pd for _, pd in pools], dtype=float)
-            child_pds = evaluator.expand(level, paths, pds)
+            child_pds = self._expand(level, paths, pds, ybar, stats)
             stats.nodes_expanded += len(pools)
-            stats.nodes_generated += len(pools) * evaluator.order
+            stats.nodes_generated += len(pools) * order
             if self.record_trace:
                 stats.batches.append(level, len(pools))
             frontier = []
             for i, (path, _pd) in enumerate(pools):
-                for c in range(evaluator.order):
+                for c in range(order):
                     pd = float(child_pds[i, c])
                     if pd >= bound:
                         stats.nodes_pruned += 1
                         continue
                     if level == 0:
                         stats.leaves_reached += 1
-                        if pd < bound:
-                            bound = pd
-                            incumbent = path_to_level_indices(
-                                path + (c,), n_tx
-                            )
-                            stats.radius_updates += 1
-                            stats.radius_trace.append(bound)
+                        bound = pd
+                        incumbent = np.asarray((c,) + path[::-1], dtype=np.int64)
+                        stats.radius_updates += 1
+                        stats.radius_trace.append(bound)
                         continue
-                    frontier.append(
-                        SearchNode(
-                            pd=pd, seq=seq, level=level - 1, path=path + (c,)
-                        )
-                    )
+                    frontier.append((pd, seq, level - 1, path + (c,)))
                     seq += 1
             if level == 0 or len(frontier) >= self.n_pes or not frontier:
                 break
-            pools = [(node.path, node.pd) for node in frontier]
+            pools = [(path, pd) for pd, _seq, _level, path in frontier]
             level -= 1
         # Deal sub-trees best-first round-robin so every PE starts with a
         # promising branch ([4]'s tree-of-promise idea).
-        frontier.sort(key=lambda node: (node.pd, node.seq))
-        stacks: list[list[SearchNode]] = [[] for _ in range(self.n_pes)]
+        frontier.sort()
+        stacks: list[list[Node]] = [[] for _ in range(self.n_pes)]
         for rank, node in enumerate(frontier):
             stacks[rank % self.n_pes].append(node)
         # Each PE explores best-candidate-first: put lowest PD on top.
@@ -174,31 +186,25 @@ class PartitionedSphereDecoder(Detector):
 
     def detect(self, received: np.ndarray) -> DetectionResult:
         self._require_prepared()
-        received = check_vector(
-            received, "received", length=self._channel.shape[0]
-        )
+        received = self._checked_received(received)
         timer = Timer()
         stats = DecodeStats()
         with timer:
             ybar = effective_receive(self._qr, received)
-            evaluator = GemmEvaluator(self._qr.r, ybar, self.constellation)
+            ybar_c = ybar.astype(np.complex128)
             init = self.radius_policy.initial(
                 self._qr.r, ybar, self.constellation, self._noise_var
             )
             bound = float(init.radius_sq)
             incumbent = init.incumbent_indices
             stats.radius_trace.append(bound)
-            stacks, root_incumbent, bound2 = self._seed_stacks(
-                evaluator, bound, stats
-            )
-            if root_incumbent is not None:
-                incumbent, bound = root_incumbent, bound2
-            else:
-                bound = bound2
+            stacks, seeded, bound = self._seed_stacks(ybar_c, bound, stats)
+            if seeded is not None:
+                incumbent = seeded
             pe_expansions = [0] * self.n_pes
             sync_events = 0
-            seq = evaluator.order + 1
-            n_tx = evaluator.n_tx
+            order = self.constellation.order
+            seq = order + 1
             rounds = 0
             while any(stacks):
                 rounds += 1
@@ -208,21 +214,23 @@ class PartitionedSphereDecoder(Detector):
                 for pe, stack in enumerate(stacks):
                     if not stack:
                         continue
-                    node = stack.pop()
-                    if node.pd >= bound:
+                    pd, _seq, level, path = stack.pop()
+                    if pd >= bound:
                         stats.nodes_pruned += 1
                         continue
-                    child_pds = evaluator.expand(
-                        node.level,
-                        np.asarray([node.path], dtype=np.int64),
-                        np.asarray([node.pd]),
+                    child_pds = self._expand(
+                        level,
+                        np.asarray([path], dtype=np.int64),
+                        np.asarray([pd]),
+                        ybar_c,
+                        stats,
                     )[0]
                     pe_expansions[pe] += 1
                     stats.nodes_expanded += 1
-                    stats.nodes_generated += evaluator.order
+                    stats.nodes_generated += order
                     if self.record_trace:
-                        stats.batches.append(node.level, 1)
-                    if node.level == 0:
+                        stats.batches.append(level, 1)
+                    if level == 0:
                         in_sphere = child_pds < bound
                         stats.leaves_reached += int(np.count_nonzero(in_sphere))
                         stats.nodes_pruned += int(
@@ -231,25 +239,19 @@ class PartitionedSphereDecoder(Detector):
                         c = int(np.argmin(child_pds))
                         if child_pds[c] < bound:
                             bound = float(child_pds[c])
-                            incumbent = path_to_level_indices(
-                                node.path + (c,), n_tx
+                            incumbent = np.asarray(
+                                (c,) + path[::-1], dtype=np.int64
                             )
                             stats.radius_updates += 1
                             stats.radius_trace.append(bound)
                             sync_events += 1  # broadcast to all PEs
                     else:
-                        order = np.argsort(child_pds, kind="stable")
-                        for c in order[::-1]:
+                        for c in np.argsort(child_pds, kind="stable")[::-1]:
                             if child_pds[c] >= bound:
                                 stats.nodes_pruned += 1
                                 continue
                             stack.append(
-                                SearchNode(
-                                    pd=float(child_pds[c]),
-                                    seq=seq,
-                                    level=node.level - 1,
-                                    path=node.path + (int(c),),
-                                )
+                                (float(child_pds[c]), seq, level - 1, path + (int(c),))
                             )
                             seq += 1
                     stats.max_list_size = max(
@@ -258,8 +260,6 @@ class PartitionedSphereDecoder(Detector):
             if incumbent is None:
                 incumbent, bound = babai_point(self._qr.r, ybar, self.constellation)
                 stats.truncated = max(stats.truncated, 1)
-            stats.gemm_calls = evaluator.gemm_calls
-            stats.gemm_flops = evaluator.gemm_flops + evaluator.norm_flops
             self.last_pe_expansions = pe_expansions
             self.last_sync_events = sync_events
         stats.wall_time_s = timer.elapsed

@@ -13,12 +13,15 @@ A positive LLR therefore means bit ``b`` is more likely **1**. When the
 list contains no counter-hypothesis for some bit, the LLR is clamped to
 ``+-llr_clip`` (the usual practice).
 
-The candidate list comes from one breadth-first in-sphere sweep
-(:class:`~repro.detectors.sd_bfs.GemmBfsDecoder` machinery), whose
-radius escalates until the list is non-empty; the hard decision is the
-list's best entry — identical to the hard sphere decoder's answer
-whenever the ML point is inside the sphere (guaranteed after
-escalation).
+The candidate list is the in-sphere leaf frontier of one breadth-first
+sweep — :meth:`BfsPolicy.sweep <repro.core.traversal.BfsPolicy.sweep>`
+with ``max_frontier=max_list``, the sweep of
+:class:`~repro.detectors.sd_bfs.GemmBfsDecoder`, driven by
+:func:`~repro.core.lockstep.drive_lockstep` on a channel kernel built
+at ``prepare``. Its radius grows ×4 until the list is non-empty; the
+hard decision is the list's best entry — identical to the hard sphere
+decoder's answer whenever the ML point is inside the sphere (guaranteed
+after escalation).
 """
 
 from __future__ import annotations
@@ -27,13 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.gemm import GemmEvaluator
+from repro.core.gemm import ChannelKernel
+from repro.core.lockstep import drive_lockstep
 from repro.core.radius import NoiseScaledRadius, RadiusPolicy
+from repro.core.traversal import BfsPolicy, TraversalEngine
 from repro.detectors.base import DecodeStats, DetectionResult, Detector
 from repro.mimo.constellation import Constellation
 from repro.mimo.preprocessing import QRResult, effective_receive, qr_decompose
+from repro.obs.tracer import NULL_TRACER
 from repro.util.timing import Timer
-from repro.util.validation import check_matrix, check_positive_int, check_vector
+from repro.util.validation import check_positive_int
 
 
 @dataclass
@@ -63,6 +69,9 @@ class SoftOutputSphereDetector(Detector):
     llr_clip:
         Magnitude assigned when a bit has no counter-hypothesis in the
         list.
+
+    A NaN or Inf in the channel, the noise variance or a received
+    vector raises :class:`~repro.util.validation.NonFiniteInputError`.
     """
 
     name = "sphere-soft"
@@ -87,74 +96,46 @@ class SoftOutputSphereDetector(Detector):
         self._prepared = False
 
     def prepare(self, channel: np.ndarray, noise_var: float = 0.0) -> None:
-        channel = check_matrix(channel, "channel")
-        if noise_var < 0:
-            raise ValueError(f"noise_var must be non-negative, got {noise_var}")
+        channel = self._checked_channel(channel, noise_var)
         self._channel = channel
         self._qr = qr_decompose(channel)
+        self._kernel = ChannelKernel(self._qr.r, self.constellation)
         self._noise_var = float(noise_var)
         self._prepared = True
-
-    # ------------------------------------------------------------------
-
-    def _candidate_list(
-        self, evaluator: GemmEvaluator, radius_sq: float, stats: DecodeStats
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """In-sphere leaves: ``(paths (L, M) root-first, metrics (L,))``."""
-        paths = np.empty((1, 0), dtype=np.int64)
-        pds = np.zeros(1, dtype=float)
-        n_tx = evaluator.n_tx
-        p = evaluator.order
-        for level in range(n_tx - 1, -1, -1):
-            child_pds = evaluator.expand(level, paths, pds)
-            stats.nodes_expanded += paths.shape[0]
-            stats.nodes_generated += paths.shape[0] * p
-            stats.batches.append(level, paths.shape[0])
-            keep_n, keep_c = np.nonzero(child_pds < radius_sq)
-            stats.nodes_pruned += paths.shape[0] * p - keep_n.size
-            if keep_n.size == 0:
-                return np.empty((0, n_tx), dtype=np.int64), np.empty(0)
-            new_pds = child_pds[keep_n, keep_c]
-            if keep_n.size > self.max_list:
-                top = np.argpartition(new_pds, self.max_list)[: self.max_list]
-                keep_n, keep_c, new_pds = keep_n[top], keep_c[top], new_pds[top]
-                stats.truncated += 1
-            paths = np.concatenate(
-                [paths[keep_n], keep_c[:, None].astype(np.int64)], axis=1
-            )
-            pds = new_pds
-            stats.max_list_size = max(stats.max_list_size, paths.shape[0])
-        stats.leaves_reached += paths.shape[0]
-        return paths, pds
 
     def detect_soft(self, received: np.ndarray) -> SoftDetectionResult:
         """Hard decision + max-log LLRs for one received vector."""
         self._require_prepared()
-        received = check_vector(
-            received, "received", length=self._channel.shape[0]
-        )
+        received = self._checked_received(received)
         timer = Timer()
         stats = DecodeStats()
         with timer:
             ybar = effective_receive(self._qr, received)
-            evaluator = GemmEvaluator(self._qr.r, ybar, self.constellation)
+            ybars = ybar.astype(np.complex128)[None, :]
+            policy = BfsPolicy(max_frontier=self.max_list)
+            engine = TraversalEngine(self.constellation, policy)
+            n_tx = self._kernel.n_tx
             init = self.radius_policy.initial(
                 self._qr.r, ybar, self.constellation, self._noise_var
             )
             radius_sq = float(init.radius_sq)
             stats.radius_trace.append(radius_sq)
-            paths, metrics = self._candidate_list(evaluator, radius_sq, stats)
-            while paths.shape[0] == 0:
+            while True:
+                (leaves,), _calls, seconds = drive_lockstep(
+                    [policy.sweep(engine, n_tx, radius_sq, stats, NULL_TRACER)],
+                    self._kernel,
+                    ybars,
+                )
+                stats.gemm_time_s += seconds
+                if leaves is not None:
+                    break
                 radius_sq *= 4.0
                 stats.radius_trace.append(radius_sq)
-                paths, metrics = self._candidate_list(evaluator, radius_sq, stats)
-            stats.gemm_calls = evaluator.gemm_calls
-            stats.gemm_flops = evaluator.gemm_flops + evaluator.norm_flops
+            paths, metrics = leaves
             # Hard decision: list leader, back in original antenna order.
             best = int(np.argmin(metrics))
             indices = self._qr.unpermute(paths[best, ::-1].copy())
             # Candidate bit matrix in *original* order: (L, n_tx * b).
-            n_tx = evaluator.n_tx
             level_indices = paths[:, ::-1]  # (L, n_tx) by level
             original = np.empty_like(level_indices)
             original[:, self._qr.permutation] = level_indices

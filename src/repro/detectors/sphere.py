@@ -7,8 +7,8 @@ adopts) or depth-first with per-level PD-sorted child insertion (the LIFO
 list of Fig. 3) — while same-level node pools are evaluated together,
 the matrix-matrix products of the compute-bound refactor of Arfaoui et
 al. that the FPGA model prices. On the host both searches compute
-their partial distances in scalar loops with the evaluators' order of
-operations (:mod:`repro.core.traversal`).
+their partial distances in scalar loops with the channel kernel's
+order of operations (:mod:`repro.core.traversal`).
 
 The traversal loops themselves live in :mod:`repro.core.traversal`
 (:class:`~repro.core.traversal.BestFirstPolicy` /

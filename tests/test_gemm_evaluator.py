@@ -1,17 +1,26 @@
-"""Tests for the batched GEMM evaluator — the paper's central refactor."""
+"""Tests for the GEMM partial-distance kernel — the paper's central refactor.
+
+:meth:`ChannelKernel.expand` against a naive textbook PD, its scalar and
+column ``ybar_k`` forms, the lockstep driver's call count and GEMM time,
+and the GEMM calls and FLOPs the sweeps book.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gemm import GemmEvaluator
+from repro.core.gemm import FLOPS_PER_CMAC, ChannelKernel
+from repro.core.lockstep import ExpandRequest, drive_lockstep
+from repro.core.metric import L2
+from repro.detectors.kbest import KBestDecoder
 from repro.mimo.channel import ChannelModel
 from repro.mimo.constellation import Constellation
 from repro.mimo.preprocessing import effective_receive, qr_decompose
+from repro.mimo.system import MIMOSystem
 
 
-def make_evaluator(n=4, order=4, seed=0):
+def make_kernel(n=4, order=4, seed=0):
     const = Constellation.qam(order)
     model = ChannelModel(n_tx=n, n_rx=n)
     rng = np.random.default_rng(seed)
@@ -19,7 +28,20 @@ def make_evaluator(n=4, order=4, seed=0):
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     qr = qr_decompose(h)
     ybar = effective_receive(qr, y)
-    return GemmEvaluator(qr.r, ybar, const), qr.r, ybar, const
+    return ChannelKernel(qr.r, const), qr.r, ybar, const
+
+
+def expand(kernel, ybar, level, parents, pds):
+    """One frame's expansion: the scalar ``ybar[level]`` form."""
+    return kernel.expand(
+        level,
+        np.asarray(parents, dtype=np.int64),
+        np.asarray(pds, dtype=float),
+        ybar[level],
+    )
+
+
+ROOT = np.empty((1, 0), dtype=np.int64)
 
 
 def naive_pd(r, ybar, const, path, level):
@@ -45,113 +67,122 @@ def naive_pd(r, ybar, const, path, level):
 
 class TestExpandCorrectness:
     def test_root_expansion_matches_naive(self):
-        ev, r, ybar, const = make_evaluator()
-        pds = ev.expand(3, np.empty((1, 0), dtype=np.int64), np.zeros(1))
+        kernel, r, ybar, const = make_kernel()
+        pds = expand(kernel, ybar, 3, ROOT, np.zeros(1))
         ref = naive_pd(r, ybar, const, (), 3)
         assert np.allclose(pds[0], ref)
 
     def test_deep_expansion_matches_naive(self):
-        ev, r, ybar, const = make_evaluator()
+        kernel, r, ybar, const = make_kernel()
         path = (2, 1)  # levels 3, 2 assigned
         parent_pd = naive_pd(r, ybar, const, (2,), 2)[1]
-        pds = ev.expand(
-            1, np.array([[2, 1]], dtype=np.int64), np.array([parent_pd])
-        )
+        pds = expand(kernel, ybar, 1, [[2, 1]], [parent_pd])
         ref = naive_pd(r, ybar, const, path, 1)
         assert np.allclose(pds[0], ref)
 
     def test_leaf_expansion_matches_leaf_metric(self):
-        ev, r, ybar, const = make_evaluator()
+        kernel, r, ybar, const = make_kernel()
         # Walk a full path accumulating PDs through expand().
         path = []
         pd = 0.0
         for level in range(3, -1, -1):
             arr = np.array([path], dtype=np.int64).reshape(1, len(path))
-            pds = ev.expand(level, arr, np.array([pd]))
+            pds = expand(kernel, ybar, level, arr, [pd])
             c = int(np.argmin(pds[0]))
             path.append(c)
             pd = float(pds[0, c])
-        indices_by_level = np.array(path[::-1])
-        assert pd == pytest.approx(ev.leaf_metric(indices_by_level), rel=1e-9)
+        s = const.points[np.array(path[::-1])]
+        leaf_metric = kernel.metric.residual_metric(ybar - r @ s)
+        assert pd == pytest.approx(leaf_metric, rel=1e-9)
 
     def test_pool_matches_individual(self):
         """Batch expansion of B nodes == B separate expansions."""
-        ev, r, ybar, const = make_evaluator()
+        kernel, r, ybar, const = make_kernel()
         pool = np.array([[0, 1], [3, 2], [1, 1]], dtype=np.int64)
         pds_parent = np.array([0.5, 1.0, 2.0])
-        batched = ev.expand(1, pool, pds_parent)
+        batched = expand(kernel, ybar, 1, pool, pds_parent)
         for i in range(3):
-            single = ev.expand(1, pool[i : i + 1], pds_parent[i : i + 1])
+            single = expand(kernel, ybar, 1, pool[i : i + 1], pds_parent[i : i + 1])
             assert np.allclose(batched[i], single[0])
 
     def test_increments_nonnegative(self):
-        ev, *_ = make_evaluator(seed=5)
-        pds = ev.expand(3, np.empty((1, 0), dtype=np.int64), np.zeros(1))
+        kernel, _, ybar, _ = make_kernel(seed=5)
+        pds = expand(kernel, ybar, 3, ROOT, np.zeros(1))
         assert np.all(pds >= 0)
 
     def test_parent_pd_added(self):
-        ev, *_ = make_evaluator()
-        base = ev.expand(3, np.empty((1, 0), dtype=np.int64), np.zeros(1))
-        shifted = ev.expand(3, np.empty((1, 0), dtype=np.int64), np.array([10.0]))
+        kernel, _, ybar, _ = make_kernel()
+        base = expand(kernel, ybar, 3, ROOT, np.zeros(1))
+        shifted = expand(kernel, ybar, 3, ROOT, np.array([10.0]))
         assert np.allclose(shifted, base + 10.0)
+
+    def test_scalar_and_column_ybar_bit_identical(self):
+        """A pool fused across frames (a ``(B, 1)`` column of each row's
+        ``ybar[level]``) gives every row the bits its own frame's scalar
+        gives it, at the root and below."""
+        kernel, r, ybar, const = make_kernel(n=5)
+        rng = np.random.default_rng(3)
+        other = ybar[::-1].copy()
+        for depth in range(5):
+            level = 5 - 1 - depth
+            b = int(rng.integers(1, 6))
+            parents = rng.integers(0, const.order, size=(b, depth)).astype(
+                np.int64
+            )
+            pds = rng.uniform(0, 4, size=b)
+            column = np.where(np.arange(b) % 2, other[level], ybar[level])
+            fused = kernel.expand(level, parents, pds, column[:, None])
+            for i in range(b):
+                own = other if i % 2 else ybar
+                alone = kernel.expand(
+                    level, parents[i : i + 1], pds[i : i + 1], own[level]
+                )
+                np.testing.assert_array_equal(fused[i], alone[0])
 
 
 class TestAccounting:
+    """The sweeps book one GEMM call per level and its FLOPs."""
+
+    def _kbest_stats(self, n, k):
+        system = MIMOSystem(n, n, "4qam")
+        frame = system.random_frame(10.0, np.random.default_rng(1))
+        decoder = KBestDecoder(system.constellation, k=k)
+        decoder.prepare(frame.channel, noise_var=frame.noise_var)
+        return decoder.detect(frame.received).stats
+
     def test_gemm_calls_counted(self):
-        ev, *_ = make_evaluator()
-        assert ev.gemm_calls == 0
-        ev.expand(3, np.empty((1, 0), dtype=np.int64), np.zeros(1))
-        ev.expand(3, np.empty((1, 0), dtype=np.int64), np.zeros(1))
-        assert ev.gemm_calls == 2
+        assert self._kbest_stats(5, 4).gemm_calls == 5  # one per level
 
     def test_flops_scale_with_pool_and_depth(self):
-        ev, *_ = make_evaluator(n=6)
-        ev.expand(4, np.zeros((3, 1), dtype=np.int64), np.zeros(3))
-        flops_1 = ev.gemm_flops
-        ev.expand(2, np.zeros((3, 3), dtype=np.int64), np.zeros(3))
-        flops_2 = ev.gemm_flops - flops_1
-        assert flops_2 == 3 * flops_1  # depth 3 vs depth 1, same pool
+        # K-best with K=1 keeps one node per level: depth d costs d CMACs.
+        n, p = 6, 4
+        stats = self._kbest_stats(n, 1)
+        cmacs = sum(range(n))  # depths 0 .. n-1, one node each
+        assert stats.gemm_flops == FLOPS_PER_CMAC * cmacs + L2.flops_per_norm * n * p
+        # K=2 keeps two nodes below the root: twice the CMACs, n - 1
+        # more NORMed nodes.
+        wide = self._kbest_stats(n, 2)
+        assert wide.gemm_flops - stats.gemm_flops == (
+            FLOPS_PER_CMAC * cmacs + L2.flops_per_norm * (n - 1) * p
+        )
 
     def test_root_expansion_no_gemm_flops(self):
-        ev, *_ = make_evaluator()
-        ev.expand(3, np.empty((1, 0), dtype=np.int64), np.zeros(1))
-        assert ev.gemm_flops == 0  # no interference term at the root
-        assert ev.norm_flops > 0
+        # One antenna: only the root is expanded, so no interference term.
+        stats = self._kbest_stats(1, 4)
+        assert stats.gemm_flops == L2.flops_per_norm * 4
 
 
 class TestValidation:
-    def test_level_range(self):
-        ev, *_ = make_evaluator()
-        with pytest.raises(ValueError):
-            ev.expand(4, np.empty((1, 0), dtype=np.int64), np.zeros(1))
-        with pytest.raises(ValueError):
-            ev.expand(-1, np.empty((1, 0), dtype=np.int64), np.zeros(1))
-
-    def test_parent_shape_enforced(self):
-        ev, *_ = make_evaluator()
-        with pytest.raises(ValueError, match="parent_indices"):
-            ev.expand(2, np.zeros((2, 3), dtype=np.int64), np.zeros(2))
-
-    def test_pd_shape_enforced(self):
-        ev, *_ = make_evaluator()
-        with pytest.raises(ValueError, match="parent_pds"):
-            ev.expand(3, np.empty((2, 0), dtype=np.int64), np.zeros(3))
-
     def test_requires_upper_triangular(self):
         const = Constellation.qam(4)
         r = np.ones((3, 3), dtype=complex)
         with pytest.raises(ValueError, match="triangular"):
-            GemmEvaluator(r, np.zeros(3, complex), const)
+            ChannelKernel(r, const)
 
     def test_requires_square(self):
         const = Constellation.qam(4)
         with pytest.raises(ValueError):
-            GemmEvaluator(np.triu(np.ones((3, 4))), np.zeros(3), const)
-
-    def test_leaf_metric_shape(self):
-        ev, *_ = make_evaluator()
-        with pytest.raises(ValueError):
-            ev.leaf_metric(np.zeros(3, dtype=int))
+            ChannelKernel(np.triu(np.ones((3, 4))), const)
 
 
 @given(
@@ -162,16 +193,18 @@ class TestValidation:
 @settings(max_examples=25, deadline=None)
 def test_property_expand_matches_naive(n, order, seed):
     """Batched expansion equals the scalar textbook PD at a random node."""
-    ev, r, ybar, const = make_evaluator(n=n, order=order, seed=seed)
+    kernel, r, ybar, const = make_kernel(n=n, order=order, seed=seed)
     rng = np.random.default_rng(seed)
     depth = int(rng.integers(0, n))
     level = n - 1 - depth
     path = tuple(int(x) for x in rng.integers(0, order, depth))
     parent_pd = float(rng.uniform(0, 5))
-    got = ev.expand(
+    got = expand(
+        kernel,
+        ybar,
         level,
         np.array([path], dtype=np.int64).reshape(1, depth),
-        np.array([parent_pd]),
+        [parent_pd],
     )[0]
     # naive_pd computes the *full* PD from scratch for a zero parent; the
     # increment is its value minus the parent's own naive PD.
@@ -184,62 +217,44 @@ def test_property_expand_matches_naive(n, order, seed):
     assert np.allclose(got, expected, rtol=1e-8, atol=1e-9)
 
 
-class TestUncheckedFastPath:
-    """The engine's hot path must agree with the validated public API."""
-
-    def test_expand_unchecked_bit_identical(self):
-        ev, r, ybar, const = make_evaluator(n=5)
-        rng = np.random.default_rng(3)
-        for depth in range(5):
-            level = 5 - 1 - depth
-            b = int(rng.integers(1, 6))
-            parents = rng.integers(0, const.order, size=(b, depth)).astype(
-                np.int64
-            )
-            pds = rng.uniform(0, 4, size=b)
-            checked = ev.expand(level, parents, pds)
-            unchecked = ev.expand_unchecked(level, parents, pds)
-            # Bit-identical, not just close: same code path after checks.
-            np.testing.assert_array_equal(checked, unchecked)
-
-    def test_expand_still_rejects_bad_input(self):
-        """Routing the engine through the fast path must not weaken
-        the public contract — ``expand`` keeps validating."""
-        ev, *_ = make_evaluator(n=4)
-        with pytest.raises(ValueError):
-            ev.expand(5, np.empty((1, 0), dtype=np.int64), np.zeros(1))
-        with pytest.raises(ValueError):
-            ev.expand(2, np.zeros((1, 3), dtype=np.int64), np.zeros(1))
-        with pytest.raises(ValueError):
-            ev.expand(3, np.empty((2, 0), dtype=np.int64), np.zeros(3))
-
-    def test_unchecked_accumulates_gemm_time(self):
-        ev, *_ = make_evaluator(n=4)
-        assert ev.gemm_time_s == 0.0
-        ev.expand_unchecked(3, np.empty((1, 0), dtype=np.int64), np.zeros(1))
-        after_one = ev.gemm_time_s
-        assert after_one > 0.0
-        ev.expand_unchecked(3, np.empty((1, 0), dtype=np.int64), np.zeros(1))
-        assert ev.gemm_time_s > after_one
+class TestKernelReuse:
+    """A prepare-time kernel serves every frame of a block."""
 
     def test_shared_kernel_reuse_is_bit_identical(self):
-        """A prepare-time ChannelKernel gives the same results as
-        per-frame construction (the per-channel cache tentpole)."""
-        from repro.core.gemm import ChannelKernel
-
-        _, r, ybar, const = make_evaluator(n=4)
-        kernel = ChannelKernel(r, const)
-        fresh = GemmEvaluator(r, ybar, const)
-        cached = GemmEvaluator(r, ybar, const, kernel=kernel)
+        """A kernel reused across frames gives the same results as one
+        built for the frame."""
+        kernel, r, ybar, const = make_kernel(n=4)
+        fresh = ChannelKernel(r, const)
         parents = np.array([[1, 3]], dtype=np.int64)
         pds = np.array([0.25])
         np.testing.assert_array_equal(
-            fresh.expand(1, parents, pds), cached.expand(1, parents, pds)
+            expand(fresh, ybar, 1, parents, pds),
+            expand(kernel, ybar, 1, parents, pds),
         )
 
     def test_kernel_validates_triangularity(self):
-        from repro.core.gemm import ChannelKernel
-
         const = Constellation.qam(4)
         with pytest.raises(ValueError):
             ChannelKernel(np.ones((3, 3)), const)
+
+
+class TestLockstepDriver:
+    def test_times_and_counts_expansions(self):
+        """Same-level requests of two searches share one ``expand``; the
+        driver returns each search's result, the calls and their time."""
+        kernel, r, ybar, const = make_kernel(n=4)
+        ybars = np.stack([ybar, ybar[::-1]]).astype(np.complex128)
+
+        def search():
+            pds = yield ExpandRequest(3, ROOT, np.zeros(1))
+            return pds
+
+        results, calls, seconds = drive_lockstep(
+            [search(), search()], kernel, ybars
+        )
+        assert calls == 1
+        assert seconds > 0.0
+        for f in range(2):
+            np.testing.assert_array_equal(
+                results[f], expand(kernel, ybars[f], 3, ROOT, np.zeros(1))
+            )

@@ -3,7 +3,7 @@
 The partial-distance metric (:mod:`repro.core.metric`) and the lattice
 representation (:mod:`repro.core.lattice`) are first-class axes of the
 evaluation layer. This suite covers their contracts at the seams:
-kernel validation, kernel/evaluator metric agreement, ℓ∞ semantics
+kernel validation, kernel/search metric agreement, ℓ∞ semantics
 (monotone accumulation, exactness *in the ℓ∞ sense*, node-count
 reduction), and the interleaved (reordered) real lattice's table
 geometry and index fold.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.gemm import BatchedGemmEvaluator, ChannelKernel, GemmEvaluator
+from repro.core.gemm import ChannelKernel
 from repro.core.lattice import (
     COMPLEX_LATTICE,
     REAL_LATTICE,
@@ -53,29 +53,38 @@ class TestChannelKernelValidation:
         assert ChannelKernel(r, const).metric is L2
         assert ChannelKernel(r, const, metric="linf").metric is LINF
 
-    @pytest.mark.parametrize("evaluator_cls", [GemmEvaluator, BatchedGemmEvaluator])
-    def test_evaluator_metric_mismatch_raises(self, evaluator_cls):
+    @pytest.mark.parametrize("entry", ["solve", "batch"])
+    def test_search_metric_mismatch_raises(self, entry):
+        """An engine asking an l2 kernel for linf PDs raises, through
+        either entry point."""
+        from repro.core.stats import DecodeStats
+        from repro.core.traversal import KBestPolicy, TraversalEngine
+        from repro.obs.tracer import NULL_TRACER
+
         const = Constellation.qam(4)
         r = np.triu(np.ones((3, 3), dtype=complex))
         kernel = ChannelKernel(r, const, metric="l2")
-        ybar = np.zeros(3, dtype=complex)
-        if evaluator_cls is BatchedGemmEvaluator:
-            args = (r, np.zeros((2, 3), dtype=complex), const)
-        else:
-            args = (r, ybar, const)
+        engine = TraversalEngine(const, KBestPolicy(k=2), metric="linf")
+        ybars = np.zeros((2, 3), dtype=complex)
         with pytest.raises(ValueError, match="metric mismatch"):
-            evaluator_cls(*args, kernel=kernel, metric="linf")
+            if entry == "solve":
+                engine.solve(
+                    r, ybars[0], 0.0, DecodeStats(), NULL_TRACER, kernel=kernel
+                )
+            else:
+                engine.solve_batch(
+                    r, ybars, 0.0, [DecodeStats(), DecodeStats()], kernel=kernel
+                )
 
-    @pytest.mark.parametrize("evaluator_cls", [GemmEvaluator, BatchedGemmEvaluator])
-    def test_evaluator_inherits_kernel_metric(self, evaluator_cls):
+    def test_expand_uses_kernel_metric(self):
+        """A linf kernel accumulates PDs with ``max``."""
         const = Constellation.qam(4)
         r = np.triu(np.ones((3, 3), dtype=complex))
         kernel = ChannelKernel(r, const, metric="linf")
-        if evaluator_cls is BatchedGemmEvaluator:
-            ev = evaluator_cls(r, np.zeros((2, 3), dtype=complex), const, kernel=kernel)
-        else:
-            ev = evaluator_cls(r, np.zeros(3, dtype=complex), const, kernel=kernel)
-        assert ev.metric is LINF
+        assert kernel.metric is LINF
+        root = np.empty((1, 0), dtype=np.int64)
+        pds = kernel.expand(2, root, np.array([1e9]), 0j)
+        np.testing.assert_array_equal(pds, np.full((1, 4), 1e9))
 
 
 class TestResolvers:

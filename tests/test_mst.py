@@ -107,12 +107,12 @@ class TestDecodeReplay:
         result = decoder.detect(frame.received)
 
         # Re-run the same search manually, mirroring into the MST.
-        from repro.core.gemm import GemmEvaluator
+        from repro.core.gemm import ChannelKernel
         from repro.mimo.preprocessing import effective_receive, qr_decompose
 
         qr = qr_decompose(frame.channel)
         ybar = effective_receive(qr, frame.received)
-        ev = GemmEvaluator(qr.r, ybar, system.constellation)
+        kernel = ChannelKernel(qr.r, system.constellation)
         mst = MetaStateTable(n_levels=5, capacity=4096)
         best_pd = np.inf
         best_id = None
@@ -123,7 +123,7 @@ class TestDecodeReplay:
             if pd >= best_pd:
                 continue
             arr = np.array([path], dtype=np.int64).reshape(1, len(path))
-            pds = ev.expand(level, arr, np.array([pd]))[0]
+            pds = kernel.expand(level, arr, np.array([pd]), ybar[level])[0]
             order = np.argsort(pds, kind="stable")
             depth = 5 - level
             for c in order[::-1]:

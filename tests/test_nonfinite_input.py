@@ -1,11 +1,14 @@
-"""Non-finite input at the engine shell.
+"""Non-finite input at every detector's boundary.
 
 A NaN or Inf in the received vector, the channel or the noise variance
-must stop at the :class:`~repro.detectors.engine.EngineDetector`
-boundary with :class:`~repro.util.validation.NonFiniteInputError`.
+must stop where data enters a detector (``prepare``, ``detect``,
+``decode_batch`` / ``detect_batch``, the list detector's
+``detect_soft``) with :class:`~repro.util.validation.NonFiniteInputError`.
 Past that boundary the tree searches would hang (BFS, the real-lattice
-DFS), index out of range (the complex leaf-first searches) or return a
-NaN metric flagged as untruncated (K-best, FSD).
+DFS, the list detector's radius escalation), index out of range (the
+leaf-first searches, ``partitioned``, ``sic``, ``ml``), return a NaN
+metric flagged as untruncated (K-best, FSD, ``lr-zf``) or fail with an
+unrelated message (``zf``, ``mmse``, ``mrc``).
 """
 
 from __future__ import annotations
@@ -13,16 +16,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.detectors.engine import EngineDetector
 from repro.detectors.registry import detector_entries, spec
+from repro.detectors.soft import SoftOutputSphereDetector
 from repro.mimo.system import MIMOSystem
 from repro.util.validation import NonFiniteInputError
 
-#: Every registry kind built on the engine shell.
-ENGINE_KINDS = (
+#: Every registry kind.
+KINDS = (
     "sd", "sd-bestfs", "sd-dfs", "bfs", "geosphere", "kbest", "fsd",
     "sphere-real", "sd-linf", "kbest-linf", "sd-real-reordered",
+    "partitioned", "ml", "zf", "mmse", "mrc", "sic", "lr-zf",
 )
+#: The registry kinds plus the list (soft-output) detector.
+DETECTORS = KINDS + ("soft",)
 
 
 def _nan_in_y(channel, noise_var, received):
@@ -63,32 +69,39 @@ def _link(seed=0):
     return system, channel, system.noise_var(10.0), received
 
 
-def test_engine_kinds_are_the_shell_kinds():
-    system = MIMOSystem(2, 2, "4qam")
-    shell = {
-        e.kind
-        for e in detector_entries()
-        if isinstance(spec(e.kind, system.constellation)(), EngineDetector)
-    }
-    assert shell == set(ENGINE_KINDS)
+def test_kinds_are_the_registry_kinds():
+    assert {e.kind for e in detector_entries()} == set(KINDS)
 
 
 def test_error_is_a_value_error():
     assert issubclass(NonFiniteInputError, ValueError)
 
 
+def _decode(detector, received, path):
+    """Decode through ``detect`` (one frame) or the batch entry point."""
+    if path == "detect":
+        return detector.detect(received[0])
+    if isinstance(detector, SoftOutputSphereDetector):
+        return detector.detect_soft(received[0])
+    batch = getattr(detector, "decode_batch", None) or detector.detect_batch
+    return batch(received)
+
+
 @pytest.mark.parametrize("path", ["detect", "decode_batch"])
 @pytest.mark.parametrize("injection", sorted(INJECTIONS))
-@pytest.mark.parametrize("kind", ENGINE_KINDS)
+@pytest.mark.parametrize("kind", DETECTORS)
 def test_non_finite_input_raises(kind, injection, path):
+    """The ``decode_batch`` path is the batch entry point: ``decode_batch``
+    where a kind has it, else ``detect_batch``; for the list detector it
+    is ``detect_soft``."""
     system, channel, noise_var, received = _link()
     channel, noise_var, received = INJECTIONS[injection](
         channel, noise_var, received
     )
-    detector = spec(kind, system.constellation)()
+    if kind == "soft":
+        detector = SoftOutputSphereDetector(system.constellation)
+    else:
+        detector = spec(kind, system.constellation)()
     with pytest.raises(NonFiniteInputError):
         detector.prepare(channel, noise_var=noise_var)
-        if path == "detect":
-            detector.detect(received[0])
-        else:
-            detector.decode_batch(received)
+        _decode(detector, received, path)

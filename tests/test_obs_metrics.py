@@ -397,11 +397,11 @@ class TestTraversalAccountingConsistency:
         assert sum(sum(counts) for counts in peaks.values()) == len(received)
 
     def test_dfs_never_reaches_the_expand_request_path(self, monkeypatch):
-        """Neither leaf-first loop (DFS, best-first) reaches lockstep or
-        a GEMM evaluator, under ``detect`` or ``decode_batch``."""
+        """Neither leaf-first loop (DFS, best-first) reaches the lockstep
+        driver or the GEMM kernel, under ``detect`` or ``decode_batch``."""
         import repro.core.lockstep as lockstep
         import repro.core.traversal as traversal
-        from repro.core.gemm import BatchedGemmEvaluator, GemmEvaluator
+        from repro.core.gemm import ChannelKernel
         from repro.detectors.kbest import KBestDecoder
         from repro.detectors.sphere import SphereDecoder
 
@@ -410,8 +410,7 @@ class TestTraversalAccountingConsistency:
 
         for module in (lockstep, traversal):
             monkeypatch.setattr(module, "drive_lockstep", forbidden)
-        for evaluator in (GemmEvaluator, BatchedGemmEvaluator):
-            monkeypatch.setattr(evaluator, "expand_unchecked", forbidden)
+        monkeypatch.setattr(ChannelKernel, "expand", forbidden)
         system, channel, noise_var, received = self._block(n=6)
         for strategy in ("dfs", "best-first"):
             decoder = SphereDecoder(system.constellation, strategy=strategy)
