@@ -76,15 +76,26 @@ class TestChannelKernelValidation:
                     r, ybars, 0.0, [DecodeStats(), DecodeStats()], kernel=kernel
                 )
 
-    def test_expand_uses_kernel_metric(self):
-        """A linf kernel accumulates PDs with ``max``."""
+    @pytest.mark.parametrize("ybar_form", ["scalar", "column"])
+    def test_expand_uses_kernel_metric(self, ybar_form):
+        """A linf kernel accumulates PDs with ``max``, whether the pool
+        belongs to one frame (scalar ``ybar_k``) or is fused across
+        frames (a ``(B, 1)`` column)."""
         const = Constellation.qam(4)
         r = np.triu(np.ones((3, 3), dtype=complex))
         kernel = ChannelKernel(r, const, metric="linf")
         assert kernel.metric is LINF
-        root = np.empty((1, 0), dtype=np.int64)
-        pds = kernel.expand(2, root, np.array([1e9]), 0j)
-        np.testing.assert_array_equal(pds, np.full((1, 4), 1e9))
+        ybar_k = 0j if ybar_form == "scalar" else np.zeros((2, 1), dtype=complex)
+        root = np.empty((2, 0), dtype=np.int64)
+        pds = kernel.expand(2, root, np.full(2, 1e9), ybar_k)
+        np.testing.assert_array_equal(pds, np.full((2, 4), 1e9))
+        # Below the root the shared GEMM term joins the error; an l2
+        # kernel adds every nonzero error to the parent PD instead.
+        parents = np.array([[0], [3]], dtype=np.int64)
+        pds = kernel.expand(1, parents, np.full(2, 1e9), ybar_k)
+        np.testing.assert_array_equal(pds, np.full((2, 4), 1e9))
+        l2_pds = ChannelKernel(r, const).expand(1, parents, np.full(2, 1e9), ybar_k)
+        assert np.all(l2_pds >= 1e9) and np.any(l2_pds > 1e9)
 
 
 class TestResolvers:
