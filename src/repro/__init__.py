@@ -9,9 +9,11 @@ The package is organised in layers:
     Link-level substrate: constellations, modulation, Rayleigh fading
     channel, QR preprocessing, Monte Carlo simulation, BER metrics.
 ``repro.detectors``
-    Detector zoo: linear (MRC/ZF/MMSE), brute-force ML, GEMM-BFS (the GPU
-    baseline of Arfaoui et al.), Geosphere-style depth-first SD and the
-    fixed-complexity SD.
+    Detector zoo: linear (MRC/ZF/MMSE), brute-force ML, the sphere
+    decoder, GEMM-BFS (the GPU baseline of Arfaoui et al.), K-best and
+    the fixed-complexity SD, plus SIC, LR-ZF, list and multi-PE
+    decoders. Presets (Geosphere-style depth-first SD, the real-lattice
+    decoders) are registry entries over ``SphereDecoder``.
 ``repro.core``
     The paper's contribution: the GEMM-based sphere decoder with
     Best-First / sorted-DFS traversal and batched BLAS-3 node evaluation.
@@ -61,14 +63,12 @@ from repro.detectors.linear import (
 )
 from repro.detectors.ml import MLDetector
 from repro.detectors.sd_bfs import GemmBfsDecoder
-from repro.detectors.geosphere import GeosphereDecoder
 from repro.detectors.fsd import FixedComplexityDecoder
 from repro.detectors.soft import SoftOutputSphereDetector, SoftDetectionResult
 from repro.detectors.partitioned import PartitionedSphereDecoder
 from repro.detectors.sic import SICDetector
 from repro.detectors.kbest import KBestDecoder
 from repro.detectors.lr import LRZFDetector
-from repro.detectors.real_sd import RealSphereDecoder
 from repro.mimo.correlation import KroneckerChannelModel
 from repro.mimo.estimation import EstimatedChannelLink
 from repro.coding import ConvolutionalCode, ViterbiDecoder
@@ -99,7 +99,6 @@ __all__ = [
     "MRCDetector",
     "MLDetector",
     "GemmBfsDecoder",
-    "GeosphereDecoder",
     "FixedComplexityDecoder",
     "SoftOutputSphereDetector",
     "SoftDetectionResult",
@@ -107,7 +106,6 @@ __all__ = [
     "SICDetector",
     "KBestDecoder",
     "LRZFDetector",
-    "RealSphereDecoder",
     "KroneckerChannelModel",
     "EstimatedChannelLink",
     "ConvolutionalCode",

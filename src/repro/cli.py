@@ -232,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch",
         action="store_true",
         help="decode each block's frames with one decode_batch call "
-        "(fused GEMMs for BFS/K-best/FSD; bit-identical; tree-search "
-        "detectors only)",
+        "(fused GEMMs for BFS/K-best/FSD; bit-identical)",
     )
 
     trc = sub.add_parser(
@@ -607,7 +606,6 @@ def _cmd_detectors(args: argparse.Namespace | None = None) -> int:
             label
             for flag, label in (
                 (entry.exact, "exact-ML"),
-                (entry.batch, "batch-decode"),
                 (entry.fpga_replayable, "fpga-replay"),
             )
             if flag

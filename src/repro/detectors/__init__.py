@@ -19,13 +19,11 @@ from repro.detectors.linear import ZeroForcingDetector, MMSEDetector, MRCDetecto
 from repro.detectors.ml import MLDetector
 from repro.detectors.sphere import SphereDecoder
 from repro.detectors.sd_bfs import GemmBfsDecoder
-from repro.detectors.geosphere import GeosphereDecoder
 from repro.detectors.fsd import FixedComplexityDecoder
 from repro.detectors.soft import SoftOutputSphereDetector, SoftDetectionResult
 from repro.detectors.sic import SICDetector
 from repro.detectors.kbest import KBestDecoder
 from repro.detectors.lr import LRZFDetector
-from repro.detectors.real_sd import RealSphereDecoder
 from repro.detectors.partitioned import PartitionedSphereDecoder
 from repro.detectors.registry import (
     DetectorEntry,
@@ -48,14 +46,12 @@ __all__ = [
     "MLDetector",
     "SphereDecoder",
     "GemmBfsDecoder",
-    "GeosphereDecoder",
     "FixedComplexityDecoder",
     "SoftOutputSphereDetector",
     "SoftDetectionResult",
     "SICDetector",
     "KBestDecoder",
     "LRZFDetector",
-    "RealSphereDecoder",
     "PartitionedSphereDecoder",
     "DetectorEntry",
     "DetectorSpec",

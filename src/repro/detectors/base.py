@@ -86,12 +86,39 @@ class Detector(abc.ABC):
     def detect(self, received: np.ndarray) -> DetectionResult:
         """Decode one received vector against the prepared channel."""
 
-    def detect_batch(self, received: np.ndarray) -> list[DetectionResult]:
-        """Decode each row of ``received`` (default: sequential loop)."""
+    def decode_batch(self, received: np.ndarray) -> list[DetectionResult]:
+        """Decode each row of ``received`` against the prepared channel.
+
+        The one batch method of every detector. Its results equal a
+        :meth:`detect` loop over the rows bit for bit — indices, metric,
+        bits and every :class:`DecodeStats` field but ``wall_time_s`` —
+        and this default is that loop; the tree searches override it
+        with their fused or frame-by-frame path.
+        """
         received = np.asarray(received)
         if received.ndim != 2:
             raise ValueError(f"received must be 2-D, got shape {received.shape}")
         return [self.detect(row) for row in received]
+
+    def _result(
+        self,
+        received: np.ndarray,
+        indices: np.ndarray,
+        stats: DecodeStats | None = None,
+    ) -> DetectionResult:
+        """The :class:`DetectionResult` of ``indices`` (antenna order):
+        their symbols and hard bits, and the true metric
+        ``||y - H s||^2`` against the prepared channel."""
+        const = self.constellation
+        symbols = const.map_indices(indices)
+        residual = received - self._channel @ symbols
+        return DetectionResult(
+            indices=indices,
+            symbols=symbols,
+            bits=const.indices_to_bits(indices),
+            metric=float(np.real(np.vdot(residual, residual))),
+            stats=stats,
+        )
 
     def _checked_channel(self, channel: np.ndarray, noise_var: float) -> np.ndarray:
         """``channel`` as a finite 2-D array; ``noise_var`` must be finite

@@ -4,38 +4,39 @@ Every tree-search detector in the zoo is the same machine: QR-prepare a
 channel, map each received vector into the triangular domain, run a
 search policy on the channel's partial-distance kernel, and fold the
 winning path back to antenna order. :class:`EngineDetector` implements that shell
-once — ``prepare`` / ``detect`` / ``solve`` / ``decode_batch``, obs
-spans and registry series, per-frame wall-time accounting — and the concrete
-detectors (:class:`~repro.detectors.sphere.SphereDecoder`,
+once — the constructor, ``prepare`` / ``detect`` / ``solve`` /
+``decode_batch``, obs spans and registry series, per-frame wall-time
+accounting — and the concrete detectors
+(:class:`~repro.detectors.sphere.SphereDecoder`,
 :class:`~repro.detectors.sd_bfs.GemmBfsDecoder`,
-:class:`~repro.detectors.geosphere.GeosphereDecoder`,
 :class:`~repro.detectors.kbest.KBestDecoder`,
-:class:`~repro.detectors.fsd.FixedComplexityDecoder`) reduce to a
-policy choice plus a handful of class attributes.
+:class:`~repro.detectors.fsd.FixedComplexityDecoder`) only build their
+policy and pass it on. Presets such as Geosphere or the real-lattice
+decoders are registry entries over :class:`SphereDecoder`.
 
 A consequence the registry relies on: every engine detector gets
 ``decode_batch`` (cross-frame fused GEMMs for the BFS/K-best/FSD
 sweeps, frame by frame for the leaf-first Best-FS and sorted DFS) and
 emits the uniform
 :class:`~repro.core.stats.BatchTrace` the FPGA pipeline simulator
-prices — including K-best and FSD, which previously had neither.
+prices.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack
-
 import numpy as np
 
 from repro.core.gemm import ChannelKernel
-from repro.core.lattice import resolve_lattice
-from repro.core.metric import resolve_metric
+from repro.core.lattice import LatticeRepresentation, resolve_lattice
+from repro.core.metric import PartialDistanceMetric
+from repro.core.radius import RadiusPolicy
 from repro.core.traversal import (
     LevelAccumulator,
     TraversalEngine,
     TraversalPolicy,
 )
 from repro.detectors.base import DecodeStats, DetectionResult, Detector
+from repro.mimo.constellation import Constellation
 from repro.mimo.preprocessing import (
     QRResult,
     effective_receive,
@@ -45,8 +46,11 @@ from repro.mimo.preprocessing import (
 from repro.obs.metrics import current_metrics, exponential_buckets, inc_each
 from repro.obs.tracer import current_tracer
 from repro.util.timing import Timer
-from repro.util.validation import check_finite
+from repro.util.validation import check_finite, check_in
 
+
+#: Column orderings of the QR step: plain QR or sorted QR (SQRD).
+ORDERINGS = ("natural", "sqrd")
 
 #: Buckets for the frontier-peak histogram: frontier sizes are node
 #: counts, so edges run 1, 2, 4, ... ~=1M rather than the default
@@ -98,11 +102,31 @@ class _DetectorSeries:
 class EngineDetector(Detector):
     """Shared two-phase shell for traversal-engine detectors.
 
-    Subclasses implement :meth:`_policy` (a fresh
-    :class:`TraversalPolicy` built from current instance attributes, so
-    post-construction attribute tweaks — e.g. tests setting
-    ``decoder.max_nodes`` — keep working) and set the class attributes
-    below to fix their trace vocabulary.
+    The one constructor of every tree-search detector: the concrete
+    classes build their :class:`TraversalPolicy` from their own keywords
+    and pass it on. The metric, the lattice and the search alphabet are
+    resolved here, and the :class:`TraversalEngine` is built once, so
+    a bad argument raises at construction.
+
+    Parameters
+    ----------
+    constellation:
+        Symbol alphabet.
+    policy:
+        The search schedule.
+    radius_policy:
+        Initial-radius strategy of the radius-driven policies (Best-FS,
+        DFS, BFS); ``None`` for K-best and FSD, which consult none.
+    ordering:
+        Column ordering for the QR step: ``"natural"`` (plain QR) or
+        ``"sqrd"`` (sorted QR).
+    metric:
+        Partial-distance metric (name or instance) threaded to the
+        channel kernel, the flop accounting and the radius policy.
+    lattice:
+        Lattice representation the search runs over (name or instance).
+    record_trace:
+        Keep the per-expansion :class:`~repro.core.stats.BatchTrace`.
 
     A NaN or Inf in the channel, the noise variance or a received
     vector raises :class:`~repro.util.validation.NonFiniteInputError`
@@ -111,78 +135,30 @@ class EngineDetector(Detector):
 
     #: Prefix of every span this detector emits (``sd``, ``bfs``…).
     trace_root = "sd"
-    #: Extra outer span prefix for re-badged configurations (Geosphere
-    #: wraps the inherited ``sd.*`` spans in ``geosphere.*`` ones so its
-    #: time stays attributable in mixed-detector traces).
-    wrapper_span: str | None = None
-    #: Column ordering for the QR step: ``"natural"`` (plain QR) or
-    #: ``"sqrd"`` (sorted QR). May be overridden per instance.
-    ordering = "natural"
-    #: Partial-distance metric (name or instance) threaded to the
-    #: channel kernel, flop accounting and radius policy. May be
-    #: overridden per instance.
-    metric = "l2"
-    #: Lattice representation the search runs over (name or instance);
-    #: applied at :meth:`prepare` time. May be overridden per instance.
-    lattice = "complex"
 
-    constellation = None
-    radius_policy = None
-    record_trace = True
-    #: Per-level accumulator the last :meth:`solve` fed (``None`` when no
-    #: registry was live); :meth:`detect` flushes it.
-    _level_acc: LevelAccumulator | None = None
-
-    @property
-    def metric_obj(self):
-        """Resolved :class:`~repro.core.metric.PartialDistanceMetric`."""
-        obj = getattr(self, "_metric_obj", None)
-        if obj is None:
-            obj = self._metric_obj = resolve_metric(self.metric)
-        return obj
-
-    @property
-    def lattice_rep(self):
-        """Resolved :class:`~repro.core.lattice.LatticeRepresentation`."""
-        rep = getattr(self, "_lattice_rep", None)
-        if rep is None:
-            rep = self._lattice_rep = resolve_lattice(self.lattice)
-        return rep
-
-    @property
-    def search_constellation(self):
-        """Alphabet enumerated per tree level (PAM under real lattices)."""
-        const = getattr(self, "_search_const", None)
-        if const is None:
-            const = self._search_const = self.lattice_rep.search_constellation(
-                self.constellation
-            )
-        return const
-
-    def _resolve_axes(self) -> None:
-        """Eagerly resolve the metric/lattice axes.
-
-        Called by subclass constructors so misconfiguration — an unknown
-        name, or a real lattice over a non-square-QAM alphabet — fails
-        at construction instead of at first ``prepare``.
-        """
-        self._metric_obj = resolve_metric(self.metric)
-        self._lattice_rep = resolve_lattice(self.lattice)
-        self._search_const = self._lattice_rep.search_constellation(
-            self.constellation
+    def __init__(
+        self,
+        constellation: Constellation,
+        policy: TraversalPolicy,
+        *,
+        radius_policy: RadiusPolicy | None = None,
+        ordering: str = "natural",
+        metric: str | PartialDistanceMetric = "l2",
+        lattice: str | LatticeRepresentation = "complex",
+        record_trace: bool = True,
+    ) -> None:
+        self.constellation = constellation
+        self.policy = policy
+        self.ordering = check_in(ordering, "ordering", ORDERINGS)
+        self.lattice = resolve_lattice(lattice)
+        self.engine = TraversalEngine(
+            self.lattice.search_constellation(constellation),
+            policy,
+            radius_policy=radius_policy,
+            metric=metric,
+            record_trace=record_trace,
         )
-
-    def _policy(self) -> TraversalPolicy:
-        raise NotImplementedError
-
-    def _engine(self) -> TraversalEngine:
-        return TraversalEngine(
-            self.search_constellation,
-            self._policy(),
-            radius_policy=self.radius_policy,
-            metric=self.metric_obj,
-            record_trace=self.record_trace,
-        )
+        self._prepared = False
 
     def _detect_span_args(self) -> dict:
         return {"detector": self.name}
@@ -202,8 +178,7 @@ class EngineDetector(Detector):
         # therefore the whole tree search) runs on: the complex channel
         # itself, or its 2N x 2M real decomposition. The complex
         # representation is a strict identity — same arrays, same ops.
-        rep = self.lattice_rep
-        search_channel = rep.map_channel(channel)
+        search_channel = self.lattice.map_channel(channel)
         self._qr: QRResult = (
             sorted_qr(search_channel)
             if self.ordering == "sqrd"
@@ -212,29 +187,24 @@ class EngineDetector(Detector):
         # One per-channel kernel for the whole fading block: R is shared
         # by every frame, so triangularity validation and the per-level
         # diag/row tables are computed here once instead of per frame.
+        engine = self.engine
         self._kernel = ChannelKernel(
-            self._qr.r, self.search_constellation, metric=self.metric_obj
+            self._qr.r, engine.constellation, metric=engine.metric
         )
-        self._noise_var = rep.scale_noise(noise_var)
+        self._noise_var = self.lattice.scale_noise(noise_var)
         self._prepared = True
 
     def detect(self, received: np.ndarray) -> DetectionResult:
         self._require_prepared()
         received = self._checked_received(received)
-        tracer = current_tracer()
         series = self._metric_series()
         timer = Timer()
-        with ExitStack() as spans:
-            if self.wrapper_span is not None:
-                spans.enter_context(tracer.span(f"{self.wrapper_span}.detect"))
-            spans.enter_context(
-                tracer.span(
-                    f"{self.trace_root}.detect", **self._detect_span_args()
-                )
-            )
+        with current_tracer().span(
+            f"{self.trace_root}.detect", **self._detect_span_args()
+        ):
             with timer:
                 ybar = effective_receive(
-                    self._qr, self.lattice_rep.map_received(received)
+                    self._qr, self.lattice.map_received(received)
                 )
                 incumbent, _bound, stats = self.solve(
                     self._qr.r, ybar, self._noise_var
@@ -242,7 +212,7 @@ class EngineDetector(Detector):
         stats.wall_time_s = timer.elapsed
         if series is not None:
             self._flush_traversal_metrics(
-                series, self._level_acc, [stats], timer.elapsed
+                series, self.engine.level_acc, [stats], timer.elapsed
             )
         return self._fold_back(received, incumbent, stats)
 
@@ -264,22 +234,17 @@ class EngineDetector(Detector):
         ``indices_by_level[k]`` is the constellation index of level ``k``.
         """
         stats = DecodeStats()
-        tracer = current_tracer()
         # Reuse the prepare-time channel kernel only when the caller is
         # decoding against the prepared factor itself (detect does);
         # external callers may pass a different R (e.g. the quantised-R
         # ablation), which gets its own validated kernel.
-        kernel = (
-            self._kernel
-            if getattr(self, "_prepared", False) and r is self._qr.r
-            else None
-        )
-        engine = self._engine()
-        engine.level_acc = self._level_acc = (
+        kernel = self._kernel if self._prepared and r is self._qr.r else None
+        engine = self.engine
+        engine.level_acc = (
             LevelAccumulator(r.shape[1]) if current_metrics().enabled else None
         )
         incumbent, bound = engine.solve(
-            r, ybar, noise_var, stats, tracer, kernel=kernel
+            r, ybar, noise_var, stats, current_tracer(), kernel=kernel
         )
         return incumbent, bound, stats
 
@@ -313,50 +278,40 @@ class EngineDetector(Detector):
             return []
         check_finite(received, "received")
         n_frames = received.shape[0]
-        tracer = current_tracer()
         series = self._metric_series()
         timer = Timer()
         stats_list = [DecodeStats() for _ in range(n_frames)]
-        with ExitStack() as spans:
-            if self.wrapper_span is not None:
-                spans.enter_context(
-                    tracer.span(
-                        f"{self.wrapper_span}.decode_batch", frames=n_frames
-                    )
-                )
-            spans.enter_context(
-                tracer.span(
-                    f"{self.trace_root}.decode_batch",
-                    detector=self.name,
-                    frames=n_frames,
-                )
-            )
+        engine = self.engine
+        with current_tracer().span(
+            f"{self.trace_root}.decode_batch",
+            detector=self.name,
+            frames=n_frames,
+        ):
             with timer:
-                rep = self.lattice_rep
+                lattice = self.lattice
                 ybars = np.stack(
                     [
-                        effective_receive(self._qr, rep.map_received(row))
+                        effective_receive(self._qr, lattice.map_received(row))
                         for row in received
                     ]
                 )
-                engine = self._engine()
-                acc = engine.level_acc = (
+                engine.level_acc = (
                     None if series is None
                     else LevelAccumulator(self._qr.r.shape[1])
                 )
-                outcomes, _backend = engine.solve_batch(
+                outcomes, _info = engine.solve_batch(
                     self._qr.r, ybars, self._noise_var, stats_list,
                     kernel=self._kernel,
                 )
         per_frame_s = timer.elapsed / n_frames
         if series is not None:
-            self._flush_traversal_metrics(series, acc, stats_list, per_frame_s)
+            self._flush_traversal_metrics(
+                series, engine.level_acc, stats_list, per_frame_s
+            )
         results: list[DetectionResult] = []
-        for f in range(n_frames):
-            incumbent, _bound = outcomes[f]
-            stats = stats_list[f]
+        for row, (incumbent, _bound), stats in zip(received, outcomes, stats_list):
             stats.wall_time_s = per_frame_s
-            results.append(self._fold_back(received[f], incumbent, stats))
+            results.append(self._fold_back(row, incumbent, stats))
         return results
 
     # ------------------------------------------------------------------
@@ -384,7 +339,7 @@ class EngineDetector(Detector):
         observation.
         """
         if acc is not None:
-            order = self.search_constellation.order
+            order = self.engine.constellation.order
             rows = series.bind_levels(len(acc.exps))
             for row, n, e, q in zip(rows, acc.nodes, acc.exps, acc.pruned):
                 # A level with neither expansions nor prunes books
@@ -416,18 +371,8 @@ class EngineDetector(Detector):
         # representation's column layout), then fold real-lattice PAM
         # pairs back to one QAM index per antenna (identity for the
         # complex representation).
-        indices = self._qr.unpermute(incumbent)
-        indices = self.lattice_rep.fold_indices(
-            indices, self._channel.shape[1], self.constellation
+        indices = self.lattice.fold_indices(
+            self._qr.unpermute(incumbent), self._channel.shape[1],
+            self.constellation,
         )
-        symbols = self.constellation.map_indices(indices)
-        bits = self.constellation.indices_to_bits(indices)
-        residual = received - self._channel @ symbols
-        metric = float(np.real(np.vdot(residual, residual)))
-        return DetectionResult(
-            indices=indices,
-            symbols=symbols,
-            bits=bits,
-            metric=metric,
-            stats=stats,
-        )
+        return self._result(received, indices, stats)

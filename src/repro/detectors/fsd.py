@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.traversal import FsdPolicy, TraversalPolicy
+from repro.core.traversal import FsdPolicy
 from repro.detectors.engine import EngineDetector
 from repro.mimo.constellation import Constellation
-from repro.util.validation import check_positive_int
 
 
 class FixedComplexityDecoder(EngineDetector):
@@ -35,40 +34,45 @@ class FixedComplexityDecoder(EngineDetector):
     rho:
         Number of fully-enumerated levels (``P^rho`` candidate paths).
         The classic choice for square systems is small (1 or 2).
+    metric:
+        Partial-distance metric (``"l2"`` or ``"linf"``).
+    lattice:
+        Lattice representation (``"complex"``, ``"real"`` or
+        ``"real-reordered"``).
     record_trace:
         Keep the per-level :class:`BatchTrace`.
     """
 
     name = "fsd"
     trace_root = "fsd"
-    # FSD conventionally uses an ordering that puts the *least*
-    # reliable streams in the fully-enumerated levels; SQRD places the
-    # weakest stream at the deepest (last-detected) level, and its
-    # reverse property means the top tree levels hold strong streams.
-    # We keep SQRD: it is the standard robustness ordering and the
-    # detector stays sub-optimal either way.
-    ordering = "sqrd"
 
     def __init__(
         self,
         constellation: Constellation,
         *,
         rho: int = 1,
+        metric: str = "l2",
+        lattice: str = "complex",
         record_trace: bool = True,
     ) -> None:
-        self.constellation = constellation
-        self.rho = check_positive_int(rho, "rho")
-        self.record_trace = record_trace
-        self._qr = None
-        self._channel = None
-        self._noise_var = 0.0
-        self._prepared = False
+        # FSD conventionally uses an ordering that puts the *least*
+        # reliable streams in the fully-enumerated levels; SQRD places
+        # the weakest stream at the deepest (last-detected) level, and
+        # its reverse property means the top tree levels hold strong
+        # streams. We keep SQRD: it is the standard robustness ordering
+        # and the detector stays sub-optimal either way.
+        super().__init__(
+            constellation,
+            FsdPolicy(rho=rho),
+            ordering="sqrd",
+            metric=metric,
+            lattice=lattice,
+            record_trace=record_trace,
+        )
 
     def _check_channel(self, channel: np.ndarray) -> None:
-        if self.rho > channel.shape[1]:
+        rho = self.policy.rho
+        if rho > channel.shape[1]:
             raise ValueError(
-                f"rho={self.rho} exceeds the number of streams {channel.shape[1]}"
+                f"rho={rho} exceeds the number of streams {channel.shape[1]}"
             )
-
-    def _policy(self) -> TraversalPolicy:
-        return FsdPolicy(rho=self.rho)

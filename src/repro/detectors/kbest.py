@@ -16,10 +16,9 @@ and ``kbest.*`` obs spans for free.
 
 from __future__ import annotations
 
-from repro.core.traversal import KBestPolicy, TraversalPolicy
+from repro.core.traversal import KBestPolicy
 from repro.detectors.engine import EngineDetector
 from repro.mimo.constellation import Constellation
-from repro.util.validation import check_positive_int
 
 
 class KBestDecoder(EngineDetector):
@@ -33,13 +32,17 @@ class KBestDecoder(EngineDetector):
         Survivors kept per level. ``k >= P^M`` recovers exhaustive ML;
         small ``k`` trades BER for a hard workload bound. Typical
         hardware choices are 8–64.
+    metric:
+        Partial-distance metric (``"l2"`` or ``"linf"``).
+    lattice:
+        Lattice representation (``"complex"``, ``"real"`` or
+        ``"real-reordered"``).
+    record_trace:
+        Keep the per-level :class:`BatchTrace`.
     """
 
     name = "kbest"
     trace_root = "kbest"
-    # SQRD ordering: detecting reliable streams first makes the
-    # K-survivor truncation far less likely to drop the ML path.
-    ordering = "sqrd"
 
     def __init__(
         self,
@@ -47,17 +50,16 @@ class KBestDecoder(EngineDetector):
         *,
         k: int = 16,
         metric: str = "l2",
+        lattice: str = "complex",
         record_trace: bool = True,
     ) -> None:
-        self.constellation = constellation
-        self.k = check_positive_int(k, "k")
-        self.metric = metric
-        self.record_trace = record_trace
-        self._resolve_axes()
-        self._qr = None
-        self._channel = None
-        self._noise_var = 0.0
-        self._prepared = False
-
-    def _policy(self) -> TraversalPolicy:
-        return KBestPolicy(k=self.k)
+        # SQRD ordering: detecting reliable streams first makes the
+        # K-survivor truncation far less likely to drop the ML path.
+        super().__init__(
+            constellation,
+            KBestPolicy(k=k),
+            ordering="sqrd",
+            metric=metric,
+            lattice=lattice,
+            record_trace=record_trace,
+        )

@@ -85,11 +85,4 @@ class LRZFDetector(Detector):
         u = np.clip(u, 0, side - 1)
         # Reassemble complex symbols: u[:n_tx] are I levels, u[n_tx:] Q.
         i_lvl, q_lvl = u[:n_tx], u[n_tx:]
-        indices = (i_lvl * side + q_lvl).astype(np.int64)
-        symbols = const.map_indices(indices)
-        bits = const.indices_to_bits(indices)
-        residual = received - self._channel @ symbols
-        metric = float(np.real(np.vdot(residual, residual)))
-        return DetectionResult(
-            indices=indices, symbols=symbols, bits=bits, metric=metric
-        )
+        return self._result(received, (i_lvl * side + q_lvl).astype(np.int64))

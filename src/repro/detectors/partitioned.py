@@ -263,18 +263,7 @@ class PartitionedSphereDecoder(Detector):
             self.last_pe_expansions = pe_expansions
             self.last_sync_events = sync_events
         stats.wall_time_s = timer.elapsed
-        indices = self._qr.unpermute(incumbent)
-        symbols = self.constellation.map_indices(indices)
-        bits = self.constellation.indices_to_bits(indices)
-        residual = received - self._channel @ symbols
-        metric = float(np.real(np.vdot(residual, residual)))
-        return DetectionResult(
-            indices=indices,
-            symbols=symbols,
-            bits=bits,
-            metric=metric,
-            stats=stats,
-        )
+        return self._result(received, self._qr.unpermute(incumbent), stats)
 
     # ------------------------------------------------------------------
 

@@ -11,13 +11,15 @@ every process.
 Registered kinds describe *configurations*, not just classes: ``sd`` is
 the paper's canonical Algorithm-1 decoder (sorted-DFS + noise-scaled
 radius + node cap), while ``sd-bestfs``/``sd-dfs`` are the Babai-seeded
-exploration variants the CLI and the search ablation use. Each entry
-also records capability flags (exact ML, fused batch decoding, FPGA
-trace replay) and which paper figures use it, so ``repro-sd detectors``
-can render an always-current capability table.
+exploration variants the CLI and the search ablation use. Presets such
+as ``geosphere`` (exact scalar DFS) and ``sphere-real`` (Azzam &
+Ayanoglu's real lattice) are :class:`SphereDecoder` configurations and
+exist only here. Each entry also records capability flags (exact ML,
+FPGA trace replay) and which paper figures use it, so ``repro-sd
+detectors`` can render an always-current capability table.
 
 Adding a detector is a one-file change: implement the class, register a
-kind here, and it automatically gets CLI access, batch decoding,
+kind here, and it automatically gets CLI access, ``decode_batch``,
 sharded Monte Carlo and — if it emits a :class:`BatchTrace` —
 FPGA pipeline replay.
 """
@@ -25,18 +27,17 @@ FPGA pipeline replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Mapping
 
-from repro.core.radius import BabaiRadius, NoiseScaledRadius
+from repro.core.radius import BabaiRadius, InfiniteRadius, NoiseScaledRadius
 from repro.detectors.base import Detector
 from repro.detectors.fsd import FixedComplexityDecoder
-from repro.detectors.geosphere import GeosphereDecoder
 from repro.detectors.kbest import KBestDecoder
 from repro.detectors.linear import MMSEDetector, MRCDetector, ZeroForcingDetector
 from repro.detectors.lr import LRZFDetector
 from repro.detectors.ml import MLDetector
 from repro.detectors.partitioned import PartitionedSphereDecoder
-from repro.detectors.real_sd import RealSphereDecoder
 from repro.detectors.sd_bfs import GemmBfsDecoder
 from repro.detectors.sic import SICDetector
 from repro.detectors.sphere import SphereDecoder
@@ -66,10 +67,6 @@ class DetectorEntry:
     exact:
         Returns the ML decision (brute-force-verified for the
         tree-search members in ``tests/test_ml_oracle.py``).
-    batch:
-        Supports ``decode_batch``, bit-identical to per-frame ``detect``:
-        cross-frame fused GEMMs for the BFS/K-best/FSD sweeps, frame by
-        frame for the leaf-first (Best-FS, DFS) searches.
     fpga_replayable:
         Emits a :class:`~repro.core.stats.BatchTrace` the FPGA
         pipeline simulator can price.
@@ -89,7 +86,6 @@ class DetectorEntry:
     factory: Callable[..., Detector]
     defaults: Mapping[str, Any] = field(default_factory=dict)
     exact: bool = False
-    batch: bool = False
     fpga_replayable: bool = False
     metric: str = "l2"
     lattice: str = "complex"
@@ -167,129 +163,14 @@ def spec(kind: str, constellation: Constellation, **params: Any) -> DetectorSpec
 # ----------------------------------------------------------------------
 
 
-def _make_sd(
-    constellation, *, alpha, max_nodes, child_ordering, record_trace
-):
-    return SphereDecoder(
-        constellation,
-        strategy="dfs",
-        radius_policy=NoiseScaledRadius(alpha=alpha),
-        child_ordering=child_ordering,
-        max_nodes=max_nodes,
-        record_trace=record_trace,
+def _with_alpha(cls, constellation, *, alpha, **params):
+    """``cls`` under the noise-scaled radius ``alpha * n_tx * sigma^2``
+    (the Babai seed when ``alpha`` is ``None``); the other keywords pass
+    through."""
+    radius_policy = (
+        BabaiRadius() if alpha is None else NoiseScaledRadius(alpha=alpha)
     )
-
-
-def _make_sd_bestfs(constellation, *, pool_size, max_nodes, record_trace):
-    return SphereDecoder(
-        constellation,
-        strategy="best-first",
-        pool_size=pool_size,
-        max_nodes=max_nodes,
-        record_trace=record_trace,
-    )
-
-
-def _make_sd_dfs(constellation, *, child_ordering, max_nodes, record_trace):
-    return SphereDecoder(
-        constellation,
-        strategy="dfs",
-        child_ordering=child_ordering,
-        max_nodes=max_nodes,
-        record_trace=record_trace,
-    )
-
-
-def _make_bfs(constellation, *, alpha, max_frontier, record_trace):
-    return GemmBfsDecoder(
-        constellation,
-        radius_policy=NoiseScaledRadius(alpha=alpha),
-        max_frontier=max_frontier,
-        record_trace=record_trace,
-    )
-
-
-def _make_geosphere(constellation, *, max_nodes, record_trace):
-    return GeosphereDecoder(
-        constellation, max_nodes=max_nodes, record_trace=record_trace
-    )
-
-
-def _make_kbest(constellation, *, k, record_trace):
-    return KBestDecoder(constellation, k=k, record_trace=record_trace)
-
-
-def _make_fsd(constellation, *, rho, record_trace):
-    return FixedComplexityDecoder(
-        constellation, rho=rho, record_trace=record_trace
-    )
-
-
-def _make_real_sd(constellation, *, alpha, max_nodes, record_trace):
-    return RealSphereDecoder(
-        constellation,
-        strategy="dfs",
-        radius_policy=NoiseScaledRadius(alpha=alpha),
-        max_nodes=max_nodes,
-        record_trace=record_trace,
-    )
-
-
-def _make_sd_linf(
-    constellation, *, alpha, max_nodes, child_ordering, record_trace
-):
-    # Same traversal shape as the canonical ``sd`` kind; only the
-    # partial-distance metric differs (under linf the noise-scaled
-    # radius degenerates to the metric-consistent Babai seed).
-    return SphereDecoder(
-        constellation,
-        strategy="dfs",
-        radius_policy=NoiseScaledRadius(alpha=alpha),
-        child_ordering=child_ordering,
-        max_nodes=max_nodes,
-        metric="linf",
-        record_trace=record_trace,
-    )
-
-
-def _make_kbest_linf(constellation, *, k, record_trace):
-    return KBestDecoder(
-        constellation, k=k, metric="linf", record_trace=record_trace
-    )
-
-
-def _make_real_sd_reordered(constellation, *, alpha, max_nodes, record_trace):
-    return RealSphereDecoder(
-        constellation,
-        strategy="dfs",
-        radius_policy=NoiseScaledRadius(alpha=alpha),
-        max_nodes=max_nodes,
-        lattice="real-reordered",
-        record_trace=record_trace,
-    )
-
-
-def _make_partitioned(constellation, *, n_pes, alpha, max_rounds, record_trace):
-    radius_policy = BabaiRadius() if alpha is None else NoiseScaledRadius(alpha=alpha)
-    return PartitionedSphereDecoder(
-        constellation,
-        n_pes=n_pes,
-        radius_policy=radius_policy,
-        max_rounds=max_rounds,
-        record_trace=record_trace,
-    )
-
-
-def _make_zf(constellation):
-    return ZeroForcingDetector(constellation)
-
-
-def _make_mmse(constellation, *, es):
-    return MMSEDetector(constellation, es=es)
-
-
-def _make_mrc(constellation):
-    return MRCDetector(constellation)
+    return cls(constellation, radius_policy=radius_policy, **params)
 
 
 def _make_ml(constellation, *, max_candidates, chunk_size):
@@ -300,14 +181,6 @@ def _make_ml(constellation, *, max_candidates, chunk_size):
     )
 
 
-def _make_sic(constellation, *, ordering):
-    return SICDetector(constellation, ordering=ordering)
-
-
-def _make_lr_zf(constellation, *, delta):
-    return LRZFDetector(constellation, delta=delta)
-
-
 # ----------------------------------------------------------------------
 # The registry proper
 # ----------------------------------------------------------------------
@@ -315,7 +188,7 @@ def _make_lr_zf(constellation, *, delta):
 _register(DetectorEntry(
     kind="sd",
     summary="canonical Algorithm-1 SD: sorted-DFS, noise-scaled radius, node cap",
-    factory=_make_sd,
+    factory=partial(_with_alpha, SphereDecoder, strategy="dfs"),
     defaults={
         "alpha": 2.0,
         "max_nodes": DEFAULT_MAX_NODES,
@@ -323,7 +196,6 @@ _register(DetectorEntry(
         "record_trace": True,
     },
     exact=True,
-    batch=True,
     fpga_replayable=True,
     figures=(
         "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
@@ -335,14 +207,13 @@ _register(DetectorEntry(
 _register(DetectorEntry(
     kind="sd-bestfs",
     summary="Best-FS SD: global PD priority queue, Babai seed, GEMM pooling",
-    factory=_make_sd_bestfs,
+    factory=partial(SphereDecoder, strategy="best-first"),
     defaults={
         "pool_size": 8,
         "max_nodes": None,
         "record_trace": True,
     },
     exact=True,
-    batch=True,
     fpga_replayable=True,
     figures=("ablation-search",),
 ))
@@ -350,14 +221,13 @@ _register(DetectorEntry(
 _register(DetectorEntry(
     kind="sd-dfs",
     summary="sorted-DFS SD with Babai-seeded incumbent (no escalation)",
-    factory=_make_sd_dfs,
+    factory=partial(SphereDecoder, strategy="dfs"),
     defaults={
         "child_ordering": "sorted",
         "max_nodes": None,
         "record_trace": True,
     },
     exact=True,
-    batch=True,
     fpga_replayable=True,
     figures=("ablation-search",),
 ))
@@ -365,25 +235,29 @@ _register(DetectorEntry(
 _register(DetectorEntry(
     kind="bfs",
     summary="level-synchronous GEMM-BFS (the GPU baseline of [1])",
-    factory=_make_bfs,
+    factory=partial(_with_alpha, GemmBfsDecoder),
     defaults={
         "alpha": 4.0,
         "max_frontier": 2**19,
         "record_trace": True,
     },
     exact=True,
-    batch=True,
     fpga_replayable=True,
     figures=("fig11", "ablation-search"),
 ))
 
+# Geosphere (Nikitopoulos et al., SIGCOMM'14), the Fig. 12 WARP
+# baseline: exact depth-first search, one node per expansion, children
+# in ascending-PD order, no initial radius. The WARP cost model prices
+# its node count at scalar per-node cost.
 _register(DetectorEntry(
     kind="geosphere",
     summary="Geosphere-style scalar DFS (exact, non-batched WARP baseline)",
-    factory=_make_geosphere,
+    factory=partial(
+        SphereDecoder, strategy="dfs", radius_policy=InfiniteRadius()
+    ),
     defaults={"max_nodes": None, "record_trace": True},
     exact=True,
-    batch=True,
     fpga_replayable=True,
     figures=("fig12",),
 ))
@@ -391,43 +265,43 @@ _register(DetectorEntry(
 _register(DetectorEntry(
     kind="kbest",
     summary="K-best: fixed-throughput breadth-first, K survivors per level",
-    factory=_make_kbest,
+    factory=KBestDecoder,
     defaults={"k": 16, "record_trace": True},
     exact=False,
-    batch=True,
     fpga_replayable=True,
 ))
 
 _register(DetectorEntry(
     kind="fsd",
     summary="fixed-complexity SD: full enumeration on rho levels, SIC below",
-    factory=_make_fsd,
+    factory=FixedComplexityDecoder,
     defaults={"rho": 1, "record_trace": True},
     exact=False,
-    batch=True,
     fpga_replayable=True,
 ))
 
 _register(DetectorEntry(
     kind="sphere-real",
     summary="exact SD over the 2M-level real-decomposition lattice",
-    factory=_make_real_sd,
+    factory=partial(_with_alpha, SphereDecoder, strategy="dfs", lattice="real"),
     defaults={
         "alpha": 2.0,
         "max_nodes": None,
         "record_trace": True,
     },
     exact=True,
-    batch=False,
     fpga_replayable=True,
     lattice="real",
     figures=("ablation-domain",),
 ))
 
+# Same traversal as ``sd``; only the partial-distance metric differs
+# (under linf the noise-scaled radius degenerates to the
+# metric-consistent Babai seed).
 _register(DetectorEntry(
     kind="sd-linf",
     summary="linf-norm SD: max/compare NORM stage, bounded BER loss",
-    factory=_make_sd_linf,
+    factory=partial(_with_alpha, SphereDecoder, strategy="dfs", metric="linf"),
     defaults={
         "alpha": 2.0,
         "max_nodes": DEFAULT_MAX_NODES,
@@ -435,7 +309,6 @@ _register(DetectorEntry(
         "record_trace": True,
     },
     exact=False,
-    batch=True,
     fpga_replayable=True,
     metric="linf",
     figures=("ablation-metric",),
@@ -444,10 +317,9 @@ _register(DetectorEntry(
 _register(DetectorEntry(
     kind="kbest-linf",
     summary="K-best with linf partial distances (compare-tree NORM)",
-    factory=_make_kbest_linf,
+    factory=partial(KBestDecoder, metric="linf"),
     defaults={"k": 16, "record_trace": True},
     exact=False,
-    batch=True,
     fpga_replayable=True,
     metric="linf",
 ))
@@ -455,14 +327,15 @@ _register(DetectorEntry(
 _register(DetectorEntry(
     kind="sd-real-reordered",
     summary="exact SD on the reordered (interleaved) real lattice",
-    factory=_make_real_sd_reordered,
+    factory=partial(
+        _with_alpha, SphereDecoder, strategy="dfs", lattice="real-reordered"
+    ),
     defaults={
         "alpha": 2.0,
         "max_nodes": None,
         "record_trace": True,
     },
     exact=True,
-    batch=True,
     fpga_replayable=True,
     lattice="real-reordered",
     figures=("ablation-metric",),
@@ -471,7 +344,7 @@ _register(DetectorEntry(
 _register(DetectorEntry(
     kind="partitioned",
     summary="multi-PE cooperative tree search (section V future work)",
-    factory=_make_partitioned,
+    factory=partial(_with_alpha, PartitionedSphereDecoder),
     defaults={
         "n_pes": 4,
         "alpha": None,
@@ -479,7 +352,6 @@ _register(DetectorEntry(
         "record_trace": True,
     },
     exact=True,
-    batch=False,
     fpga_replayable=True,
     figures=("ablation-parallel",),
 ))
@@ -495,14 +367,14 @@ _register(DetectorEntry(
 _register(DetectorEntry(
     kind="zf",
     summary="zero-forcing linear detector",
-    factory=_make_zf,
+    factory=ZeroForcingDetector,
     figures=("fig7", "fig12"),
 ))
 
 _register(DetectorEntry(
     kind="mmse",
     summary="MMSE linear detector",
-    factory=_make_mmse,
+    factory=MMSEDetector,
     defaults={"es": 1.0},
     figures=("fig7", "fig12"),
 ))
@@ -510,19 +382,19 @@ _register(DetectorEntry(
 _register(DetectorEntry(
     kind="mrc",
     summary="maximum-ratio combining (matched filter)",
-    factory=_make_mrc,
+    factory=MRCDetector,
 ))
 
 _register(DetectorEntry(
     kind="sic",
     summary="successive interference cancellation (nulling + cancelling)",
-    factory=_make_sic,
+    factory=SICDetector,
     defaults={"ordering": "sqrd"},
 ))
 
 _register(DetectorEntry(
     kind="lr-zf",
     summary="lattice-reduction-aided ZF (LLL basis)",
-    factory=_make_lr_zf,
+    factory=LRZFDetector,
     defaults={"delta": 0.75},
 ))

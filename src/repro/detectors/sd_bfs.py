@@ -21,10 +21,9 @@ preprocessing and the ``bfs.*`` obs vocabulary.
 from __future__ import annotations
 
 from repro.core.radius import NoiseScaledRadius, RadiusPolicy
-from repro.core.traversal import BfsPolicy, TraversalPolicy
+from repro.core.traversal import BfsPolicy
 from repro.detectors.engine import EngineDetector
 from repro.mimo.constellation import Constellation
-from repro.util.validation import check_positive_int
 
 
 class GemmBfsDecoder(EngineDetector):
@@ -43,6 +42,11 @@ class GemmBfsDecoder(EngineDetector):
         Optional cap on the surviving frontier per level (K-best style
         truncation). ``None`` keeps every in-sphere node, as in [1] —
         exact *within the sphere* but memory-hungry for 16-QAM.
+    metric:
+        Partial-distance metric (``"l2"`` or ``"linf"``).
+    lattice:
+        Lattice representation (``"complex"``, ``"real"`` or
+        ``"real-reordered"``).
     record_trace:
         Keep the per-level :class:`BatchTrace`.
     """
@@ -56,20 +60,15 @@ class GemmBfsDecoder(EngineDetector):
         *,
         radius_policy: RadiusPolicy | None = None,
         max_frontier: int | None = None,
+        metric: str = "l2",
+        lattice: str = "complex",
         record_trace: bool = True,
     ) -> None:
-        self.constellation = constellation
-        self.radius_policy = radius_policy or NoiseScaledRadius(alpha=2.0)
-        self.max_frontier = (
-            None
-            if max_frontier is None
-            else check_positive_int(max_frontier, "max_frontier")
+        super().__init__(
+            constellation,
+            BfsPolicy(max_frontier=max_frontier),
+            radius_policy=radius_policy or NoiseScaledRadius(alpha=2.0),
+            metric=metric,
+            lattice=lattice,
+            record_trace=record_trace,
         )
-        self.record_trace = record_trace
-        self._qr = None
-        self._channel = None
-        self._noise_var = 0.0
-        self._prepared = False
-
-    def _policy(self) -> TraversalPolicy:
-        return BfsPolicy(max_frontier=self.max_frontier)

@@ -58,11 +58,4 @@ class SICDetector(Detector):
         level_indices, _metric = babai_point(
             self._qr.r, ybar, self.constellation
         )
-        indices = self._qr.unpermute(level_indices)
-        symbols = self.constellation.map_indices(indices)
-        bits = self.constellation.indices_to_bits(indices)
-        residual = received - self._channel @ symbols
-        metric = float(np.real(np.vdot(residual, residual)))
-        return DetectionResult(
-            indices=indices, symbols=symbols, bits=bits, metric=metric
-        )
+        return self._result(received, self._qr.unpermute(level_indices))

@@ -90,6 +90,9 @@ class SoftOutputSphereDetector(Detector):
         if llr_clip <= 0:
             raise ValueError(f"llr_clip must be positive, got {llr_clip}")
         self.llr_clip = float(llr_clip)
+        self.engine = TraversalEngine(
+            constellation, BfsPolicy(max_frontier=self.max_list)
+        )
         self._qr: QRResult | None = None
         self._channel: np.ndarray | None = None
         self._noise_var = 0.0
@@ -112,8 +115,7 @@ class SoftOutputSphereDetector(Detector):
         with timer:
             ybar = effective_receive(self._qr, received)
             ybars = ybar.astype(np.complex128)[None, :]
-            policy = BfsPolicy(max_frontier=self.max_list)
-            engine = TraversalEngine(self.constellation, policy)
+            engine = self.engine
             n_tx = self._kernel.n_tx
             init = self.radius_policy.initial(
                 self._qr.r, ybar, self.constellation, self._noise_var
@@ -122,7 +124,11 @@ class SoftOutputSphereDetector(Detector):
             stats.radius_trace.append(radius_sq)
             while True:
                 (leaves,), _calls, seconds = drive_lockstep(
-                    [policy.sweep(engine, n_tx, radius_sq, stats, NULL_TRACER)],
+                    [
+                        engine.policy.sweep(
+                            engine, n_tx, radius_sq, stats, NULL_TRACER
+                        )
+                    ],
                     self._kernel,
                     ybars,
                 )
@@ -157,18 +163,10 @@ class SoftOutputSphereDetector(Detector):
                     llrs[b] = -self.llr_clip
             np.clip(llrs, -self.llr_clip, self.llr_clip, out=llrs)
         stats.wall_time_s = timer.elapsed
-        symbols = self.constellation.map_indices(indices)
-        hard_bits = self.constellation.indices_to_bits(indices)
-        residual = received - self._channel @ symbols
-        hard = DetectionResult(
-            indices=indices,
-            symbols=symbols,
-            bits=hard_bits,
-            metric=float(np.real(np.vdot(residual, residual))),
-            stats=stats,
-        )
         return SoftDetectionResult(
-            hard=hard, llrs=llrs, list_size=int(paths.shape[0])
+            hard=self._result(received, indices, stats),
+            llrs=llrs,
+            list_size=int(paths.shape[0]),
         )
 
     def detect(self, received: np.ndarray) -> DetectionResult:

@@ -51,17 +51,11 @@ hot path pays one local check per expansion — see
 
 from __future__ import annotations
 
-from repro.core.enumeration import CHILD_ORDERS
 from repro.core.radius import BabaiRadius, RadiusPolicy
-from repro.core.traversal import BestFirstPolicy, DfsPolicy, TraversalPolicy
+from repro.core.traversal import BestFirstPolicy, DfsPolicy
 from repro.detectors.engine import EngineDetector
 from repro.mimo.constellation import Constellation
-from repro.util.validation import check_in, check_positive_int
-
-# Validated at construction (not just inside the policies) so a bad
-# configuration fails before any channel is prepared.
-STRATEGIES = ("best-first", "dfs")
-ORDERINGS = ("natural", "sqrd")
+from repro.util.validation import check_in
 
 
 class SphereDecoder(EngineDetector):
@@ -124,34 +118,21 @@ class SphereDecoder(EngineDetector):
         lattice: str = "complex",
         record_trace: bool = True,
     ) -> None:
-        self.constellation = constellation
-        self.strategy = check_in(strategy, "strategy", STRATEGIES)
-        self.radius_policy = radius_policy or BabaiRadius()
-        self.ordering = check_in(ordering, "ordering", ORDERINGS)
-        self.pool_size = check_positive_int(pool_size, "pool_size")
-        self.child_ordering = check_in(
-            child_ordering, "child_ordering", CHILD_ORDERS
-        )
-        self.max_nodes = (
-            None if max_nodes is None else check_positive_int(max_nodes, "max_nodes")
-        )
-        self.metric = metric
-        self.lattice = lattice
-        self.record_trace = record_trace
-        self._resolve_axes()
-        self._qr = None
-        self._channel = None
-        self._noise_var = 0.0
-        self._prepared = False
-
-    def _policy(self) -> TraversalPolicy:
-        if self.strategy == "best-first":
-            return BestFirstPolicy(
-                pool_size=self.pool_size, max_nodes=self.max_nodes
-            )
-        return DfsPolicy(
-            child_ordering=self.child_ordering, max_nodes=self.max_nodes
+        # Both policies are built, so every argument is validated here
+        # whichever strategy uses it.
+        policies = {
+            "best-first": BestFirstPolicy(pool_size=pool_size, max_nodes=max_nodes),
+            "dfs": DfsPolicy(child_ordering=child_ordering, max_nodes=max_nodes),
+        }
+        super().__init__(
+            constellation,
+            policies[check_in(strategy, "strategy", tuple(policies))],
+            radius_policy=radius_policy or BabaiRadius(),
+            ordering=ordering,
+            metric=metric,
+            lattice=lattice,
+            record_trace=record_trace,
         )
 
     def _detect_span_args(self) -> dict:
-        return {"detector": self.name, "strategy": self.strategy}
+        return {"detector": self.name, "strategy": self.policy.strategy}

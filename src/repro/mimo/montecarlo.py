@@ -122,8 +122,7 @@ def _run_block(
 
     With ``batch_frames`` the block's frames are drawn up front (the
     generator stream is identical — detectors consume no randomness) and
-    decoded in one ``decode_batch`` call when the detector supports it,
-    falling back to the per-frame loop otherwise. Decisions are
+    decoded in one ``decode_batch`` call. Decisions are
     bit-identical either way; only the wall-clock accounting granularity
     changes (one timer sample per block instead of per frame).
     """
@@ -132,11 +131,10 @@ def _run_block(
     stats: list[DecodeStats] = []
     tracer = current_tracer()
     timer = Timer()
-    use_batch = batch_frames and hasattr(detector, "decode_batch")
     with tracer.span("mc.block", snr_db=snr_db, frames=frames):
         channel = system.channel_model.draw_channel(rng)
         detector.prepare(channel, noise_var=system.noise_var(snr_db))
-        if use_batch:
+        if batch_frames:
             drawn = [
                 system.random_frame(snr_db, rng, channel=channel)
                 for _ in range(frames)

@@ -2,10 +2,9 @@
 
 :class:`DetectionService` binds a :class:`~repro.detectors.registry.
 DetectorSpec` to a :class:`~repro.serve.scheduler.BatchScheduler` and a
-set of channel blocks. Frames submitted per stream coalesce into fused
-``decode_batch`` calls (when the registry entry supports the batch
-path; sequential ``detect`` otherwise), and results are **delivered in
-per-stream submission order** through a reorder buffer — even when a
+set of channel blocks. Frames submitted per stream coalesce into one
+``decode_batch`` call per batch (fused across frames for the sweeps),
+and results are **delivered in per-stream submission order** through a reorder buffer — even when a
 stream's frames land in different channel-block batches that complete
 out of order.
 
@@ -39,7 +38,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from repro.detectors.base import DetectionResult, Detector
-from repro.detectors.registry import DetectorSpec, detector_entry
+from repro.detectors.registry import DetectorSpec
 from repro.obs.metrics import current_metrics, exponential_buckets
 from repro.obs.tracer import current_tracer
 from repro.serve.scheduler import (
@@ -226,7 +225,6 @@ class DetectionService:
         service_model: Callable | None = None,
     ) -> None:
         self.spec = spec
-        self.entry = detector_entry(spec.kind)
         self.scheduler = BatchScheduler(config)
         self.service_model = service_model
         self._detectors: dict[str, Detector] = {}
@@ -305,7 +303,7 @@ class DetectionService:
             raise
 
     def process(self, batch: Batch) -> _Decoded:
-        """Decode one batch (fused when the registry entry supports it).
+        """Decode one batch with the detector's ``decode_batch``.
 
         Returns the per-frame results in batch order plus the service
         time the driver should charge (modelled or measured).
@@ -320,13 +318,7 @@ class DetectionService:
             reason=batch.reason,
         ):
             with timer:
-                if len(batch) > 1 and self.entry.batch:
-                    results = detector.decode_batch(batch.received_matrix)
-                else:
-                    results = [
-                        detector.detect(frame.received)
-                        for frame in batch.frames
-                    ]
+                results = detector.decode_batch(batch.received_matrix)
         measured_s = timer.elapsed
         service_s = (
             self.service_model(batch, results, measured_s)

@@ -23,9 +23,9 @@ class TestFactories:
         const = Constellation.qam(4)
         decoder = canonical_decoder_factory(const)()
         assert isinstance(decoder, SphereDecoder)
-        assert decoder.strategy == "dfs"
-        assert isinstance(decoder.radius_policy, NoiseScaledRadius)
-        assert decoder.child_ordering == "sorted"
+        assert decoder.policy.strategy == "dfs"
+        assert isinstance(decoder.engine.radius_policy, NoiseScaledRadius)
+        assert decoder.policy.child_ordering == "sorted"
 
     def test_canonical_fresh_instance_per_call(self):
         factory = canonical_decoder_factory(Constellation.qam(4))
@@ -35,8 +35,8 @@ class TestFactories:
         const = Constellation.qam(4)
         decoder = bfs_gpu_decoder_factory(const)()
         assert isinstance(decoder, GemmBfsDecoder)
-        assert decoder.radius_policy.alpha == 4.0
-        assert decoder.max_frontier == 2**19
+        assert decoder.engine.radius_policy.alpha == 4.0
+        assert decoder.policy.max_frontier == 2**19
 
     def test_canonical_snrs(self):
         assert CANONICAL_SNRS == (4.0, 8.0, 12.0, 16.0, 20.0)

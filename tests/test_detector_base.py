@@ -201,17 +201,17 @@ class TestDetectorABC:
         result = det.detect(np.zeros(2))
         assert result.metric == 0.0
 
-    def test_detect_batch(self):
+    def test_decode_batch(self):
         det = _DummyDetector()
         det.prepare(np.eye(2))
-        results = det.detect_batch(np.zeros((3, 2)))
+        results = det.decode_batch(np.zeros((3, 2)))
         assert len(results) == 3
 
-    def test_detect_batch_requires_2d(self):
+    def test_decode_batch_requires_2d(self):
         det = _DummyDetector()
         det.prepare(np.eye(2))
         with pytest.raises(ValueError):
-            det.detect_batch(np.zeros(2))
+            det.decode_batch(np.zeros(2))
 
 
 class TestMergeAll:

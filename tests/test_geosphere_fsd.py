@@ -1,11 +1,12 @@
-"""Tests for the Geosphere wrapper and the fixed-complexity decoder."""
+"""Tests for the Geosphere preset (the ``geosphere`` registry kind) and
+the fixed-complexity decoder."""
 
 import numpy as np
 import pytest
 
 from repro.detectors.fsd import FixedComplexityDecoder
-from repro.detectors.geosphere import GeosphereDecoder
 from repro.detectors.ml import MLDetector
+from repro.detectors.registry import spec
 from repro.mimo.system import MIMOSystem
 
 
@@ -22,23 +23,20 @@ class TestGeosphere:
     @pytest.mark.parametrize("seed", range(5))
     def test_exact_ml(self, seed):
         system = MIMOSystem(5, 5, "4qam")
-        decoder = GeosphereDecoder(system.constellation)
+        decoder = spec("geosphere", system.constellation)()
         _, geo, ml = run_pair(system, decoder, 6.0, seed)
         assert geo.metric == pytest.approx(ml.metric, rel=1e-9)
         assert np.array_equal(geo.indices, ml.indices)
 
     def test_is_dfs_single_node(self):
         system = MIMOSystem(5, 5, "4qam")
-        decoder = GeosphereDecoder(system.constellation)
+        decoder = spec("geosphere", system.constellation)()
         _, geo, _ = run_pair(system, decoder, 6.0, 0)
         assert all(ev.pool_size == 1 for ev in geo.stats.batches)
 
-    def test_name(self):
-        assert GeosphereDecoder(MIMOSystem(2, 2).constellation).name == "geosphere"
-
     def test_max_nodes_passthrough(self):
         system = MIMOSystem(6, 6, "4qam")
-        decoder = GeosphereDecoder(system.constellation, max_nodes=3)
+        decoder = spec("geosphere", system.constellation, max_nodes=3)()
         _, geo, _ = run_pair(system, decoder, 0.0, 0)
         assert geo.stats.truncated >= 1
 

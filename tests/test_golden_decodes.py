@@ -3,8 +3,8 @@
 Both data files are written by ``tools/record_golden.py``.
 
 * A registry sweep: every FPGA-replayable detector kind decodes fixed
-  deterministic frames (per-frame ``detect`` and, where supported,
-  fused ``decode_batch``) and the decisions, exact float-hex metrics,
+  deterministic frames (per-frame ``detect`` and one ``decode_batch``
+  of the same frames) and the decisions, exact float-hex metrics,
   batch schedules, radius traces and search counters must match
   ``tests/data/golden_decodes.json``.
 * The leaf-first cases: 200 seeded Best-FS / sorted-DFS configurations
@@ -122,9 +122,8 @@ def test_golden_covers_every_replayable_kind(golden):
 def test_registry_bit_identity_vs_golden(golden):
     """Every replayable kind reproduces the recorded decodes exactly:
     paths, metrics, radius traces and all nine counters."""
-    from repro.detectors.registry import detector_entries, spec
+    from repro.detectors.registry import spec
 
-    entries = {e.kind: e for e in detector_entries() if e.fpga_replayable}
     for label, scenario in golden["scenarios"].items():
         system, frames = _scenario_frames(scenario)
         for kind, rec in scenario["detectors"].items():
@@ -138,16 +137,14 @@ def test_registry_bit_identity_vs_golden(golden):
                     rec["per_frame"][i],
                     f"{label}/{kind}/detect[{i}]",
                 )
-            if entries[kind].batch:
-                assert "batch" in rec, f"{label}/{kind}"
-                received = np.stack([f.received for f in frames])
-                results = detector.decode_batch(received)
-                for i, result in enumerate(results):
-                    _assert_matches_golden(
-                        result,
-                        rec["batch"][i],
-                        f"{label}/{kind}/batch[{i}]",
-                    )
+            received = np.stack([f.received for f in frames])
+            results = detector.decode_batch(received)
+            for i, result in enumerate(results):
+                _assert_matches_golden(
+                    result,
+                    rec["batch"][i],
+                    f"{label}/{kind}/batch[{i}]",
+                )
 
 
 def test_golden_batch_traces_replayable(golden):

@@ -13,7 +13,6 @@ from repro import (
     BabaiRadius,
     FixedRadius,
     GemmBfsDecoder,
-    GeosphereDecoder,
     MIMOSystem,
     MLDetector,
     MMSEDetector,
@@ -22,6 +21,7 @@ from repro import (
     SphereDecoder,
     ZeroForcingDetector,
 )
+from repro.detectors.registry import spec
 from repro.fpga import FPGAPipeline, PipelineConfig
 from repro.perfmodel import CPUCostModel
 
@@ -63,7 +63,7 @@ class TestBerHierarchy:
         decoders = [
             SphereDecoder(const, strategy="best-first"),
             SphereDecoder(const, strategy="dfs"),
-            GeosphereDecoder(const),
+            spec("geosphere", const)(),
             GemmBfsDecoder(const, radius_policy=FixedRadius(radius_sq=1e9)),
         ]
         decisions = []

@@ -156,7 +156,7 @@ class TestBatchDetection:
         "detector_cls", [ZeroForcingDetector, MMSEDetector, MRCDetector]
     )
     def test_batch_matches_sequential(self, detector_cls, qam4, rng):
-        """The single-GEMM block path equals per-vector detection."""
+        """The batch path equals per-vector detection."""
         system = MIMOSystem(4, 4, qam4)
         frame0 = system.random_frame(12.0, rng)
         det = detector_cls(qam4)
@@ -167,7 +167,7 @@ class TestBatchDetection:
                 for _ in range(6)
             ]
         )
-        batched = det.detect_batch(block)
+        batched = det.decode_batch(block)
         for i, row in enumerate(block):
             single = det.detect(row)
             assert np.array_equal(batched[i].indices, single.indices)
@@ -180,13 +180,13 @@ class TestBatchDetection:
         det = ZeroForcingDetector(qam4)
         det.prepare(frame.channel)
         with pytest.raises(ValueError):
-            det.detect_batch(np.zeros((3, 5), complex))
+            det.decode_batch(np.zeros((3, 5), complex))
         with pytest.raises(ValueError):
-            det.detect_batch(np.zeros(4, complex))
+            det.decode_batch(np.zeros(4, complex))
 
     def test_batch_requires_prepare(self, qam4):
         with pytest.raises(RuntimeError):
-            ZeroForcingDetector(qam4).detect_batch(np.zeros((2, 4), complex))
+            ZeroForcingDetector(qam4).decode_batch(np.zeros((2, 4), complex))
 
 
 class TestResultContract:

@@ -35,14 +35,6 @@ EXACT_KINDS = [
     e.kind for e in detector_entries() if e.exact and e.fpga_replayable
 ]
 
-#: The subset that additionally supports the fused lockstep batch path.
-EXACT_BATCH_KINDS = [
-    e.kind
-    for e in detector_entries()
-    if e.exact and e.fpga_replayable and e.batch
-]
-
-
 def _instance(n: int, order: int, seed: int):
     """One random channel / transmit / receive triple."""
     rng = np.random.default_rng(seed)
@@ -99,7 +91,8 @@ def test_every_exact_detector_matches_brute_force(n, order):
 
 @pytest.mark.parametrize("n,order", [(3, 4), (4, 4), (2, 16)])
 def test_decode_batch_matches_brute_force(n, order):
-    """The lockstep batch path is also exactly ML on every frame."""
+    """The batch path (fused lockstep for the sweeps, frame by frame
+    for the leaf-first searches) is also exactly ML on every frame."""
     rng = np.random.default_rng(99)
     const = Constellation.qam(order)
     channel = (
@@ -118,7 +111,7 @@ def test_decode_batch_matches_brute_force(n, order):
     oracle.prepare(channel, noise_var=noise_var)
     truths = [oracle.detect(row) for row in received]
 
-    for kind in EXACT_BATCH_KINDS:
+    for kind in EXACT_KINDS:
         detector = spec(kind, const)()
         detector.prepare(channel, noise_var=noise_var)
         results = detector.decode_batch(received)

@@ -2,8 +2,7 @@
 
 A NaN or Inf in the received vector, the channel or the noise variance
 must stop where data enters a detector (``prepare``, ``detect``,
-``decode_batch`` / ``detect_batch``, the list detector's
-``detect_soft``) with :class:`~repro.util.validation.NonFiniteInputError`.
+``decode_batch``, the list detector's ``detect_soft``) with :class:`~repro.util.validation.NonFiniteInputError`.
 Past that boundary the tree searches would hang (BFS, the real-lattice
 DFS, the list detector's radius escalation), index out of range (the
 leaf-first searches, ``partitioned``, ``sic``, ``ml``), return a NaN
@@ -83,17 +82,15 @@ def _decode(detector, received, path):
         return detector.detect(received[0])
     if isinstance(detector, SoftOutputSphereDetector):
         return detector.detect_soft(received[0])
-    batch = getattr(detector, "decode_batch", None) or detector.detect_batch
-    return batch(received)
+    return detector.decode_batch(received)
 
 
 @pytest.mark.parametrize("path", ["detect", "decode_batch"])
 @pytest.mark.parametrize("injection", sorted(INJECTIONS))
 @pytest.mark.parametrize("kind", DETECTORS)
 def test_non_finite_input_raises(kind, injection, path):
-    """The ``decode_batch`` path is the batch entry point: ``decode_batch``
-    where a kind has it, else ``detect_batch``; for the list detector it
-    is ``detect_soft``."""
+    """The ``decode_batch`` path is every kind's ``decode_batch``; for the
+    list detector it is ``detect_soft``."""
     system, channel, noise_var, received = _link()
     channel, noise_var, received = INJECTIONS[injection](
         channel, noise_var, received

@@ -1,13 +1,19 @@
-"""Tests for the real-valued-decomposition sphere decoder."""
+"""Tests for the real-valued-decomposition sphere decoder (the
+``sphere-real`` registry kind: sorted DFS over the real lattice)."""
 
 import numpy as np
 import pytest
 
 from repro.detectors.ml import MLDetector
-from repro.detectors.real_sd import RealSphereDecoder, pam_component
+from repro.detectors.registry import spec
 from repro.detectors.sphere import SphereDecoder
-from repro.mimo.constellation import Constellation
+from repro.mimo.constellation import Constellation, pam_component
 from repro.mimo.system import MIMOSystem
+
+
+def real_sd(constellation):
+    """A ``sphere-real`` decoder at its registry defaults."""
+    return spec("sphere-real", constellation)()
 
 
 class TestPamComponent:
@@ -54,9 +60,9 @@ class TestExactness:
         frame = system.random_frame(8.0, rng)
         ml = MLDetector(system.constellation)
         ml.prepare(frame.channel)
-        real_sd = RealSphereDecoder(system.constellation)
-        real_sd.prepare(frame.channel, noise_var=frame.noise_var)
-        a = real_sd.detect(frame.received)
+        decoder = real_sd(system.constellation)
+        decoder.prepare(frame.channel, noise_var=frame.noise_var)
+        a = decoder.detect(frame.received)
         b = ml.detect(frame.received)
         assert a.metric == pytest.approx(b.metric, rel=1e-9)
         assert np.array_equal(a.indices, b.indices)
@@ -66,18 +72,18 @@ class TestExactness:
         rng = np.random.default_rng(7)
         frame = system.random_frame(6.0, rng)
         complex_sd = SphereDecoder(system.constellation)
-        real_sd = RealSphereDecoder(system.constellation)
+        decoder = real_sd(system.constellation)
         complex_sd.prepare(frame.channel, noise_var=frame.noise_var)
-        real_sd.prepare(frame.channel, noise_var=frame.noise_var)
+        decoder.prepare(frame.channel, noise_var=frame.noise_var)
         a = complex_sd.detect(frame.received)
-        b = real_sd.detect(frame.received)
+        b = decoder.detect(frame.received)
         assert np.array_equal(a.indices, b.indices)
         assert a.metric == pytest.approx(b.metric, rel=1e-9)
 
     def test_high_snr_recovers(self):
         system = MIMOSystem(8, 8, "16qam")
         frame = system.random_frame(60.0, np.random.default_rng(0))
-        det = RealSphereDecoder(system.constellation)
+        det = real_sd(system.constellation)
         det.prepare(frame.channel, noise_var=frame.noise_var)
         assert np.array_equal(det.detect(frame.received).indices, frame.symbol_indices)
 
@@ -87,7 +93,7 @@ class TestDomainTradeoff:
         """Real domain: 2M levels, sqrt(P) children per expansion."""
         system = MIMOSystem(5, 5, "16qam")
         frame = system.random_frame(10.0, np.random.default_rng(1))
-        det = RealSphereDecoder(system.constellation)
+        det = real_sd(system.constellation)
         det.prepare(frame.channel, noise_var=frame.noise_var)
         result = det.detect(frame.received)
         st = result.stats
@@ -107,7 +113,7 @@ class TestDomainTradeoff:
         for _ in range(5):
             frame = system.random_frame(10.0, rng)
             c = SphereDecoder(system.constellation, strategy="dfs")
-            r = RealSphereDecoder(system.constellation, strategy="dfs")
+            r = real_sd(system.constellation)
             c.prepare(frame.channel, noise_var=frame.noise_var)
             r.prepare(frame.channel, noise_var=frame.noise_var)
             complex_children += c.detect(frame.received).stats.nodes_generated
@@ -117,7 +123,7 @@ class TestDomainTradeoff:
     def test_contract(self):
         system = MIMOSystem(4, 4, "16qam")
         frame = system.random_frame(12.0, np.random.default_rng(2))
-        det = RealSphereDecoder(system.constellation)
+        det = real_sd(system.constellation)
         det.prepare(frame.channel, noise_var=frame.noise_var)
         result = det.detect(frame.received)
         assert result.indices.shape == (4,)
@@ -130,6 +136,6 @@ class TestDomainTradeoff:
 
     def test_requires_prepare_and_square_qam(self):
         with pytest.raises(RuntimeError):
-            RealSphereDecoder(Constellation.qam(4)).detect(np.zeros(4, complex))
+            real_sd(Constellation.qam(4)).detect(np.zeros(4, complex))
         with pytest.raises(ValueError):
-            RealSphereDecoder(Constellation.bpsk())
+            real_sd(Constellation.bpsk())

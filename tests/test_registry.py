@@ -101,8 +101,8 @@ class TestSpecRoundTrip:
     def test_spec_param_overrides_apply(self):
         const = Constellation.qam(4)
         detector = spec("sd", const, alpha=3.0, max_nodes=777)()
-        assert detector.max_nodes == 777
-        assert detector.radius_policy.alpha == 3.0
+        assert detector.policy.max_nodes == 777
+        assert detector.engine.radius_policy.alpha == 3.0
 
     def test_process_pool_round_trip(self):
         system, frame = _frame()
@@ -158,10 +158,9 @@ class TestFpgaReplay:
         detector = spec(kind, system.constellation)()
         detector.prepare(frame.channel, noise_var=frame.noise_var)
         results = [detector.detect(f.received) for f in (frame, other)]
-        if detector_entry(kind).batch:
-            results += detector.decode_batch(
-                np.stack([frame.received, other.received])
-            )
+        results += detector.decode_batch(
+            np.stack([frame.received, other.received])
+        )
         for result in results:
             stats = result.stats
             assert len(stats.batches) > 0

@@ -6,8 +6,8 @@ which requires bit-identical results:
 
 ``tests/data/golden_decodes.json``
     Every FPGA-replayable detector kind in the registry over fixed
-    deterministic frames (per-frame ``detect`` and, where supported,
-    fused ``decode_batch``): decisions, metrics (as exact float hex),
+    deterministic frames (per-frame ``detect`` and one ``decode_batch``
+    of the same frames): decisions, metrics (as exact float hex),
     batch and radius traces and the nine search counters.
 ``tests/data/leaf_first_cases.json``
     200 seeded draws over the Best-FS / sorted-DFS configuration space
@@ -106,13 +106,13 @@ def record() -> dict:
             per_frame = [
                 frame_record(detector.detect(f.received)) for f in frames
             ]
-            record = {"per_frame": per_frame}
-            if entry.batch:
-                received = np.stack([f.received for f in frames])
-                record["batch"] = [
+            received = np.stack([f.received for f in frames])
+            scenario["detectors"][entry.kind] = {
+                "per_frame": per_frame,
+                "batch": [
                     frame_record(r) for r in detector.decode_batch(received)
-                ]
-            scenario["detectors"][entry.kind] = record
+                ],
+            }
         doc["scenarios"][label] = scenario
     return doc
 
@@ -363,20 +363,17 @@ def sweep_decoder(case: dict, constellation):
     from repro.detectors.kbest import KBestDecoder
     from repro.detectors.sd_bfs import GemmBfsDecoder
 
+    axes = {"metric": case["metric"], "lattice": case["lattice"]}
     if case["policy"] == "bfs":
-        decoder = GemmBfsDecoder(
+        return GemmBfsDecoder(
             constellation,
             radius_policy=radius_policies()[case["radius"]](),
             max_frontier=case["max_frontier"],
+            **axes,
         )
-    elif case["policy"] == "kbest":
-        decoder = KBestDecoder(constellation, k=case["k"])
-    else:
-        decoder = FixedComplexityDecoder(constellation, rho=case["rho"])
-    decoder.metric = case["metric"]
-    decoder.lattice = case["lattice"]
-    decoder._resolve_axes()
-    return decoder
+    if case["policy"] == "kbest":
+        return KBestDecoder(constellation, k=case["k"], **axes)
+    return FixedComplexityDecoder(constellation, rho=case["rho"], **axes)
 
 
 def sweep_record(case: dict) -> dict:
