@@ -669,8 +669,10 @@ class DfsPolicy(_PooledTreePolicy):
 class BfsPolicy(TraversalPolicy):
     """Level-synchronous frontier sweep (the [1]/GPU strategy).
 
-    All of its pruning comes from the initial radius; if a level ends
-    with an empty frontier the radius escalates and the sweep restarts.
+    All of its pruning comes from the initial radius. If a level ends
+    with an empty frontier and the radius policy seeded an incumbent
+    (the Babai point), nothing inside the sphere beats it and it is
+    returned; otherwise the radius escalates and the sweep restarts.
     Unlike the leaf-first policies, escalation continues even after a
     frontier truncation (the truncated sweep may simply have dropped the
     sphere's occupants).
@@ -725,6 +727,11 @@ class BfsPolicy(TraversalPolicy):
         radius_sq = float(init.radius_sq)
         stats.radius_trace.append(radius_sq)
         leaves = yield from self.sweep(engine, n_tx, radius_sq, stats, tracer)
+        if leaves is None and init.incumbent_indices is not None:
+            # The seed leaf sits on the sphere, outside the strict
+            # ``pd < r^2`` test, so an empty sweep means nothing beats
+            # it: it is the answer, as in the leaf-first shell.
+            return np.asarray(init.incumbent_indices), radius_sq
         while leaves is None and engine.radius_policy.can_escalate():
             radius_sq *= engine.radius_policy.escalation_factor
             stats.radius_trace.append(radius_sq)

@@ -35,9 +35,10 @@ class GemmBfsDecoder(EngineDetector):
         Symbol alphabet.
     radius_policy:
         Initial radius; BFS relies on it for all its pruning, so the
-        default is the statistical :class:`NoiseScaledRadius`. If a level
-        ends with an empty frontier the radius escalates and the sweep
-        restarts.
+        default is the statistical :class:`NoiseScaledRadius`. If the
+        sweep comes back empty, a radius policy that seeded an incumbent
+        (the Babai point) returns it; otherwise the radius escalates and
+        the sweep restarts.
     max_frontier:
         Optional cap on the surviving frontier per level (K-best style
         truncation). ``None`` keeps every in-sphere node, as in [1] —

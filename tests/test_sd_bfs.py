@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.radius import FixedRadius, NoiseScaledRadius
+from repro.core.radius import BabaiRadius, FixedRadius, NoiseScaledRadius
 from repro.detectors.ml import MLDetector
 from repro.detectors.sd_bfs import GemmBfsDecoder
 from repro.mimo.system import MIMOSystem
@@ -46,6 +46,41 @@ class TestExactness:
         frame, bfs, ml = run_pair(system, decoder, 30.0, 0)
         assert np.array_equal(bfs.indices, frame.symbol_indices)
         assert bfs.metric == pytest.approx(ml.metric, rel=1e-9)
+
+
+class TestSeededIncumbent:
+    """A radius policy that seeds the Babai point bounds the sphere by
+    that point's own metric; the point fails the strict ``pd < r^2``
+    test, so a sweep that comes back empty means it is the answer.
+    BFS returns it untruncated after one sweep, as the leaf-first
+    shell does, instead of escalating or re-deriving it as a fallback
+    (4x4 4-QAM at 30 dB, where the Babai point is the ML point)."""
+
+    @staticmethod
+    def _decode(radius_policy, noiseless):
+        system = MIMOSystem(4, 4, "4qam")
+        frame = system.random_frame(30.0, np.random.default_rng(3))
+        decoder = GemmBfsDecoder(system.constellation, radius_policy=radius_policy)
+        decoder.prepare(frame.channel, noise_var=0.0 if noiseless else frame.noise_var)
+        ml = MLDetector(system.constellation)
+        ml.prepare(frame.channel)
+        return decoder.detect(frame.received), ml.detect(frame.received)
+
+    @pytest.mark.parametrize(
+        "radius_policy,noiseless",
+        [(BabaiRadius(), False), (NoiseScaledRadius(), True)],
+        ids=["babai", "noise-scaled-noiseless"],
+    )
+    def test_empty_sweep_returns_the_seed(self, radius_policy, noiseless):
+        bfs, ml = self._decode(radius_policy, noiseless)
+        st = bfs.stats
+        assert np.array_equal(bfs.indices, ml.indices)
+        assert bfs.metric == pytest.approx(ml.metric, rel=1e-9)
+        assert st.leaves_reached == 0  # the sweep found nothing inside
+        assert st.truncated == 0
+        assert len(st.radius_trace) == 1  # one sweep, no escalation
+        assert st.radius_updates == 0
+        assert st.gemm_calls == 4  # one expansion per level
 
 
 class TestWorkloadShape:
