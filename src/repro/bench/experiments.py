@@ -954,18 +954,18 @@ def ablation_metric(
     for kind in kinds:
         entry = detector_entry(kind)
         if entry.lattice == "complex":
-            levels, child_order = n_antennas, const.order
+            levels, branching = n_antennas, const.order
         else:
             # Real lattices search a 2M-level tree over the PAM alphabet.
-            levels, child_order = 2 * n_antennas, side
+            levels, branching = 2 * n_antennas, side
         pipe = FPGAPipeline(
             PipelineConfig.optimized(
-                child_order,
+                branching,
                 norm_kind="compare" if entry.metric == "linf" else "mac",
             ),
             n_tx=levels,
             n_rx=levels,
-            order=child_order,
+            order=branching,
         )
         errors = 0
         bits = 0

@@ -16,7 +16,6 @@ from repro.core.radius import (
     BabaiRadius,
     babai_point,
 )
-from repro.core.enumeration import child_order
 from repro.core.traversal import (
     TraversalPolicy,
     BestFirstPolicy,
@@ -41,7 +40,6 @@ __all__ = [
     "FixedRadius",
     "BabaiRadius",
     "babai_point",
-    "child_order",
     "TraversalPolicy",
     "BestFirstPolicy",
     "DfsPolicy",

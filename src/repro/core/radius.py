@@ -95,11 +95,14 @@ class RadiusInit:
     incumbent_indices: np.ndarray | None = None
 
 
+#: Factor applied to ``r^2`` when a sphere turns out empty and its
+#: radius policy can escalate (the leaf-first shell, BFS and the list
+#: detector all grow the radius by it).
+ESCALATION_FACTOR = 4.0
+
+
 class RadiusPolicy(abc.ABC):
     """Strategy object computing the initial sphere radius."""
-
-    #: Factor applied to ``r^2`` when the sphere turns out empty.
-    escalation_factor: float = 4.0
 
     @abc.abstractmethod
     def initial(
@@ -141,15 +144,10 @@ class NoiseScaledRadius(RadiusPolicy):
     """``r^2 = alpha * n_tx * sigma^2`` (statistical initial radius)."""
 
     alpha: float = 2.0
-    escalation_factor: float = 4.0
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.escalation_factor <= 1:
-            raise ValueError(
-                f"escalation_factor must exceed 1, got {self.escalation_factor}"
-            )
 
     def initial(
         self,
@@ -186,15 +184,10 @@ class FixedRadius(RadiusPolicy):
     """
 
     radius_sq: float = 1.0
-    escalation_factor: float = 4.0
 
     def __post_init__(self) -> None:
         if self.radius_sq <= 0:
             raise ValueError(f"radius_sq must be positive, got {self.radius_sq}")
-        if self.escalation_factor <= 1:
-            raise ValueError(
-                f"escalation_factor must exceed 1, got {self.escalation_factor}"
-            )
 
     def initial(
         self,

@@ -55,11 +55,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.enumeration import CHILD_ORDERS
 from repro.core.gemm import FLOPS_PER_CMAC, ChannelKernel
 from repro.core.lockstep import ExpandRequest, drive_lockstep
 from repro.core.metric import L2SquaredMetric, LInfinityMetric, resolve_metric
-from repro.core.radius import babai_point
+from repro.core.radius import ESCALATION_FACTOR, babai_point
 from repro.core.stats import DecodeStats
 from repro.obs.log import get_logger
 from repro.obs.tracer import NULL_TRACER
@@ -297,7 +296,7 @@ class _PooledTreePolicy(TraversalPolicy):
                     # a larger radius can only make that worse; give up and
                     # fall back to the Babai point below.
                     break
-                bound *= engine.radius_policy.escalation_factor
+                bound *= ESCALATION_FACTOR
                 stats.radius_trace.append(bound)
             if incumbent is None:
                 incumbent, bound = babai_point(
@@ -524,14 +523,21 @@ class BestFirstPolicy(_PooledTreePolicy):
         return incumbent, bound
 
 
+#: Visit orders of a DFS node's children: ``"natural"`` (constellation
+#: index order) or ``"sorted"`` (ascending PD, stable on ties — the
+#: Geosphere/Best-FS order, which finds good leaves and hence tight
+#: radii early; paper section II-B / Fig. 3).
+CHILD_ORDERS = ("natural", "sorted")
+
+
 class DfsPolicy(_PooledTreePolicy):
     """Depth-first with per-level PD-sorted child insertion (Fig. 3).
 
     Parameters
     ----------
     child_ordering:
-        ``"sorted"`` (Best-FS/Geosphere behaviour) or ``"natural"``;
-        fixes the stack push order.
+        One of :data:`CHILD_ORDERS` (default ``"sorted"``); fixes the
+        stack push order.
     max_nodes:
         Optional safety cap on expanded nodes.
     """
@@ -733,7 +739,7 @@ class BfsPolicy(TraversalPolicy):
             # it: it is the answer, as in the leaf-first shell.
             return np.asarray(init.incumbent_indices), radius_sq
         while leaves is None and engine.radius_policy.can_escalate():
-            radius_sq *= engine.radius_policy.escalation_factor
+            radius_sq *= ESCALATION_FACTOR
             stats.radius_trace.append(radius_sq)
             leaves = yield from self.sweep(engine, n_tx, radius_sq, stats, tracer)
         if leaves is None:

@@ -18,7 +18,8 @@ sweep — :meth:`BfsPolicy.sweep <repro.core.traversal.BfsPolicy.sweep>`
 with ``max_frontier=max_list``, the sweep of
 :class:`~repro.detectors.sd_bfs.GemmBfsDecoder`, driven by
 :func:`~repro.core.lockstep.drive_lockstep` on a channel kernel built
-at ``prepare``. Its radius grows ×4 until the list is non-empty; the
+at ``prepare``. Its radius grows by
+:data:`~repro.core.radius.ESCALATION_FACTOR` until the list is non-empty; the
 hard decision is the list's best entry — identical to the hard sphere
 decoder's answer whenever the ML point is inside the sphere (guaranteed
 after escalation).
@@ -32,7 +33,7 @@ import numpy as np
 
 from repro.core.gemm import ChannelKernel
 from repro.core.lockstep import drive_lockstep
-from repro.core.radius import NoiseScaledRadius, RadiusPolicy
+from repro.core.radius import ESCALATION_FACTOR, NoiseScaledRadius, RadiusPolicy
 from repro.core.traversal import BfsPolicy, TraversalEngine
 from repro.detectors.base import DecodeStats, DetectionResult, Detector
 from repro.mimo.constellation import Constellation
@@ -135,7 +136,7 @@ class SoftOutputSphereDetector(Detector):
                 stats.gemm_time_s += seconds
                 if leaves is not None:
                     break
-                radius_sq *= 4.0
+                radius_sq *= ESCALATION_FACTOR
                 stats.radius_trace.append(radius_sq)
             paths, metrics = leaves
             # Hard decision: list leader, back in original antenna order.

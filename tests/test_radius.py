@@ -96,8 +96,6 @@ class TestPolicies:
     def test_noise_scaled_validation(self):
         with pytest.raises(ValueError):
             NoiseScaledRadius(alpha=0.0)
-        with pytest.raises(ValueError):
-            NoiseScaledRadius(escalation_factor=1.0)
 
     def test_fixed(self):
         r, ybar, const, _ = triangular_system()
@@ -109,8 +107,6 @@ class TestPolicies:
     def test_fixed_validation(self):
         with pytest.raises(ValueError):
             FixedRadius(radius_sq=0.0)
-        with pytest.raises(ValueError):
-            FixedRadius(radius_sq=1.0, escalation_factor=0.5)
 
     def test_babai_policy_consistent(self):
         r, ybar, const, _ = triangular_system()
