@@ -48,6 +48,7 @@ from repro.serve.scheduler import (
     SchedulerConfig,
 )
 from repro.util.timing import Timer, TimingSummary, WallClock, summarize
+from repro.util.validation import check_finite, check_vector
 
 __all__ = [
     "DetectionService",
@@ -282,12 +283,25 @@ class DetectionService:
         now: float,
         payload: Any = None,
     ):
-        """Admit one frame (propagates :class:`BackpressureError`)."""
-        if channel_id not in self._channels:
+        """Admit one frame (propagates :class:`BackpressureError`).
+
+        A frame without the block's ``n_rx`` entries raises
+        ``ValueError``, and one holding NaN or Inf raises
+        :class:`~repro.util.validation.NonFiniteInputError`, before the
+        scheduler assigns it a sequence number — so, like a
+        backpressured frame, it leaves no gap in its stream. In a fused
+        batch it would fail the other streams' frames with it.
+        """
+        block = self._channels.get(channel_id)
+        if block is None:
             raise KeyError(
                 f"unknown channel block {channel_id!r}; "
                 f"registered: {sorted(self._channels)}"
             )
+        received = check_finite(
+            check_vector(received, "received", length=block[0].shape[0]),
+            "received",
+        )
         try:
             return self.scheduler.submit(
                 stream_id,

@@ -8,6 +8,7 @@ The registry's contract (see ``repro.detectors.registry``):
   across a real ``ProcessPoolExecutor`` — and the rebuilt spec produces
   a detector whose ``detect()`` output is bit-identical to direct
   construction.
+- Every kind's ``decode_batch`` equals a ``detect`` loop bit for bit.
 - Every entry flagged ``fpga_replayable`` emits a batch trace the FPGA
   pipeline simulator accepts, with the per-stage cycle breakdown summing
   exactly to the total, and one trace event per GEMM call.
@@ -15,6 +16,7 @@ The registry's contract (see ``repro.detectors.registry``):
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 
@@ -113,6 +115,46 @@ class TestSpecRoundTrip:
                 _pool_decode, s, frame.channel, frame.noise_var, frame.received
             ).result()
         assert np.array_equal(local, remote)
+
+
+#: ``DecodeStats`` fields that hold measured host time, not search work.
+HOST_TIME_FIELDS = {"wall_time_s", "gemm_time_s"}
+
+
+class TestBatchContract:
+    @pytest.mark.parametrize(
+        "kind", [entry.kind for entry in detector_entries()]
+    )
+    def test_decode_batch_equals_detect_loop(self, kind):
+        """``decode_batch`` of three frames equals a ``detect`` loop:
+        indices, metric, bits and every ``DecodeStats`` field but the
+        measured host times."""
+        system, frame = _frame()
+        rng = np.random.default_rng(21)
+        received = np.stack(
+            [frame.received]
+            + [
+                system.random_frame(SNR_DB, rng, channel=frame.channel).received
+                for _ in range(2)
+            ]
+        )
+        detector = spec(kind, system.constellation)()
+        detector.prepare(frame.channel, noise_var=frame.noise_var)
+        looped = [detector.detect(row) for row in received]
+        batched = detector.decode_batch(received)
+        assert len(batched) == len(looped)
+        for one, bat in zip(looped, batched):
+            assert np.array_equal(one.indices, bat.indices)
+            assert one.metric == bat.metric
+            assert np.array_equal(one.bits, bat.bits)
+            assert (one.stats is None) == (bat.stats is None)
+            if one.stats is None:
+                continue
+            for f in dataclasses.fields(one.stats):
+                if f.name not in HOST_TIME_FIELDS:
+                    assert getattr(one.stats, f.name) == getattr(
+                        bat.stats, f.name
+                    ), f"{kind}: {f.name}"
 
 
 class TestFpgaReplay:

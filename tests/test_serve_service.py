@@ -22,6 +22,7 @@ from repro.serve import (
     fixed_service_model,
     serve_trace,
 )
+from repro.util.validation import NonFiniteInputError
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +111,31 @@ class TestServeTrace:
                 "s0", np.zeros(4), channel_id="nope", now=0.0
             )
 
+    def test_bad_frame_rejected_at_submit(self, system):
+        """A NaN frame or one of the wrong length is refused at submit,
+        before it takes a sequence number or joins another stream's
+        fused batch; both streams' good frames are still delivered."""
+        trace = _trace(system, duration_s=0.01)
+        service = DetectionService(
+            spec("sd", system.constellation),
+            config=SchedulerConfig(max_batch=8, max_delay_s=1e-3),
+        )
+        service.register_trace_channels(trace)
+        good = trace.events[0].received
+        bad = good.copy()
+        bad[1] = np.nan
+        service.submit("a", good, channel_id="ch000", now=0.0)
+        with pytest.raises(NonFiniteInputError):
+            service.submit("b", bad, channel_id="ch000", now=0.0)
+        with pytest.raises(ValueError, match="length"):
+            service.submit("b", good[:3], channel_id="ch000", now=0.0)
+        service.submit("b", good, channel_id="ch000", now=0.0)
+        delivered = service.drain(1.0)
+        assert sorted((fr.stream_id, fr.seq) for fr in delivered) == [
+            ("a", 0), ("b", 0),
+        ]
+        assert service.undelivered == 0
+
     def test_serve_metrics_emitted(self, system):
         trace = _trace(system, duration_s=0.02)
         service = DetectionService(
@@ -197,6 +223,27 @@ class TestThreadedService:
         srv.close()
         with pytest.raises(RuntimeError, match="closed"):
             srv.submit("s0", np.zeros(4), channel_id="ch000")
+
+    def test_bad_frame_rejected_at_submit(self, system):
+        """A NaN frame raises at ``submit``; the flusher thread survives
+        and the other stream's frame still resolves."""
+        trace = _trace(system, duration_s=0.01)
+        service = DetectionService(
+            spec("sd", system.constellation),
+            config=SchedulerConfig(max_batch=8, max_delay_s=1e-3),
+        )
+        service.register_trace_channels(trace)
+        good = trace.events[0].received
+        bad = good.copy()
+        bad[0] = np.inf
+        with ThreadedDetectionService(service) as srv:
+            first = srv.submit("a", good, channel_id="ch000")
+            with pytest.raises(NonFiniteInputError):
+                srv.submit("b", bad, channel_id="ch000")
+            second = srv.submit("b", good, channel_id="ch000")
+            assert first.result(timeout=2.0).seq == 0
+            assert second.result(timeout=2.0).seq == 0
+        assert service.undelivered == 0
 
     def test_served_results_match_direct(self, system):
         """Threaded path conformance (wall-clock scheduling, same bits)."""
