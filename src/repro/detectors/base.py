@@ -91,9 +91,10 @@ class Detector(abc.ABC):
 
         The one batch method of every detector. Its results equal a
         :meth:`detect` loop over the rows bit for bit — indices, metric,
-        bits and every :class:`DecodeStats` field but ``wall_time_s`` —
-        and this default is that loop; the tree searches override it
-        with their fused or frame-by-frame path.
+        bits and every :class:`DecodeStats` field but the measured host
+        times ``wall_time_s`` and ``gemm_time_s`` — and this default is
+        that loop; the tree searches override it with their fused or
+        frame-by-frame path.
         """
         received = np.asarray(received)
         if received.ndim != 2:

@@ -19,10 +19,10 @@ with ``max_frontier=max_list``, the sweep of
 :class:`~repro.detectors.sd_bfs.GemmBfsDecoder`, driven by
 :func:`~repro.core.lockstep.drive_lockstep` on a channel kernel built
 at ``prepare``. Its radius grows by
-:data:`~repro.core.radius.ESCALATION_FACTOR` until the list is non-empty; the
-hard decision is the list's best entry — identical to the hard sphere
-decoder's answer whenever the ML point is inside the sphere (guaranteed
-after escalation).
+:data:`~repro.core.radius.ESCALATION_FACTOR` until the list is
+non-empty; the hard decision is the list's best entry — identical to
+the hard sphere decoder's answer whenever the ML point is inside the
+sphere (guaranteed after escalation).
 """
 
 from __future__ import annotations
