@@ -62,7 +62,6 @@ def _time_figure(
     frames_per_channel: int,
     seed: int,
     workers: int = 1,
-    batch_frames: bool = False,
     notes: str = "",
 ) -> SeriesResult:
     workload = run_workload_sweep(
@@ -73,7 +72,6 @@ def _time_figure(
         frames_per_channel=frames_per_channel,
         seed=seed,
         workers=workers,
-        batch_frames=batch_frames,
     )
     rows = time_rows(workload)
     return SeriesResult(
@@ -101,7 +99,6 @@ def fig6_time_10x10_4qam(
     frames_per_channel: int = 4,
     seed: int = 2023,
     workers: int = 1,
-    batch_frames: bool = False,
 ) -> SeriesResult:
     """Fig. 6: execution time vs SNR, 10x10 MIMO, 4-QAM."""
     return _time_figure(
@@ -114,7 +111,6 @@ def fig6_time_10x10_4qam(
         frames_per_channel=frames_per_channel,
         seed=seed,
         workers=workers,
-        batch_frames=batch_frames,
     )
 
 
@@ -125,7 +121,6 @@ def fig8_time_15x15_4qam(
     frames_per_channel: int = 3,
     seed: int = 2023,
     workers: int = 1,
-    batch_frames: bool = False,
 ) -> SeriesResult:
     """Fig. 8: execution time vs SNR, 15x15 MIMO, 4-QAM."""
     return _time_figure(
@@ -138,7 +133,6 @@ def fig8_time_15x15_4qam(
         frames_per_channel=frames_per_channel,
         seed=seed,
         workers=workers,
-        batch_frames=batch_frames,
     )
 
 
@@ -149,7 +143,6 @@ def fig9_time_20x20_4qam(
     frames_per_channel: int = 2,
     seed: int = 2023,
     workers: int = 1,
-    batch_frames: bool = False,
 ) -> SeriesResult:
     """Fig. 9: execution time vs SNR, 20x20 MIMO, 4-QAM."""
     return _time_figure(
@@ -162,7 +155,6 @@ def fig9_time_20x20_4qam(
         frames_per_channel=frames_per_channel,
         seed=seed,
         workers=workers,
-        batch_frames=batch_frames,
         notes="low-SNR points may truncate at the node cap; counts reported",
     )
 
@@ -174,7 +166,6 @@ def fig10_time_10x10_16qam(
     frames_per_channel: int = 3,
     seed: int = 2023,
     workers: int = 1,
-    batch_frames: bool = False,
 ) -> SeriesResult:
     """Fig. 10: execution time vs SNR, 10x10 MIMO, 16-QAM."""
     return _time_figure(
@@ -187,7 +178,6 @@ def fig10_time_10x10_16qam(
         frames_per_channel=frames_per_channel,
         seed=seed,
         workers=workers,
-        batch_frames=batch_frames,
     )
 
 
@@ -1154,7 +1144,6 @@ def smoke_experiment(
     frames_per_channel: int = 3,
     seed: int = 2023,
     workers: int = 1,
-    batch_frames: bool = False,
 ) -> SeriesResult:
     """Tiny deterministic sweep for CI and the benchmark-regression gate.
 
@@ -1163,8 +1152,8 @@ def smoke_experiment(
     ``tools/check_regression.py`` compares this experiment's metrics
     against the committed ``BENCH_baseline.json``; everything except
     ``host_ms`` is bit-deterministic for a fixed seed — including under
-    ``workers > 1`` process sharding and ``batch_frames`` fused
-    decoding, which CI exercises to guard the equivalence.
+    ``workers > 1`` process sharding, which CI exercises to guard the
+    equivalence.
 
     Besides the canonical ℓ₂/complex decoder the sweep also times the
     metric/lattice variants on their own deterministic frame set: the
@@ -1181,7 +1170,6 @@ def smoke_experiment(
         frames_per_channel=frames_per_channel,
         seed=seed,
         workers=workers,
-        batch_frames=batch_frames,
     )
     rows = []
     for point, trow in zip(workload.sweep.points, time_rows(workload)):

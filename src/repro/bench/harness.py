@@ -35,7 +35,6 @@ from repro.obs import (
 )
 from repro.obs.log import get_logger
 from repro.perfmodel import CPUCostModel
-from repro.util.timing import summarize
 
 _log = get_logger(__name__)
 
@@ -140,13 +139,13 @@ def run_workload_sweep(
     alpha: float = 2.0,
     max_nodes: int | None = DEFAULT_MAX_NODES,
     workers: int = 1,
-    batch_frames: bool = False,
 ) -> WorkloadSweep:
     """Run the canonical decoder over an SNR grid, keeping traces.
 
-    ``workers > 1`` shards channel blocks over a process pool and
-    ``batch_frames`` fuses each block's frames into one ``decode_batch``
-    call — both bit-identical to the serial sweep for the same seed.
+    ``workers > 1`` shards channel blocks over a process pool,
+    bit-identical to the serial sweep for the same seed. The canonical
+    decoder is a sorted DFS, which decodes frame by frame, so the sweep
+    decodes with ``detect``.
     """
     system = MIMOSystem(n_antennas, n_antennas, modulation)
     const = system.constellation
@@ -157,7 +156,6 @@ def run_workload_sweep(
         seed=seed,
         keep_traces=True,
         workers=workers,
-        batch_frames=batch_frames,
     )
     sweep = engine.run(
         canonical_decoder_factory(const, alpha=alpha, max_nodes=max_nodes),
@@ -180,68 +178,6 @@ def run_workload_sweep(
             n_rx=n_antennas,
             order=order,
         ),
-    )
-
-
-def sweep_metrics(sweep: SweepResult) -> SeriesResult:
-    """Per-SNR distribution summary of the sweep's per-frame work.
-
-    Reports host wall-time percentiles (p50/p95/p99, in ms) and node
-    counts per frame — the observability layer's aligned-text metrics
-    view (``repro-sd stats`` and the benches' ``--metrics`` flag print
-    these).
-    """
-    rows = []
-    for point in sweep.points:
-        wall_ms = [st.wall_time_s * 1e3 for st in point.frame_stats]
-        nodes = [float(st.nodes_expanded) for st in point.frame_stats]
-        w = summarize(wall_ms)
-        n = summarize(nodes)
-        total_wall = sum(st.wall_time_s for st in point.frame_stats)
-        total_gemm = sum(st.gemm_time_s for st in point.frame_stats)
-        total_nodes = sum(st.nodes_expanded for st in point.frame_stats)
-        rows.append(
-            {
-                "snr_db": point.snr_db,
-                "frames": point.frames,
-                "wall_p50_ms": w.p50,
-                "wall_p95_ms": w.p95,
-                "wall_p99_ms": w.p99,
-                "wall_mean_ms": w.mean,
-                "nodes_p50": n.p50,
-                "nodes_p95": n.p95,
-                "nodes_p99": n.p99,
-                # Traversal throughput and compute-boundedness: once PD
-                # evaluation is BLAS-3 the host should spend most of its
-                # time inside the GEMM, not in search bookkeeping.
-                "nodes_per_sec": (
-                    total_nodes / total_wall if total_wall > 0 else 0.0
-                ),
-                "gemm_share": (
-                    min(total_gemm / total_wall, 1.0) if total_wall > 0 else 0.0
-                ),
-                "ber": point.ber,
-            }
-        )
-    return SeriesResult(
-        experiment="metrics",
-        title=f"per-frame metrics for {sweep.detector_name} ({sweep.system_label})",
-        columns=[
-            "snr_db",
-            "frames",
-            "wall_p50_ms",
-            "wall_p95_ms",
-            "wall_p99_ms",
-            "wall_mean_ms",
-            "nodes_p50",
-            "nodes_p95",
-            "nodes_p99",
-            "nodes_per_sec",
-            "gemm_share",
-            "ber",
-        ],
-        rows=rows,
-        notes="host wall time per frame; platform-model times are in the figure tables",
     )
 
 

@@ -39,6 +39,12 @@ are evaluated*. This module is that separation made concrete:
     simulator prices — a Best-FS pool is one ``(level, pool)`` event,
     whatever evaluated it.
 
+Telemetry stays at boundaries: under an enabled tracer the leaf-first
+shell opens one ``sd.solve`` span per frame and one ``sd.search`` span
+per search round, and a lone BFS sweep one ``bfs.level`` span per
+level — nothing per expansion. The exact per-expansion record is the
+``BatchTrace``.
+
 Exactness of the best-first / DFS policies is property-tested against
 brute force in ``tests/test_sphere_decoder_exactness.py`` and
 ``tests/test_golden_decodes.py``, which also replays the recorded
@@ -180,24 +186,6 @@ class LevelAccumulator:
         self.pruned = [0] * n_levels
 
 
-class _MarkSample:
-    """One solve's sampled ``sd.batch`` marks.
-
-    The leaf-first loops append ``(t0, level, pool)`` rows, ``t0`` being
-    the clock reading they take for ``gemm_time_s``: every pooled
-    expansion, and every ``stride``-th single-node one from the first
-    (``skip`` counts down across the solve's rounds). The engine hands
-    the rows to :meth:`~repro.obs.Tracer.marks` once per solve.
-    """
-
-    __slots__ = ("rows", "stride", "skip")
-
-    def __init__(self, stride: int) -> None:
-        self.rows: list[tuple[float, int, int]] = []
-        self.stride = stride
-        self.skip = 1
-
-
 def _fold_levels(acc, lv, queue, levels, pools, pops, order, n_tx, leaves):
     """Fold one leaf-first search round's per-level rows into ``acc``.
 
@@ -269,11 +257,10 @@ class _PooledTreePolicy(TraversalPolicy):
             None if max_nodes is None else check_positive_int(max_nodes, "max_nodes")
         )
 
-    def solve(self, engine, r, ybar, noise_var, stats, tracer, frame, marks):
+    def solve(self, engine, r, ybar, noise_var, stats, tracer, frame):
         """The radius shell around one frame's search rounds.
 
-        ``frame`` and ``marks`` are passed through to every
-        :meth:`_search` round.
+        ``frame`` is passed through to every :meth:`_search` round.
         """
         n_tx = int(r.shape[1])
         with tracer.span("sd.solve", strategy=self.strategy, n_tx=n_tx):
@@ -287,7 +274,7 @@ class _PooledTreePolicy(TraversalPolicy):
             while True:
                 with tracer.span("sd.search", bound=bound):
                     incumbent, bound = self._search(
-                        engine, frame, n_tx, bound, incumbent, stats, marks
+                        engine, frame, n_tx, bound, incumbent, stats
                     )
                 if incumbent is not None or not engine.radius_policy.can_escalate():
                     break
@@ -311,14 +298,13 @@ class _PooledTreePolicy(TraversalPolicy):
         return np.asarray(incumbent), float(bound)
 
     @abc.abstractmethod
-    def _search(self, engine, frame, n_tx, bound, incumbent, stats, marks):
+    def _search(self, engine, frame, n_tx, bound, incumbent, stats):
         """One full tree exploration under the given initial bound.
 
         ``frame`` is ``(points, rows, diag_points, ybar)`` as Python
-        lists and ``marks`` the solve's :class:`_MarkSample` (``None``
-        when the tracer is off). Returns the best complete solution
-        found (ascending-level indices) and its metric, or ``(incumbent,
-        bound)`` unchanged when the sphere is empty.
+        lists. Returns the best complete solution found (ascending-level
+        indices) and its metric, or ``(incumbent, bound)`` unchanged
+        when the sphere is empty.
         """
 
     @staticmethod
@@ -381,7 +367,7 @@ class BestFirstPolicy(_PooledTreePolicy):
         super().__init__(max_nodes=max_nodes)
         self.pool_size = check_positive_int(pool_size, "pool_size")
 
-    def _search(self, engine, frame, n_tx, bound, incumbent, stats, marks):
+    def _search(self, engine, frame, n_tx, bound, incumbent, stats):
         """One best-first round.
 
         Nodes are rows of three lists, ``lv`` (the level their children
@@ -411,8 +397,6 @@ class BestFirstPolicy(_PooledTreePolicy):
         n_nodes = pruned = leaves = cmacs = max_list = truncated = 0
         gemm_s = 0.0
         best = None  # (row, child) of the best leaf this round
-        if marks is not None:
-            sampled, stride, skip = marks.rows, marks.stride, marks.skip
         while heap:
             top = heap[0]
             if top[0] >= bound:
@@ -461,14 +445,6 @@ class BestFirstPolicy(_PooledTreePolicy):
             pools.append(b)
             n_nodes += b
             cmacs += b * (n_tx - 1 - k)
-            if marks is not None:
-                if b > 1:
-                    sampled.append((t0, k, b))
-                else:
-                    skip -= 1
-                    if not skip:
-                        skip = stride
-                        sampled.append((t0, k, 1))
             if k == 0:
                 # Leaves, row-major: first strict minimum, as np.argmin.
                 v_best = child[0]
@@ -510,8 +486,6 @@ class BestFirstPolicy(_PooledTreePolicy):
             if cap is not None and n_nodes >= cap:
                 truncated = 1
                 break
-        if marks is not None:
-            marks.skip = skip
         self._fold_round(
             engine, stats, p, n_tx, lv, heap, levels, pools, None,
             nodes=n_nodes, cmacs=cmacs, pruned=pruned, leaves=leaves,
@@ -552,7 +526,7 @@ class DfsPolicy(_PooledTreePolicy):
             child_ordering, "child_ordering", CHILD_ORDERS
         )
 
-    def _search(self, engine, frame, n_tx, bound, incumbent, stats, marks):
+    def _search(self, engine, frame, n_tx, bound, incumbent, stats):
         """One DFS round.
 
         Nodes are rows of two lists, ``lv`` (the level their children
@@ -579,8 +553,6 @@ class DfsPolicy(_PooledTreePolicy):
         pruned = leaves = cmacs = max_list = truncated = 0
         gemm_s = 0.0
         best = None  # (row, child) of the best leaf this round
-        if marks is not None:
-            sampled, stride, skip = marks.rows, marks.stride, marks.skip
         while stack:
             pd, row = stack.pop()
             if pd >= bound:
@@ -615,11 +587,6 @@ class DfsPolicy(_PooledTreePolicy):
             gemm_s += perf() - t0
             levels.append(k)
             cmacs += len(path)
-            if marks is not None:
-                skip -= 1
-                if not skip:
-                    skip = stride
-                    sampled.append((t0, k, 1))
             if k == 0:
                 # Leaves: first strict minimum, as np.argmin.
                 v_best = child[0]
@@ -658,8 +625,6 @@ class DfsPolicy(_PooledTreePolicy):
             if cap is not None and len(levels) >= cap:
                 truncated = 1
                 break
-        if marks is not None:
-            marks.skip = skip
         self._fold_round(
             engine, stats, p, n_tx, lv, stack, levels, None, pops,
             nodes=len(levels), cmacs=cmacs, pruned=pruned + sum(pops),
@@ -938,13 +903,7 @@ class TraversalEngine:
             )
             return outcomes[0]
         frame = (*kernel.scalar_tables(), ybar.astype(np.complex128).tolist())
-        marks = _MarkSample(tracer.mark_stride) if tracer.enabled else None
-        result = self.policy.solve(
-            self, r, ybar, noise_var, stats, tracer, frame, marks
-        )
-        if marks is not None:
-            tracer.marks("sd.batch", marks.rows)
-        return result
+        return self.policy.solve(self, r, ybar, noise_var, stats, tracer, frame)
 
     def solve_batch(self, r, ybars, noise_var, stats_list, *, kernel=None):
         """Solve ``B`` frames; returns ``(outcomes, info)``.

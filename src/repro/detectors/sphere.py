@@ -40,13 +40,10 @@ consume the aggregate counters.
 
 When an ambient :class:`repro.obs.Tracer` is installed
 (:func:`repro.obs.use_tracer`), each decode additionally emits nested
-spans (``sd.detect`` > ``sd.solve`` > ``sd.search``) and ``sd.batch``
-instants sampling the expansion timeline (pooled expansions always
-record; single-node expansions every ``mark_stride``-th). Exact counts
-live in ``DecodeStats`` and, under an ambient metrics registry, its
-``detector.*`` / ``traversal.*`` series. With neither installed the
-hot path pays one local check per expansion — see
-``docs/observability.md``.
+spans: ``sd.detect`` > ``sd.solve`` > one ``sd.search`` per search
+round, none per expansion. Exact counts live in ``DecodeStats`` and,
+under an ambient metrics registry, its ``detector.*`` /
+``traversal.*`` series — see ``docs/observability.md``.
 """
 
 from __future__ import annotations

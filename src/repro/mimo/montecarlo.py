@@ -43,18 +43,18 @@ _log = get_logger(__name__)
 
 @dataclass
 class SnrPoint:
-    """Aggregated Monte Carlo outcome at one SNR."""
+    """Aggregated Monte Carlo outcome at one SNR.
+
+    ``decode_time_s`` sums the point's block decode times, serially and
+    across shards alike; each frame's own time is its
+    ``DecodeStats.wall_time_s``.
+    """
 
     snr_db: float
     errors: ErrorCounter
     frame_stats: list[DecodeStats] = field(default_factory=list)
     decode_time_s: float = 0.0
     frames: int = 0
-    #: Pooled decode timer (one sample per timed decode section); merged
-    #: across blocks — and across worker processes — via
-    #: :meth:`~repro.util.timing.Timer.merge`, so ``timer.summarize()``
-    #: percentiles reflect the whole point, not just the last block.
-    timer: Timer = field(default_factory=Timer)
 
     @property
     def ber(self) -> float:
@@ -117,14 +117,16 @@ def _run_block(
     keep_traces: bool,
     *,
     batch_frames: bool = False,
-) -> tuple[ErrorCounter, list[DecodeStats], Timer]:
+) -> tuple[ErrorCounter, list[DecodeStats], float]:
     """Run ``frames`` transmissions over one fresh channel realisation.
 
-    With ``batch_frames`` the block's frames are drawn up front (the
+    Returns the block's error counter, its per-frame stats and its
+    decode seconds (the timer encloses every ``detect``). With
+    ``batch_frames`` the block's frames are drawn up front (the
     generator stream is identical — detectors consume no randomness) and
-    decoded in one ``decode_batch`` call. Decisions are
-    bit-identical either way; only the wall-clock accounting granularity
-    changes (one timer sample per block instead of per frame).
+    decoded in one ``decode_batch`` call. Decisions are bit-identical
+    either way; only the per-frame ``wall_time_s`` changes, to an even
+    share of the batch's time.
     """
     detector = factory()
     counter = ErrorCounter()
@@ -164,12 +166,14 @@ def _run_block(
                 stats.append(st)
     metrics = current_metrics()
     if metrics.enabled:
-        _record_block_metrics(metrics, snr_db, frames, counter, stats, timer)
-    return counter, stats, timer
+        _record_block_metrics(
+            metrics, snr_db, frames, counter, stats, timer.elapsed
+        )
+    return counter, stats, timer.elapsed
 
 
 def _record_block_metrics(
-    metrics, snr_db, frames, counter, stats, timer
+    metrics, snr_db, frames, counter, stats, decode_s
 ) -> None:
     """Fold one channel block's outcome into the labelled counters.
 
@@ -185,7 +189,7 @@ def _record_block_metrics(
     metrics.counter("mc.nodes_expanded").inc(
         sum(st.nodes_expanded for st in stats), snr=snr
     )
-    metrics.counter("mc.decode_seconds").inc(timer.elapsed, snr=snr)
+    metrics.counter("mc.decode_seconds").inc(decode_s, snr=snr)
     metrics.tick()
 
 
@@ -202,11 +206,6 @@ class MonteCarloEngine:
         Received vectors decoded per channel realisation.
     seed:
         Root seed; all randomness derives from it reproducibly.
-    target_bit_errors:
-        Optional early-stop: once a point has accumulated this many bit
-        errors *and* at least one channel block has run, remaining blocks
-        for that point are skipped (serial mode only; ignored — with a
-        warning — when blocks are sharded over workers).
     keep_traces:
         Keep the per-expansion :class:`BatchTrace` in the stats (needed
         by the FPGA pipeline simulator; disable to save memory on very
@@ -243,7 +242,6 @@ class MonteCarloEngine:
         channels: int = 10,
         frames_per_channel: int = 10,
         seed: int | None = 0,
-        target_bit_errors: int | None = None,
         keep_traces: bool = True,
         heartbeat_every: int = 1,
         workers: int = 1,
@@ -257,7 +255,6 @@ class MonteCarloEngine:
             frames_per_channel, "frames_per_channel"
         )
         self.seed = seed
-        self.target_bit_errors = target_bit_errors
         self.keep_traces = keep_traces
         if heartbeat_every < 0:
             raise ValueError("heartbeat_every must be >= 0")
@@ -363,7 +360,7 @@ class MonteCarloEngine:
             with tracer.span("mc.point", snr_db=snr_db):
                 for block_index, bseq in enumerate(block_seqs, start=1):
                     rng = np.random.default_rng(bseq)
-                    counter, stats, timer = _run_block(
+                    counter, stats, decode_s = _run_block(
                         self.system,
                         detector_factory,
                         snr_db,
@@ -374,8 +371,7 @@ class MonteCarloEngine:
                     )
                     point.errors = point.errors.merge(counter)
                     point.frame_stats.extend(stats)
-                    point.timer = point.timer.merge(timer)
-                    point.decode_time_s = point.timer.elapsed
+                    point.decode_time_s += decode_s
                     point.frames += self.frames_per_channel
                     if (
                         self.heartbeat_every
@@ -387,11 +383,6 @@ class MonteCarloEngine:
                             blocks_done=block_index,
                             wall_started=wall_started,
                         )
-                    if (
-                        self.target_bit_errors is not None
-                        and point.errors.bit_errors >= self.target_bit_errors
-                    ):
-                        break
             _log.info(
                 "mc point %.1f dB: ber=%.3g over %d frames (%.3f s decode)",
                 snr_db,

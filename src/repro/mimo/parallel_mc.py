@@ -73,7 +73,6 @@ from repro.obs.tracer import (
     reset_tracer,
     set_tracer,
 )
-from repro.util.timing import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.mimo.montecarlo import MonteCarloEngine, SweepResult
@@ -173,7 +172,8 @@ class ShardOutcome:
     point_index: int
     counter: ErrorCounter
     frame_stats: list[DecodeStats] = field(default_factory=list)
-    timer: Timer = field(default_factory=Timer)
+    #: Sum of the shard's block decode times.
+    decode_time_s: float = 0.0
     frames: int = 0
 
 
@@ -260,7 +260,7 @@ def _run_shard(spec: ShardSpec, config: _ShardConfig, queue) -> ShardOutcome:
         )
         for seed_seq in spec.seed_seqs:
             rng = np.random.default_rng(seed_seq)
-            counter, stats, timer = _run_block(
+            counter, stats, decode_s = _run_block(
                 config.system,
                 config.factory,
                 spec.snr_db,
@@ -271,7 +271,7 @@ def _run_shard(spec: ShardSpec, config: _ShardConfig, queue) -> ShardOutcome:
             )
             outcome.counter = outcome.counter.merge(counter)
             outcome.frame_stats.extend(stats)
-            outcome.timer = outcome.timer.merge(timer)
+            outcome.decode_time_s += decode_s
             outcome.frames += config.frames_per_channel
             if queue is not None:
                 queue.put(
@@ -285,7 +285,7 @@ def _run_shard(spec: ShardSpec, config: _ShardConfig, queue) -> ShardOutcome:
                         nodes_expanded=sum(
                             st.nodes_expanded for st in stats
                         ),
-                        decode_time_s=timer.elapsed,
+                        decode_time_s=decode_s,
                     )
                 )
             _flush_shard_telemetry(queue, spec, tracer, metrics)
@@ -456,20 +456,12 @@ def run_sweep_sharded(
     Bit-identical to ``engine.run(..., n_workers=1)`` in every decode
     outcome: BERs, per-frame stats (except ``wall_time_s``), node
     counts and traces. ``detector_factory`` must be picklable.
-    ``target_bit_errors`` early-stopping is a serial-only feature and is
-    ignored here (all planned blocks run).
     """
     from repro.mimo.montecarlo import SnrPoint, SweepResult
 
     snr_list = [float(s) for s in snrs]
     if not snr_list:
         raise ValueError("snrs must be non-empty")
-    if engine.target_bit_errors is not None:
-        _log.warning(
-            "target_bit_errors is ignored with workers=%d "
-            "(early stop is serial-only)",
-            workers,
-        )
     tracer = current_tracer()
     metrics = current_metrics()
     shards = plan_shards(
@@ -583,9 +575,8 @@ def run_sweep_sharded(
                     continue
                 point.errors = point.errors.merge(outcome.counter)
                 point.frame_stats.extend(outcome.frame_stats)
-                point.timer = point.timer.merge(outcome.timer)
+                point.decode_time_s += outcome.decode_time_s
                 point.frames += outcome.frames
-            point.decode_time_s = point.timer.elapsed
         _log.info(
             "mc point %.1f dB: ber=%.3g over %d frames (%.3f s decode, "
             "%d workers)",

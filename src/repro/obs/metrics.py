@@ -6,9 +6,8 @@ Two surfaces live here:
 * The **metrics registry** — :class:`MetricsRegistry` hands out
   labelled counter / gauge / exponential-bucket-histogram instruments,
   the only store of counts in the package. Snapshots merge exactly
-  across processes (the same contract as
-  :meth:`repro.util.timing.Timer.merge` — order-independent, exact
-  aggregates), and exporters render Prometheus text or JSON documents.
+  across processes (order-independent, exact aggregates), and
+  exporters render Prometheus text or JSON documents.
   The ambient-instance pattern mirrors the tracer:
   :func:`current_metrics` returns :data:`NULL_METRICS` (every method a
   no-op) unless :func:`use_metrics` installed a live registry, so
@@ -236,8 +235,7 @@ class HistogramData:
     bucket for observations above the largest edge. Bucket semantics
     are Prometheus ``le``: an observation lands in the first bucket
     whose upper edge is >= the value. ``count``/``sum``/``min``/``max``
-    are exact regardless of bucket resolution, mirroring
-    :class:`~repro.util.timing.Timer`'s exact-aggregate guarantee.
+    are exact regardless of bucket resolution.
     """
 
     edges: tuple[float, ...]
@@ -764,10 +762,9 @@ class MetricsRegistry:
 
         Associative and commutative: counters and histograms add
         exactly; gauges keep the latest observation by timestamp (ties
-        broken by value, so the order stays irrelevant). That is the
-        same contract :meth:`Timer.merge` provides, and it is what lets
-        shard deltas arrive in any interleaving and still produce the
-        exact totals the serial run would have.
+        broken by value, so the order stays irrelevant). That is what
+        lets shard deltas arrive in any interleaving and still produce
+        the exact totals the serial run would have.
         """
         if not self.enabled:
             return

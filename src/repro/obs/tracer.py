@@ -3,17 +3,15 @@
 Design constraints (see ``docs/observability.md``):
 
 * **Near-zero overhead when disabled.** Instrumented code fetches the
-  ambient tracer once per decode (``current_tracer()``) and either
-  guards per-batch emission with ``tracer.enabled`` or uses the no-op
-  span the disabled tracer hands out. No string formatting, no dict
-  building, no clock reads happen on the disabled path.
-* **Cheap when enabled, too.** Per-expansion hot paths sample their
-  instants themselves (reusing a clock reading they already took) and
-  hand the raw ``(time, level, pool)`` rows over once per solve through
-  :meth:`Tracer.marks`; :class:`TraceEvent` materialisation waits for
-  the first inspection. That is what keeps fully-enabled telemetry
+  ambient tracer once per decode (``current_tracer()``) and uses the
+  no-op span the disabled tracer hands out. No string formatting, no
+  dict building, no clock reads happen on the disabled path.
+* **Boundaries, not expansions.** Spans open at decode, solve and
+  search-round boundaries, so a traced decode's event count does not
+  grow with the nodes it expands; that keeps fully-enabled telemetry
   under the ≤5 % decode-overhead budget enforced by
-  ``benchmarks/bench_obs_overhead.py``.
+  ``benchmarks/bench_obs_overhead.py``. The exact per-expansion record
+  is the decode's :class:`~repro.core.stats.BatchTrace`.
 * **Events, not counts.** The tracer records spans and instants only;
   exact counts live in ``DecodeStats`` and the metrics registry
   (:mod:`repro.obs.metrics`).
@@ -51,10 +49,9 @@ from contextlib import contextmanager
 from time import perf_counter as _perf_counter
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from repro.util.timing import WallClock
-from repro.util.validation import check_positive_int
 
 _get_ident = threading.get_ident
 
@@ -170,17 +167,6 @@ class Tracer:
         Origin-process stamp for every event this tracer records.
         ``0`` means "the owning process" (the exporter maps it to the
         primary lane); workers pass ``os.getpid()``.
-    mark_stride:
-        Sampling stride for *single-node* expansion marks. DFS expands
-        one node per GEMM batch, emitting hundreds of ``sd.batch``
-        instants per frame; recording every one costs more decode time
-        than the whole rest of the stack and produces unreadable
-        traces. Hot paths that honour the stride (the leaf-first
-        traversal loops) record every ``mark_stride``-th single-node
-        mark of a solve, starting with the first, and every pooled
-        (``pool > 1``) mark. Exact expansion counts are unaffected —
-        they live in the metrics registry and in ``DecodeStats``; marks
-        are timeline *samples*. ``1`` records everything.
     """
 
     def __init__(
@@ -190,10 +176,8 @@ class Tracer:
         clock: WallClock | None = None,
         epoch: float | None = None,
         pid: int = 0,
-        mark_stride: int = 16,
     ) -> None:
         self.enabled = enabled
-        self.mark_stride = check_positive_int(mark_stride, "mark_stride")
         #: Optional callables invoked with the span *name* at every span
         #: boundary (enter fires before the start timestamp is taken,
         #: exit after the end timestamp — hook cost never lands inside
@@ -203,16 +187,11 @@ class Tracer:
         self.on_span_enter = None
         self.on_span_exit = None
         self._clock = clock or WallClock()
-        # The default WallClock reads perf_counter, the clock mark rows
-        # are stamped with, so their epoch offset is exact.
+        # The default WallClock reads perf_counter: call it directly.
         self._perf_clock = clock is None
         self._epoch = self._clock.now() if epoch is None else float(epoch)
         self.pid = pid
         self._events: list[TraceEvent] = []
-        #: Deferred :meth:`marks` chunks: ``(name, offset, tid, rows)``.
-        #: Recording never materialises them (span exits land inside
-        #: the decode loop, and the exporters ts-sort anyway).
-        self._marks: list[tuple[str, float, int, Sequence]] = []
 
     # -- recording ------------------------------------------------------
 
@@ -221,29 +200,9 @@ class Tracer:
             return _perf_counter() - self._epoch
         return self._clock.now() - self._epoch
 
-    def _materialize(self) -> None:
-        """Turn deferred :meth:`marks` rows into real instant events."""
-        chunks, self._marks = self._marks, []
-        append = self._events.append
-        pid = self.pid
-        for name, offset, tid, rows in chunks:
-            for t, level, pool in rows:
-                append(
-                    TraceEvent(
-                        phase=PHASE_INSTANT,
-                        name=name,
-                        ts=t - offset,
-                        tid=tid,
-                        args={"level": level, "pool": pool},
-                        pid=pid,
-                    )
-                )
-
     @property
     def events(self) -> list[TraceEvent]:
-        """All recorded events, in emission order (marks materialised)."""
-        if self._marks:
-            self._materialize()
+        """All recorded events, in emission order."""
         return self._events
 
     def span(self, name: str, **args: Any):
@@ -273,23 +232,6 @@ class Tracer:
             )
         )
 
-    def marks(self, name: str, rows: Sequence[tuple[float, int, int]]) -> None:
-        """Record sampled expansion instants in one call.
-
-        Each row is ``(time, level, pool)``, ``time`` a
-        :func:`time.perf_counter` reading; each becomes
-        ``instant(name, level=..., pool=...)`` at that time. The
-        leaf-first traversal loops sample rows themselves — reusing the
-        clock reading they take for ``gemm_time_s`` — and hand them
-        over once per solve, so a sampled mark costs a tuple append on
-        the hot path. Materialised lazily, at the first inspection.
-        """
-        if not self.enabled or not rows:
-            return
-        # perf_counter reading at this tracer's time zero.
-        offset = self._epoch if self._perf_clock else _perf_counter() - self._now()
-        self._marks.append((name, offset, _get_ident(), rows))
-
     # -- cross-process propagation --------------------------------------
 
     def drain(self) -> list[TraceEvent]:
@@ -300,8 +242,6 @@ class Tracer:
         ships its partial trace), the returned list is small enough to
         ride the existing Manager progress queue.
         """
-        if self._marks:
-            self._materialize()
         events, self._events = self._events, []
         return events
 
@@ -314,8 +254,6 @@ class Tracer:
         """
         if not self.enabled:
             return
-        if self._marks:
-            self._materialize()
         self._events.extend(events)
 
     # -- inspection ------------------------------------------------------
@@ -339,7 +277,6 @@ class Tracer:
     def clear(self) -> None:
         """Drop all recorded events and restart the epoch."""
         self._events = []
-        self._marks = []
         self._epoch = self._clock.now()
 
 

@@ -80,12 +80,6 @@ def summarize(values: Sequence[float]) -> TimingSummary:
     )
 
 
-#: Default per-call sample retention for :class:`Timer` — bounds memory
-#: on multi-million-frame sweeps while keeping percentile estimates on a
-#: window large enough for stable p99s.
-DEFAULT_MAX_SAMPLES = 65_536
-
-
 class Timer:
     """Accumulating stopwatch.
 
@@ -94,33 +88,16 @@ class Timer:
         timer = Timer()
         with timer:
             work()
-        print(timer.elapsed, timer.calls)
+        print(timer.elapsed)
 
-    Per-call durations are retained in :attr:`samples` for the
-    percentile view, capped at ``max_samples`` entries (a ring buffer —
-    the newest calls win). The *exact* aggregates survive any retention
-    limit: :attr:`calls`, :attr:`elapsed` and :meth:`summarize`'s
-    count / total / mean / min / max are maintained as running values
-    over every call ever timed; only the percentiles are computed over
-    the retained window. ``max_samples=None`` retains everything.
+    :attr:`elapsed` sums the seconds of every timed section. Per-call
+    distributions live where they are read: each frame's
+    ``DecodeStats.wall_time_s`` and the metrics registry's histograms.
     """
 
-    def __init__(
-        self,
-        clock: WallClock | None = None,
-        *,
-        max_samples: int | None = DEFAULT_MAX_SAMPLES,
-    ) -> None:
-        if max_samples is not None and max_samples <= 0:
-            raise ValueError("max_samples must be positive (or None)")
+    def __init__(self, clock: WallClock | None = None) -> None:
         self.clock = clock if clock is not None else WallClock()
-        self.max_samples = max_samples
         self.elapsed = 0.0
-        self.calls = 0
-        self._samples: list[float] = []
-        self._next = 0  # ring-buffer write cursor once the cap is hit
-        self._min = float("inf")
-        self._max = float("-inf")
         self._start: float | None = None
 
     def __enter__(self) -> "Timer":
@@ -132,98 +109,5 @@ class Timer:
     def __exit__(self, *exc: object) -> None:
         if self._start is None:  # pragma: no cover - defensive
             raise RuntimeError("Timer.__exit__ without __enter__")
-        duration = self.clock.now() - self._start
-        self.elapsed += duration
-        self.calls += 1
-        self._min = min(self._min, duration)
-        self._max = max(self._max, duration)
-        if self.max_samples is None or len(self._samples) < self.max_samples:
-            self._samples.append(duration)
-        else:
-            self._samples[self._next] = duration
-            self._next = (self._next + 1) % self.max_samples
+        self.elapsed += self.clock.now() - self._start
         self._start = None
-
-    @property
-    def samples(self) -> list[float]:
-        """Retained per-call durations, oldest first (bounded window)."""
-        return self._samples[self._next :] + self._samples[: self._next]
-
-    @property
-    def mean(self) -> float:
-        """Mean seconds per timed call (0.0 before any call completes)."""
-        return self.elapsed / self.calls if self.calls else 0.0
-
-    def reset(self) -> None:
-        """Zero the accumulated time, call count and samples."""
-        self.elapsed = 0.0
-        self.calls = 0
-        self._samples = []
-        self._next = 0
-        self._min = float("inf")
-        self._max = float("-inf")
-        self._start = None
-
-    def merge(self, other: "Timer") -> "Timer":
-        """Combine two timers (e.g. accumulated in different processes).
-
-        The exact aggregates are merged exactly: ``calls`` and
-        ``elapsed`` sum, min/max combine — so ``summarize()`` of the
-        merged timer reports exact count/total/mean/min/max no matter
-        how the work was sharded. Percentiles are computed from the
-        *pooled* retained samples of both sides; when the pool exceeds
-        ``max_samples`` it is decimated quantile-preservingly (sorted,
-        then evenly strided down to the cap), which keeps the merge
-        **order-independent**: ``a.merge(b)`` and ``b.merge(a)`` yield
-        identical summaries. Worker processes have no global call
-        order, so "newest wins" ring semantics cannot apply across a
-        merge; the distribution (a multiset) is what percentiles need,
-        and that is preserved.
-
-        The result adopts ``self.max_samples`` and is a new timer; both
-        operands are left untouched.
-        """
-        if self._start is not None or other._start is not None:
-            raise RuntimeError("cannot merge a Timer that is mid-measurement")
-        merged = Timer(self.clock, max_samples=self.max_samples)
-        merged.elapsed = self.elapsed + other.elapsed
-        merged.calls = self.calls + other.calls
-        merged._min = min(self._min, other._min)
-        merged._max = max(self._max, other._max)
-        pool = sorted(self.samples + other.samples)
-        cap = self.max_samples
-        if cap is not None and len(pool) > cap:
-            # Quantile-preserving decimation: evenly strided picks from
-            # the sorted pool (endpoints included) approximate every
-            # percentile of the full pool without order sensitivity.
-            if cap == 1:
-                pool = [pool[(len(pool) - 1) // 2]]
-            else:
-                idx = [
-                    round(i * (len(pool) - 1) / (cap - 1)) for i in range(cap)
-                ]
-                pool = [pool[i] for i in idx]
-        merged._samples = pool
-        merged._next = 0
-        return merged
-
-    def summarize(self) -> TimingSummary:
-        """Distribution summary over the per-call durations.
-
-        ``count``/``total``/``mean``/``minimum``/``maximum`` are exact
-        across *all* calls regardless of the retention cap; the
-        percentiles describe the retained window.
-        """
-        if not self.calls:
-            return summarize([])
-        window = self.samples
-        return TimingSummary(
-            count=self.calls,
-            total=self.elapsed,
-            mean=self.elapsed / self.calls,
-            minimum=self._min,
-            maximum=self._max,
-            p50=percentile(window, 50.0),
-            p95=percentile(window, 95.0),
-            p99=percentile(window, 99.0),
-        )

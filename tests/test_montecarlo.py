@@ -130,21 +130,6 @@ class TestStatsCollection:
 
 
 class TestEarlyStop:
-    def test_target_bit_errors_stops_early(self):
-        system = _system()
-        # At very low SNR ZF makes many errors; one channel block is
-        # enough to cross a tiny error budget.
-        engine = MonteCarloEngine(
-            system,
-            channels=50,
-            frames_per_channel=5,
-            seed=0,
-            target_bit_errors=1,
-        )
-        sweep = engine.run(_zf_factory(system.constellation), [-5.0])
-        point = sweep.points[0]
-        assert point.frames < 50 * 5
-
     def test_no_early_stop_without_target(self):
         system = _system()
         engine = MonteCarloEngine(system, channels=3, frames_per_channel=2, seed=0)

@@ -116,7 +116,6 @@ class TestBuildProfileTree:
         with use_tracer(tracer):
             with tracer.span("mc.block"):
                 tracer.instant("mc.heartbeat")
-                tracer.marks("sd.batch", [(0.0, 3, 8)])
         tree = build_profile_tree(tracer.events)
         assert set(tree.roots) == {"mc.block"}
         assert tree.roots["mc.block"].children == {}

@@ -86,7 +86,6 @@ class TestDisabled:
         with tracer.span("work", detail=1):
             pass
         tracer.instant("tick")
-        tracer.marks("sd.batch", [(1.0, 3, 8)])
         assert tracer.events == []
 
     def test_disabled_span_is_shared_noop(self):
@@ -104,6 +103,10 @@ class TestCounters:
         tracer = Tracer()
         for attr in ("count", "counter", "counters"):
             assert not hasattr(tracer, attr)
+
+    def test_no_expansion_marks(self):
+        """The per-expansion record is the decode's BatchTrace."""
+        assert not hasattr(Tracer(), "marks")
 
     def test_instant(self):
         tracer = Tracer(clock=FakeClock())
@@ -150,86 +153,41 @@ class TestAmbientTracer:
         assert current_tracer() is NULL_TRACER
 
 
-def _decode_marks(strategy, *, tracer, seed=3):
-    """``sd.batch`` instants of one 6x6 decode, plus its stats."""
-    import threading
+class TestDecodeSpansOnly:
+    """A traced leaf-first decode records spans at decode, solve and
+    search-round boundaries only, so its event count does not grow with
+    the nodes it expands."""
 
-    from repro.detectors.sphere import SphereDecoder
-    from repro.mimo.system import MIMOSystem
-
-    system = MIMOSystem(6, 6, "4qam")
-    frame = system.random_frame(8.0, np.random.default_rng(seed))
-    decoder = SphereDecoder(system.constellation, strategy=strategy)
-    decoder.prepare(frame.channel, noise_var=frame.noise_var)
-    with use_tracer(tracer):
-        result = decoder.detect(frame.received)
-    marks = [e for e in tracer.events if e.name == "sd.batch"]
-    return marks, result.stats, threading.get_ident()
-
-
-class TestMarkSampling:
-    def test_disabled_tracer_records_no_marks(self):
-        marks, stats, _ = _decode_marks("dfs", tracer=Tracer(enabled=False))
-        assert marks == [] and stats.gemm_calls > 0
-
-    def test_decode_marks_land_as_instants(self):
-        tracer = Tracer(mark_stride=1)
-        marks, stats, tid = _decode_marks("best-first", tracer=tracer)
-        assert len(marks) == stats.gemm_calls  # every expansion marked
-        (detect,) = tracer.spans("sd.detect")
-        for event in marks:
-            assert event.phase == PHASE_INSTANT
-            assert event.tid == tid
-            assert set(event.args) == {"level", "pool"}
-            # Stamped on the tracer's own timeline, inside the decode.
-            assert detect.ts <= event.ts <= detect.ts + detect.dur
-        # The marks replay the batch trace, level and pool alike.
-        assert [(e.args["level"], e.args["pool"]) for e in marks] == list(
-            zip(stats.batches.levels, stats.batches.pools)
-        )
-
-    def test_pooled_marks_always_recorded(self):
-        marks, stats, _ = _decode_marks("best-first", tracer=Tracer())
-        pooled = [p for p in stats.batches.pools if p > 1]
-        assert pooled, "workload has no pooled expansion"
-        assert [e.args["pool"] for e in marks if e.args["pool"] > 1] == pooled
-
-    def test_mark_stride_validated(self):
-        with pytest.raises(ValueError):
-            Tracer(mark_stride=0)
-        with pytest.raises(TypeError):
-            Tracer(mark_stride=2.5)
-
-    def test_dfs_marks_stride_sampled(self):
-        """stride=1 records one mark per expansion; stride=s samples
-        every s-th (first always records), never losing exact counts."""
+    @pytest.mark.parametrize("strategy", ["best-first", "dfs"])
+    @pytest.mark.parametrize("radius_sq", [None, 1e-3])
+    def test_detect_records_boundary_spans_only(self, strategy, radius_sq):
+        from repro.core.radius import ESCALATION_FACTOR, FixedRadius
         from repro.detectors.sphere import SphereDecoder
         from repro.mimo.system import MIMOSystem
 
         system = MIMOSystem(6, 6, "4qam")
-        frame = system.random_frame(8.0, np.random.default_rng(3))
-
-        def decode(stride):
-            decoder = SphereDecoder(system.constellation, strategy="dfs")
-            decoder.prepare(frame.channel, noise_var=frame.noise_var)
-            with use_tracer(Tracer(mark_stride=stride)) as tracer:
-                result = decoder.detect(frame.received)
-            marks = [
-                e
-                for e in tracer.events
-                if e.phase == PHASE_INSTANT and e.name == "sd.batch"
-            ]
-            return marks, result.stats
-
-        full, stats = decode(1)
-        assert len(full) == stats.gemm_calls  # every expansion marked
-        assert stats.gemm_calls > 16
-        sampled, stats2 = decode(16)
-        # DFS expands single nodes, one solve per detect: exactly
-        # ceil(n / stride) marks survive sampling.
-        assert len(sampled) == -(-stats.gemm_calls // 16)
-        # Sampling never perturbs the search or its exact statistics.
-        assert stats2.nodes_expanded == stats.nodes_expanded
+        frame = system.random_frame(4.0, np.random.default_rng(3))
+        # None: the Babai radius, one round; a tiny fixed radius
+        # escalates through several empty rounds.
+        radius = None if radius_sq is None else FixedRadius(radius_sq)
+        decoder = SphereDecoder(
+            system.constellation, strategy=strategy, radius_policy=radius
+        )
+        decoder.prepare(frame.channel, noise_var=frame.noise_var)
+        with use_tracer(Tracer()) as tracer:
+            stats = decoder.detect(frame.received).stats
+        assert {e.phase for e in tracer.events} == {PHASE_SPAN}
+        bounds = [e.args["bound"] for e in tracer.spans("sd.search")]
+        # One sd.search per round of the radius schedule.
+        assert bounds == [
+            stats.radius_trace[0] * ESCALATION_FACTOR**i
+            for i in range(len(bounds))
+        ]
+        assert (len(bounds) > 1) == (radius_sq is not None)
+        assert sorted(e.name for e in tracer.events) == sorted(
+            ["sd.detect", "sd.solve"] + ["sd.search"] * len(bounds)
+        )
+        assert stats.gemm_calls > len(tracer.events)
 
 
 class TestDecoderIntegration:

@@ -31,19 +31,6 @@ class TestTimer:
             with timer:
                 clock.t += 1.0
         assert timer.elapsed == pytest.approx(3.0)
-        assert timer.calls == 3
-
-    def test_mean(self):
-        clock = FakeClock()
-        timer = Timer(clock=clock)
-        with timer:
-            clock.t += 4.0
-        with timer:
-            clock.t += 2.0
-        assert timer.mean == pytest.approx(3.0)
-
-    def test_mean_zero_before_use(self):
-        assert Timer().mean == 0.0
 
     def test_not_reentrant(self):
         timer = Timer(clock=FakeClock())
@@ -52,97 +39,11 @@ class TestTimer:
                 with timer:
                     pass
 
-    def test_reset(self):
-        clock = FakeClock()
-        timer = Timer(clock=clock)
-        with timer:
-            clock.t += 1.0
-        timer.reset()
-        assert timer.elapsed == 0.0
-        assert timer.calls == 0
-        assert timer.samples == []
-        assert timer.summarize().empty
-
-    def test_reset_allows_reuse_after_guard(self):
-        """reset() clears a half-open state so the timer is usable again."""
-        clock = FakeClock()
-        timer = Timer(clock=clock)
-        timer.__enter__()
-        timer.reset()
-        with timer:
-            clock.t += 1.0
-        assert timer.calls == 1
-
-    def test_keeps_samples(self):
-        clock = FakeClock()
-        timer = Timer(clock=clock)
-        for dt in (1.0, 3.0, 2.0):
-            with timer:
-                clock.t += dt
-        assert timer.samples == pytest.approx([1.0, 3.0, 2.0])
-        summary = timer.summarize()
-        assert summary.count == 3
-        assert summary.total == pytest.approx(6.0)
-        assert summary.p50 == pytest.approx(2.0)
-
     def test_real_clock_monotonic(self):
         timer = Timer()
         with timer:
             pass
         assert timer.elapsed >= 0.0
-
-
-class TestTimerSampleCap:
-    def timed(self, timer, clock, durations):
-        for dt in durations:
-            with timer:
-                clock.t += dt
-
-    def test_ring_keeps_newest_samples(self):
-        clock = FakeClock()
-        timer = Timer(clock=clock, max_samples=3)
-        self.timed(timer, clock, [1.0, 2.0, 3.0, 4.0, 5.0])
-        assert timer.samples == pytest.approx([3.0, 4.0, 5.0])
-
-    def test_summarize_aggregates_stay_exact(self):
-        """count/total/min/max cover every call, not just the window."""
-        clock = FakeClock()
-        timer = Timer(clock=clock, max_samples=4)
-        self.timed(timer, clock, [10.0] + [1.0] * 99)
-        summary = timer.summarize()
-        assert summary.count == 100
-        assert timer.calls == 100
-        assert summary.total == pytest.approx(109.0)
-        assert summary.mean == pytest.approx(1.09)
-        assert summary.minimum == pytest.approx(1.0)
-        assert summary.maximum == pytest.approx(10.0)  # evicted yet remembered
-        # percentiles describe the retained window only
-        assert summary.p99 == pytest.approx(1.0)
-
-    def test_default_cap_applies(self):
-        assert Timer().max_samples == 65_536
-
-    def test_unbounded_retention(self):
-        clock = FakeClock()
-        timer = Timer(clock=clock, max_samples=None)
-        self.timed(timer, clock, [1.0] * 10)
-        assert len(timer.samples) == 10
-
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ValueError, match="max_samples"):
-            Timer(max_samples=0)
-        with pytest.raises(ValueError, match="max_samples"):
-            Timer(max_samples=-5)
-
-    def test_reset_clears_ring_state(self):
-        clock = FakeClock()
-        timer = Timer(clock=clock, max_samples=2)
-        self.timed(timer, clock, [1.0, 2.0, 3.0])
-        timer.reset()
-        assert timer.samples == []
-        self.timed(timer, clock, [7.0])
-        assert timer.samples == pytest.approx([7.0])
-        assert timer.summarize().maximum == pytest.approx(7.0)
 
 
 class TestPercentile:
@@ -186,85 +87,3 @@ class TestSummarize:
         values = list(range(101))
         summary = summarize(values)
         assert summary.p50 <= summary.p95 <= summary.p99 <= summary.maximum
-
-
-class TestTimerMerge:
-    """Cross-process merge semantics (repro.mimo.parallel_mc uses these)."""
-
-    def _timer(self, durations, *, max_samples=None):
-        clock = FakeClock()
-        timer = Timer(clock=clock, max_samples=max_samples)
-        for d in durations:
-            with timer:
-                clock.t += d
-        return timer
-
-    def test_merge_sums_exact_aggregates(self):
-        a = self._timer([1.0, 2.0])
-        b = self._timer([3.0])
-        m = a.merge(b)
-        assert m.calls == 3
-        assert m.elapsed == pytest.approx(6.0)
-        s = m.summarize()
-        assert s.count == 3
-        assert s.minimum == pytest.approx(1.0)
-        assert s.maximum == pytest.approx(3.0)
-        assert s.mean == pytest.approx(2.0)
-
-    def test_merge_pools_samples_for_percentiles(self):
-        a = self._timer([1.0, 5.0])
-        b = self._timer([2.0, 4.0, 3.0])
-        m = a.merge(b)
-        assert sorted(m.samples) == [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert m.summarize().p50 == pytest.approx(3.0)
-
-    def test_merge_is_order_independent(self):
-        a = self._timer([0.5, 1.5, 9.0])
-        b = self._timer([2.0, 0.1])
-        ab, ba = a.merge(b), b.merge(a)
-        assert ab.summarize() == ba.summarize()
-        assert ab.samples == ba.samples
-
-    def test_merge_honours_max_samples_cap(self):
-        a = self._timer(range(1, 9), max_samples=4)
-        b = self._timer(range(9, 17), max_samples=4)
-        m = a.merge(b)
-        assert len(m.samples) == 4
-        # Exact aggregates survive the decimation.
-        assert m.calls == 16
-        assert m.summarize().count == 16
-        assert m.summarize().minimum == pytest.approx(1.0)
-        assert m.summarize().maximum == pytest.approx(16.0)
-        # Decimation is quantile-preserving: endpoints of the retained
-        # windows survive, and the picks are sorted.
-        assert m.samples == sorted(m.samples)
-        assert m.samples[0] == pytest.approx(min(a.samples + b.samples))
-        assert m.samples[-1] == pytest.approx(max(a.samples + b.samples))
-
-    def test_merge_cap_of_one_keeps_median(self):
-        a = self._timer([1.0, 2.0, 3.0], max_samples=1)
-        b = self._timer([4.0, 5.0], max_samples=1)
-        m = a.merge(b)
-        assert len(m.samples) == 1
-
-    def test_merge_does_not_mutate_operands(self):
-        a = self._timer([1.0])
-        b = self._timer([2.0])
-        a.merge(b)
-        assert a.calls == 1 and b.calls == 1
-        assert a.samples == [1.0] and b.samples == [2.0]
-
-    def test_merge_rejects_mid_measurement_timer(self):
-        clock = FakeClock()
-        a = Timer(clock=clock)
-        b = Timer(clock=clock)
-        a.__enter__()
-        with pytest.raises(RuntimeError, match="mid-measurement"):
-            a.merge(b)
-        with pytest.raises(RuntimeError, match="mid-measurement"):
-            b.merge(a)
-
-    def test_merge_empty_timers(self):
-        m = Timer().merge(Timer())
-        assert m.calls == 0
-        assert m.summarize().empty
