@@ -48,7 +48,7 @@ from repro.serve.scheduler import (
     SchedulerConfig,
 )
 from repro.util.timing import Timer, TimingSummary, WallClock, summarize
-from repro.util.validation import check_finite, check_vector
+from repro.util.validation import NonFiniteInputError, check_finite, check_vector
 
 __all__ = [
     "DetectionService",
@@ -290,7 +290,8 @@ class DetectionService:
         :class:`~repro.util.validation.NonFiniteInputError`, before the
         scheduler assigns it a sequence number — so, like a
         backpressured frame, it leaves no gap in its stream. In a fused
-        batch it would fail the other streams' frames with it.
+        batch it would fail the other streams' frames with it. A
+        backpressured or non-finite frame counts in ``serve.rejected``.
         """
         block = self._channels.get(channel_id)
         if block is None:
@@ -298,19 +299,16 @@ class DetectionService:
                 f"unknown channel block {channel_id!r}; "
                 f"registered: {sorted(self._channels)}"
             )
-        received = check_finite(
-            check_vector(received, "received", length=block[0].shape[0]),
-            "received",
-        )
+        received = check_vector(received, "received", length=block[0].shape[0])
         try:
             return self.scheduler.submit(
                 stream_id,
-                received,
+                check_finite(received, "received"),
                 channel_id=channel_id,
                 now=now,
                 payload=payload,
             )
-        except BackpressureError:
+        except (BackpressureError, NonFiniteInputError):
             series = self._metric_series()
             if series is not None:
                 series.rejected.inc()
@@ -509,7 +507,10 @@ def serve_trace(
 
     Every admitted frame is served: arrivals drive size triggers and
     the scheduler's ``next_deadline_s`` drives deadline flushes, so the
-    loop terminates with an empty scheduler and no drain flush.
+    loop terminates with an empty scheduler and no drain flush. A frame
+    that ``submit`` refuses under backpressure or for holding NaN/Inf
+    counts in :attr:`ServeReport.rejected` and the run goes on; any
+    other submit error propagates.
     """
     events = sorted(trace.events, key=lambda ev: ev.arrival_s)
     service.register_trace_channels(trace)
@@ -553,7 +554,7 @@ def serve_trace(
                         now=now,
                         payload=event,
                     )
-                except BackpressureError:
+                except (BackpressureError, NonFiniteInputError):
                     rejected += 1
             else:
                 now = next_deadline

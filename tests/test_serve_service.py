@@ -136,6 +136,49 @@ class TestServeTrace:
         ]
         assert service.undelivered == 0
 
+    @pytest.mark.parametrize("channel_blocks", [2, 4])
+    def test_nonfinite_frame_rejected_run_goes_on(self, system, channel_blocks):
+        """One NaN arrival in a load trace is rejected and counted; every
+        other frame is still served in per-stream order, bit-identical
+        to direct ``detect``. Two blocks fuse streams into shared
+        batches; four give each stream its own."""
+        from dataclasses import replace
+
+        from repro.serve import conformance_mismatches, direct_results
+
+        trace = _trace(
+            system, rate_hz=300.0, duration_s=0.05, seed=1,
+            channel_blocks=channel_blocks,
+        )
+        bad = trace.events[5]
+        received = bad.received.copy()
+        received[2] = np.nan
+        trace.events[5] = replace(bad, received=received)
+        detector_spec = spec("sd", system.constellation)
+        service = DetectionService(
+            detector_spec,
+            config=SchedulerConfig(max_batch=8, max_delay_s=1e-3),
+            service_model=fixed_service_model(50e-6),
+        )
+        metrics = MetricsRegistry()
+        with use_metrics(metrics):
+            report = serve_trace(service, trace)
+        assert report.rejected == 1
+        assert report.accepted == trace.n_events - 1
+        assert metrics.snapshot().counter_total("serve.rejected") == 1
+        assert service.undelivered == 0
+        served = {(fr.request.payload.stream_id, fr.request.payload.seq)
+                  for fr in report.results}
+        good = [ev for ev in trace.events if ev is not trace.events[5]]
+        assert served == {(ev.stream_id, ev.seq) for ev in good}
+        for stream in trace.stream_counts():
+            mine = [fr for fr in report.results if fr.stream_id == stream]
+            assert [fr.seq for fr in mine] == list(range(len(mine)))
+            events = [fr.request.payload.seq for fr in mine]
+            assert events == sorted(events)
+        oracle = direct_results(detector_spec, replace(trace, events=good))
+        assert conformance_mismatches(report, oracle) == []
+
     def test_serve_metrics_emitted(self, system):
         trace = _trace(system, duration_s=0.02)
         service = DetectionService(
