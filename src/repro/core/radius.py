@@ -54,26 +54,38 @@ def babai_point(
     value would be a wrong — too loose *and* differently scaled — ℓ∞
     incumbent, and vice versa).
 
+    Each level costs one BLAS dot for the interference
+    ``r[k, k+1:] @ s[k+1:]`` plus scalar work. The dot, the division by
+    the pivot and the error stay NumPy operations, and
+    :meth:`~repro.mimo.constellation.Constellation.nearest_index` slices
+    the estimate exactly as ``nearest_indices`` would: a Python sum for
+    the dot or Python complex division rounds differently, which moves
+    the metric's last bits and, at a decision edge, an index. A zero
+    pivot (an all-zero channel column) divides by zero with NumPy's
+    ``RuntimeWarning`` and slices the infinite estimate to an edge point.
+
     Returns
     -------
     ``(indices_by_level, metric)`` where ``indices_by_level[k]`` is the
     point index at level ``k`` and ``metric`` is the reduced-domain
     metric of the Babai leaf (``||ybar - R s||^2`` under ℓ₂).
     """
-    metric_obj = resolve_metric(metric)
+    accumulate = resolve_metric(metric).scalar_accumulate
+    nearest_index = constellation.nearest_index
+    points = constellation.points
     n_tx = r.shape[0]
     indices = np.empty(n_tx, dtype=np.int64)
     symbols = np.empty(n_tx, dtype=np.complex128)
     metric_val = 0.0
-    accumulate = metric_obj.scalar_accumulate
     for k in range(n_tx - 1, -1, -1):
-        interference = r[k, k + 1 :] @ symbols[k + 1 :]
-        estimate = (ybar[k] - interference) / r[k, k]
-        idx = int(constellation.nearest_indices(np.asarray([estimate]))[0])
+        row = r[k]
+        r_kk = row[k]
+        residual = ybar[k] - row[k + 1 :] @ symbols[k + 1 :]
+        idx = nearest_index(residual / r_kk)
+        symbol = points[idx]
         indices[k] = idx
-        symbols[k] = constellation.points[idx]
-        err = ybar[k] - interference - r[k, k] * symbols[k]
-        metric_val = accumulate(metric_val, err)
+        symbols[k] = symbol
+        metric_val = accumulate(metric_val, residual - r_kk * symbol)
     return indices, metric_val
 
 

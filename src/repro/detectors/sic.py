@@ -6,7 +6,9 @@ filters and the tree searches: detect the most reliable stream first
 to the Babai point of :func:`repro.core.radius.babai_point` computed on
 the sorted QR — packaged as a :class:`Detector` so it can stand in BER
 and timing comparisons (and it is exactly the "decision feedback" lower
-anchor the sphere decoder's initial radius comes from).
+anchor the sphere decoder's initial radius comes from). A decode is the
+rotation ``Q^H y``, one BLAS dot and one scalar slice per stream, and
+the shared fold-back of :meth:`Detector._result`.
 """
 
 from __future__ import annotations

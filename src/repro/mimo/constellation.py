@@ -16,6 +16,7 @@ nearest neighbours differ in exactly one bit.
 from __future__ import annotations
 
 from functools import cached_property
+from math import isfinite
 
 import numpy as np
 
@@ -148,8 +149,10 @@ class Constellation:
         obj = cls(f"{order}-QAM", points, labels, normalize=True)
         obj._qam_side = side
         # After normalisation the levels were divided by sqrt(mean energy)
-        # = sqrt(2 (order - 1) / 3); store the grid step / 2 for slicing.
-        obj._qam_scale = 1.0 / np.sqrt(2.0 * (order - 1) / 3.0)
+        # = sqrt(2 (order - 1) / 3); store the grid step / 2 for slicing
+        # (as a Python float, an exact conversion, so the scalar slicer
+        # divides by the value the array slicer divides by).
+        obj._qam_scale = float(1.0 / np.sqrt(2.0 * (order - 1) / 3.0))
         return obj
 
     # ------------------------------------------------------------------
@@ -245,6 +248,36 @@ class Constellation:
             return i_lvl * side + q_lvl
         dist = np.abs(values[..., None] - self._points)
         return np.argmin(dist, axis=-1)
+
+    def nearest_index(self, value: complex) -> int:
+        """Index of the closest constellation point to one value.
+
+        The one-value slicer for callers that slice level by level (the
+        Babai back-substitution). It returns
+        ``int(nearest_indices(np.asarray([value]))[0])`` bit for bit: on
+        square QAM it evaluates :meth:`nearest_indices`'s own expression
+        ``(v / scale + side - 1) / 2.0`` left to right on Python floats,
+        then clamps to ``[0, side - 1]`` and rounds half to even as
+        ``np.round`` does (rounding is monotone and keeps the integer
+        ends, so clamping first gives the array slicer's round-then-clip
+        index). A level that is not finite (a NaN or infinite value, or a
+        division that overflows) and every other alphabet go through
+        :meth:`nearest_indices` itself, so their index and any warning
+        NumPy raises on the way stay the same.
+        """
+        side = self._qam_side
+        if side is not None:
+            value = complex(value)
+            scale, top = self._qam_scale, side - 1
+            i_lvl = (value.real / scale + side - 1) / 2.0
+            q_lvl = (value.imag / scale + side - 1) / 2.0
+            if isfinite(i_lvl) and isfinite(q_lvl):
+                # Conditional expressions, not min/max: this runs once per
+                # tree level of every Babai seed.
+                i_idx = 0 if i_lvl <= 0.0 else top if i_lvl >= top else round(i_lvl)
+                q_idx = 0 if q_lvl <= 0.0 else top if q_lvl >= top else round(q_lvl)
+                return i_idx * side + q_idx
+        return int(self.nearest_indices(np.asarray([value]))[0])
 
     def nearest_points(self, values: np.ndarray) -> np.ndarray:
         """Closest constellation points themselves (hard slicing)."""

@@ -1,5 +1,7 @@
 """Tests for repro.mimo.constellation, incl. Gray-mapping properties."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,3 +227,116 @@ def test_property_bits_symbols_roundtrip(order, seed):
     idx = c.bits_to_indices(bits)
     recovered = c.indices_to_bits(c.nearest_indices(c.points[idx]))
     assert np.array_equal(recovered, bits)
+
+
+# ----------------------------------------------------------------------
+# One-value slicer: bit-identical to the array slicer
+# ----------------------------------------------------------------------
+
+_SLICER_CONSTELLATIONS = {
+    "bpsk": Constellation.bpsk(),
+    "4qam": Constellation.qam(4),
+    "16qam": Constellation.qam(16),
+    "64qam": Constellation.qam(64),
+}
+_FLOAT_MAX = np.finfo(np.float64).max
+_SPECIAL_COMPONENTS = (
+    0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, _FLOAT_MAX, -_FLOAT_MAX,
+    np.inf, -np.inf,
+)
+
+
+def _nudge(x, ulps):
+    """``x`` moved by ``ulps`` units in the last place."""
+    toward = np.inf if ulps > 0 else -np.inf
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, toward))
+    return x
+
+
+@st.composite
+def _slicer_component(draw, constellation):
+    """One real component, weighted toward the slicer's decision edges.
+
+    On square QAM the boundaries between levels sit where the array
+    slicer's ``(v / scale + side - 1) / 2`` is a half-integer, i.e. at
+    ``v = (2 m + 2 - side) * scale``; BPSK decides at zero.
+    """
+    if constellation.is_square_qam:
+        side = int(round(np.sqrt(constellation.order)))
+        scale = float(constellation.points.real.max()) / (side - 1)
+        m = draw(st.integers(min_value=-2, max_value=side + 1))
+        edge = (2 * m + 2 - side) * scale
+    else:
+        edge = 0.0
+    return draw(
+        st.one_of(
+            st.builds(_nudge, st.just(edge), st.integers(-4, 4)),
+            st.sampled_from(_SPECIAL_COMPONENTS),
+            st.floats(allow_nan=False, width=64),
+            st.floats(min_value=-3.0, max_value=3.0),
+        )
+    )
+
+
+def _slice_both_ways(constellation, value):
+    """``(index, warnings)`` from the one-value and the array slicer."""
+    outcomes = []
+    for slicer in (
+        constellation.nearest_index,
+        lambda v: int(constellation.nearest_indices(np.asarray([v]))[0]),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            idx = slicer(value)
+        assert type(idx) is int
+        outcomes.append((idx, [(w.category, str(w.message)) for w in caught]))
+    return outcomes
+
+
+@pytest.mark.parametrize("name", sorted(_SLICER_CONSTELLATIONS))
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_property_nearest_index_matches_array_slicer(name, data):
+    """Same index and same NumPy warnings as ``nearest_indices`` on one
+    value, on and beside every decision edge, at ±0, at the largest and
+    smallest magnitudes and at ±inf."""
+    c = _SLICER_CONSTELLATIONS[name]
+    value = complex(
+        data.draw(_slicer_component(c)), data.draw(_slicer_component(c))
+    )
+    scalar, array = _slice_both_ways(c, value)
+    assert scalar == array
+    if np.isfinite(value.real) and np.isfinite(value.imag):
+        assert 0 <= scalar[0] < c.order
+
+
+@pytest.mark.parametrize("name", sorted(_SLICER_CONSTELLATIONS))
+@pytest.mark.parametrize(
+    "value",
+    [
+        complex(np.nan, 0.0), complex(0.3, np.nan), complex(np.nan, np.nan),
+        complex(np.inf, np.nan), complex(np.nan, -np.inf),
+    ],
+)
+def test_nearest_index_nan_follows_array_slicer(name, value):
+    """A NaN component has no nearest point: the one-value slicer returns
+    what the array slicer returns for it, with the same warnings."""
+    scalar, array = _slice_both_ways(_SLICER_CONSTELLATIONS[name], value)
+    assert scalar == array
+
+
+@pytest.mark.parametrize("name", ["4qam", "16qam", "64qam"])
+def test_nearest_index_infinite_maps_to_edge(name):
+    """An infinite estimate (a zero pivot in the Babai recursion) slices to
+    the grid's corner on its side, without a warning."""
+    c = _SLICER_CONSTELLATIONS[name]
+    edge = c.points.real.max()
+    for value in (complex(np.inf, -np.inf), complex(-np.inf, np.inf)):
+        scalar, array = _slice_both_ways(c, value)
+        assert scalar == array
+        idx, caught = scalar
+        assert caught == []
+        point = c.points[idx]
+        assert point.real == np.sign(value.real) * edge
+        assert point.imag == np.sign(value.imag) * edge
