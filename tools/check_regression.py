@@ -28,7 +28,7 @@ regression, 1 = regression(s), 2 = usage error.
 Usage:
     python tools/check_regression.py                      # gate vs baseline
     python tools/check_regression.py --update             # refresh baseline
-    python tools/check_regression.py --trajectory BENCH_trajectory.json
+    python tools/check_regression.py --trajectory runs/smoke_trajectory.json
     python tools/check_regression.py --runs-dir runs      # also record a run
     python tools/check_regression.py --tol-time 5.0       # CI: noisy hosts
 
@@ -304,7 +304,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--trajectory", type=Path, default=None, metavar="PATH",
-        help="append this run's metrics to a BENCH_trajectory.json",
+        help="append this run's metrics to a smoke trajectory file "
+        "(CI: runs/smoke_trajectory.json)",
     )
     parser.add_argument(
         "--runs-dir", default=None, metavar="DIR",
