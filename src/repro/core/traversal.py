@@ -8,15 +8,17 @@ are evaluated*. This module is that separation made concrete:
 ``TraversalPolicy``
     What to expand next. Two shapes:
 
-    * :class:`BestFirstPolicy` — global priority queue on PD with
-      same-level pooling (the paper's Best-FS, Alg. 1) — and
-      :class:`DfsPolicy` — LIFO with PD-sorted child insertion, the
-      sorted DFS of Fig. 3 — are leaf-first searches. Their pools are a
-      node or a few, too small to amortise a GEMM call, so each
-      evaluates its own partial distances in one scalar loop over
-      Python lists with :meth:`~repro.core.gemm.ChannelKernel.expand`'s
-      order of operations, bit-identical to it. Their batches decode
-      frame by frame.
+    * :class:`BestFirstPolicy` (global priority queue on PD with
+      same-level pooling, the paper's Best-FS, Alg. 1),
+      :class:`DfsPolicy` (LIFO with PD-sorted child insertion, the
+      sorted DFS of Fig. 3) and :class:`PartitionedPolicy` (that DFS
+      split over cooperating processing entities, section V) are
+      leaf-first searches. Their pools are a node or a few, too small
+      to amortise a GEMM call, so each evaluates its own partial
+      distances in one scalar loop over Python lists with
+      :meth:`~repro.core.gemm.ChannelKernel.expand`'s order of
+      operations, bit-identical to it. Their batches decode frame by
+      frame.
     * :class:`BfsPolicy` — level-synchronous frontier sweep (the GPU
       baseline of Arfaoui et al., one GEMM per level) — plus
       :class:`KBestPolicy` (K survivors per level; fixed-throughput
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 import abc
 import heapq
+from itertools import chain, product
 from time import perf_counter
 from typing import NamedTuple
 
@@ -143,8 +146,10 @@ def _level_sweep(engine, n_tx, stats, select, tracer=None):
 class TraversalPolicy(abc.ABC):
     """What to expand next — a search schedule over the SD tree.
 
-    A policy is stateless across decodes. The leaf-first policies
-    (:class:`BestFirstPolicy`, :class:`DfsPolicy`) run their search
+    A policy carries no search state from one decode into the next;
+    :class:`PartitionedPolicy` only keeps the last frame's per-PE
+    counts for reading. The leaf-first policies (:class:`BestFirstPolicy`,
+    :class:`DfsPolicy`, :class:`PartitionedPolicy`) run their search
     through ``solve``; the sweep policies implement :meth:`solve_gen`,
     which returns a fresh generator per frame, so one policy instance
     can drive many interleaved frames (lockstep batching relies on
@@ -233,7 +238,8 @@ def _fold_levels(acc, lv, queue, levels, pools, pops, order, n_tx, leaves):
 
 
 class _PooledTreePolicy(TraversalPolicy):
-    """Shared solve shape of the leaf-first (best-FS / DFS) policies.
+    """Shared solve shape of the leaf-first (best-FS / DFS / partitioned)
+    policies.
 
     Owns the radius schedule the paper's decoder uses: initial radius
     from the engine's radius policy, geometric escalation while the
@@ -637,6 +643,186 @@ class DfsPolicy(_PooledTreePolicy):
         return incumbent, bound
 
 
+def _append_child_pds(child, pts, rk, dk, yk, path, pd, linf):
+    """Append one node's child PDs to ``child``, with the Best-FS / DFS
+    loops' arithmetic (:meth:`ChannelKernel.expand`'s order)."""
+    if path:
+        acc = 0j
+        for s, rkj in zip(reversed(path), rk):
+            acc = acc + pts[s] * rkj
+        yk = yk - acc
+    for dc in dk:
+        e = yk - dc
+        if linf:
+            er = abs(e.real)
+            ei = abs(e.imag)
+            inc = er if er > ei else ei
+            child.append(pd if pd > inc else inc)
+        else:
+            child.append(pd + (e.real * e.real + e.imag * e.imag))
+
+
+class PartitionedPolicy(_PooledTreePolicy):
+    """Sorted DFS split over ``n_pes`` cooperating processing entities.
+
+    A search round grows the tree level by level, one pooled expansion
+    per level, until it holds ``n_pes`` sub-trees (leaves met on the way
+    are accepted in order), deals them best-first round-robin onto the
+    PEs, then runs lock-step rounds: every PE with work pops one node,
+    prunes it if the shared bound has moved past it, or expands it as
+    the sorted DFS does. A better leaf on any PE shrinks the shared
+    bound, a radius broadcast (sync event) to the others. The policy
+    keeps the last frame's per-PE expansions and sync events, summed
+    over its search rounds, for :meth:`makespan_expansions`.
+
+    Parameters
+    ----------
+    n_pes:
+        Processing entities; 1 is a sorted DFS after the root expansion.
+    max_rounds:
+        Optional cap on the lock-step rounds of each search round; when
+        hit, the best incumbent so far is returned and
+        ``stats.truncated`` is set.
+    """
+
+    strategy = "partitioned"
+
+    def __init__(self, *, n_pes: int = 4, max_rounds: int | None = None) -> None:
+        super().__init__()
+        self.n_pes = check_positive_int(n_pes, "n_pes")
+        self.max_rounds = (
+            None if max_rounds is None else check_positive_int(max_rounds, "max_rounds")
+        )
+        self.last_pe_expansions: list[int] = []
+        self.last_sync_events = 0
+
+    def solve(self, engine, r, ybar, noise_var, stats, tracer, frame):
+        self.last_pe_expansions = [0] * self.n_pes
+        self.last_sync_events = 0
+        return super().solve(engine, r, ybar, noise_var, stats, tracer, frame)
+
+    def makespan_expansions(self) -> int:
+        """Busiest PE's expansion count of the last decoded frame: the
+        parallel latency bound of a replicated-pipeline implementation."""
+        if not self.last_pe_expansions:
+            raise RuntimeError("no decode has run yet")
+        return max(self.last_pe_expansions)
+
+    def _search(self, engine, frame, n_tx, bound, incumbent, stats):
+        """One partitioned round.
+
+        Nodes are rows of ``lv`` (the level their children assign) and
+        ``paths`` (root-first index tuples); the frontier and the PE
+        stacks hold ``(pd, row)``, rows numbered in admission order.
+        """
+        pts, rows, diag, ybar = frame
+        p = len(pts)
+        linf = type(engine.metric) is LInfinityMetric
+        n_pes = self.n_pes
+        children = range(p)
+        perf = perf_counter
+        lv = [n_tx - 1]
+        paths = [()]
+        levels: list[int] = []  # level of every expansion, in order
+        pools: list[int] = []  # its node count
+        pops = [0] * n_tx  # nodes pruned on pop, per level
+        radii: list[float] = []
+        pruned = leaves = cmacs = max_list = truncated = 0
+        gemm_s = 0.0
+        best = None  # (row, child) of the best leaf this round
+        # Partitioning: expand the whole frontier, one level at a time.
+        frontier = [(0.0, 0)]
+        k = n_tx - 1
+        while True:
+            pool, frontier, child = frontier, [], []
+            t0 = perf()
+            for pd, row in pool:
+                _append_child_pds(
+                    child, pts, rows[k], diag[k], ybar[k], paths[row], pd, linf
+                )
+            gemm_s += perf() - t0
+            levels.append(k)
+            pools.append(len(pool))
+            cmacs += len(pool) * (n_tx - 1 - k)
+            for v, ((_pd, row), c) in zip(child, product(pool, children)):
+                if v >= bound:
+                    continue
+                if k == 0:
+                    # Leaves are accepted in order, each a new bound.
+                    leaves += 1
+                    bound = v
+                    best = (row, c)
+                    radii.append(v)
+                else:
+                    frontier.append((v, len(lv)))
+                    lv.append(k - 1)
+                    paths.append(paths[row] + (c,))
+            # ``leaves`` stays 0 until the last level, which admits none.
+            pruned += len(pool) * p - len(frontier) - leaves
+            if k == 0 or len(frontier) >= n_pes or not frontier:
+                break
+            k -= 1
+        # Deal best-first round-robin, each PE's lowest PD on top.
+        frontier.sort()
+        stacks = [frontier[pe::n_pes][::-1] for pe in range(n_pes)]
+        pe_exps = self.last_pe_expansions
+        rounds = 0
+        while any(stacks):
+            rounds += 1
+            if self.max_rounds is not None and rounds > self.max_rounds:
+                truncated = 1
+                break
+            for pe, stack in enumerate(stacks):
+                if not stack:
+                    continue
+                pd, row = stack.pop()
+                k = lv[row]
+                if pd >= bound:
+                    pops[k] += 1
+                    continue
+                path = paths[row]
+                t0 = perf()
+                child = []
+                _append_child_pds(
+                    child, pts, rows[k], diag[k], ybar[k], path, pd, linf
+                )
+                gemm_s += perf() - t0
+                levels.append(k)
+                pools.append(1)
+                cmacs += len(path)
+                pe_exps[pe] += 1
+                if k == 0:
+                    n_in = sum(v < bound for v in child)
+                    leaves += n_in
+                    pruned += p - n_in
+                    v = min(child)  # its first index is np.argmin's
+                    if v < bound:
+                        bound = v
+                        best = (row, child.index(v))
+                        radii.append(v)
+                        self.last_sync_events += 1
+                else:
+                    # Push worst-first so the best child tops the LIFO.
+                    before = len(stack)
+                    for c in reversed(sorted(children, key=child.__getitem__)):
+                        if child[c] < bound:
+                            stack.append((child[c], len(lv)))
+                            lv.append(k - 1)
+                            paths.append(path + (c,))
+                    pruned += p - (len(stack) - before)
+                max_list = max(max_list, sum(map(len, stacks)))
+        self._fold_round(
+            engine, stats, p, n_tx, lv, chain.from_iterable(stacks), levels,
+            pools, pops, nodes=sum(pools), cmacs=cmacs,
+            pruned=pruned + sum(pops), leaves=leaves, radii=radii,
+            max_list=max_list, truncated=truncated, gemm_s=gemm_s,
+        )
+        if best is not None:
+            row, c = best
+            incumbent = np.array((c,) + paths[row][::-1], dtype=np.int64)
+        return incumbent, bound
+
+
 class BfsPolicy(TraversalPolicy):
     """Level-synchronous frontier sweep (the [1]/GPU strategy).
 
@@ -831,7 +1017,7 @@ class TraversalEngine:
         The :class:`TraversalPolicy` deciding the expansion schedule.
     radius_policy:
         Initial-radius strategy consulted by the radius-driven policies
-        (best-FS / DFS / BFS); the fixed-workload policies (K-best, FSD)
+        (best-FS / DFS / partitioned / BFS); the fixed-workload policies (K-best, FSD)
         ignore it. ``None`` is only valid for the latter.
     metric:
         Partial-distance metric (name or

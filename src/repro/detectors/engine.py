@@ -8,6 +8,7 @@ once — the constructor, ``prepare`` / ``detect`` / ``solve`` /
 ``decode_batch``, obs spans and registry series, per-frame wall-time
 accounting — and the concrete detectors
 (:class:`~repro.detectors.sphere.SphereDecoder`,
+:class:`~repro.detectors.partitioned.PartitionedSphereDecoder`,
 :class:`~repro.detectors.sd_bfs.GemmBfsDecoder`,
 :class:`~repro.detectors.kbest.KBestDecoder`,
 :class:`~repro.detectors.fsd.FixedComplexityDecoder`) only build their
@@ -16,8 +17,8 @@ decoders are registry entries over :class:`SphereDecoder`.
 
 A consequence the registry relies on: every engine detector gets
 ``decode_batch`` (cross-frame fused GEMMs for the BFS/K-best/FSD
-sweeps, frame by frame for the leaf-first Best-FS and sorted DFS) and
-emits the uniform
+sweeps, frame by frame for the leaf-first Best-FS, sorted DFS and
+partitioned search) and emits the uniform
 :class:`~repro.core.stats.BatchTrace` the FPGA pipeline simulator
 prices.
 """
@@ -259,9 +260,9 @@ class EngineDetector(Detector):
         paper's BLAS-2 -> BLAS-3 refactor applied across frames — with
         each frame's search running its own unmodified schedule in
         lockstep (:func:`~repro.core.lockstep.drive_lockstep`). The
-        leaf-first searches (Best-FS, sorted DFS) expand a node or a few
-        at a time, evaluated by their scalar loops, and decode the
-        frames one after another.
+        leaf-first searches (Best-FS, sorted DFS, partitioned) expand a
+        node or a few at a time, evaluated by their scalar loops, and
+        decode the frames one after another.
         Either way the returned decisions, metrics and per-frame search
         statistics are **bit-identical** to calling :meth:`detect` per
         row; only ``wall_time_s`` differs (the batch's wall time split

@@ -475,7 +475,8 @@ class TestRegistryConformance:
     ``decode_batch``."""
 
     def test_all_engine_kinds_covered(self):
-        assert len(ENGINE_KINDS) == 11
+        assert len(ENGINE_KINDS) == 12
+        assert "partitioned" in ENGINE_KINDS
 
     @pytest.mark.parametrize("path", ["detect", "decode_batch"])
     @pytest.mark.parametrize("kind", ENGINE_KINDS)

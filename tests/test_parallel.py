@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.radius import InfiniteRadius, NoiseScaledRadius
+from repro.core.radius import ESCALATION_FACTOR, InfiniteRadius, NoiseScaledRadius
+from repro.detectors.engine import EngineDetector
 from repro.detectors.ml import MLDetector
 from repro.detectors.partitioned import PartitionedSphereDecoder
 from repro.mimo.system import MIMOSystem
+from repro.obs import PHASE_SPAN, Tracer, use_tracer
 
 
 def run_pair(system, decoder, snr_db, seed):
@@ -47,6 +49,33 @@ class TestExactness:
             # Babai then. With alpha=2 erasure is rare; accept ML or a
             # metric no better than ML.
             assert par.metric >= ml.metric - 1e-9
+
+    def test_empty_noise_scaled_sphere_escalates(self):
+        """A recorded case whose first noise-scaled sphere holds no leaf
+        (BPSK 2x2 at 30 dB, alpha 2, 9 PEs; sweep_cases.json partitioned
+        case 35, frame 1) escalates the radius, as sd and sd-dfs do,
+        and decodes to the ML point untruncated."""
+        system = MIMOSystem(2, 2, "bpsk")
+        rng = np.random.default_rng(1603143781)
+        channel = system.channel_model.draw_channel(rng)
+        received = [
+            system.random_frame(30.0, rng, channel=channel).received
+            for _ in range(2)
+        ]
+        decoder = PartitionedSphereDecoder(
+            system.constellation,
+            n_pes=9,
+            radius_policy=NoiseScaledRadius(alpha=2.0),
+        )
+        decoder.prepare(channel, noise_var=system.noise_var(30.0))
+        ml = MLDetector(system.constellation)
+        ml.prepare(channel)
+        result = decoder.detect(received[1])
+        assert np.array_equal(result.indices, ml.detect(received[1]).indices)
+        assert result.stats.truncated == 0
+        trace = result.stats.radius_trace
+        assert trace[1] == trace[0] * ESCALATION_FACTOR
+        assert result.stats.radius_updates == 1
 
     def test_single_level_system(self):
         system = MIMOSystem(1, 3, "4qam")
@@ -122,6 +151,47 @@ class TestParallelism:
 
 
 class TestContract:
+    def test_is_an_engine_detector(self):
+        assert issubclass(PartitionedSphereDecoder, EngineDetector)
+        for method in ("prepare", "detect"):
+            assert method not in vars(PartitionedSphereDecoder), method
+
+    def test_traced_decode_records_shell_spans_only(self):
+        system = MIMOSystem(6, 6, "4qam")
+        decoder = PartitionedSphereDecoder(system.constellation, n_pes=4)
+        frame = system.random_frame(4.0, np.random.default_rng(3))
+        decoder.prepare(frame.channel, noise_var=frame.noise_var)
+        with use_tracer(Tracer()) as tracer:
+            stats = decoder.detect(frame.received).stats
+        assert {e.phase for e in tracer.events} == {PHASE_SPAN}
+        assert sorted(e.name for e in tracer.events) == [
+            "sd.detect", "sd.search", "sd.solve",
+        ]
+        (solve,) = tracer.spans("sd.solve")
+        assert solve.args["strategy"] == "partitioned"
+        assert stats.gemm_calls > len(tracer.events)
+
+    def test_decode_batch_matches_detect(self):
+        system = MIMOSystem(5, 5, "4qam")
+        rng = np.random.default_rng(8)
+        channel = system.channel_model.draw_channel(rng)
+        received = np.stack(
+            [system.random_frame(6.0, rng, channel=channel).received for _ in range(4)]
+        )
+        decoder = PartitionedSphereDecoder(system.constellation, n_pes=3)
+        decoder.prepare(channel, noise_var=system.noise_var(6.0))
+        singles = []
+        for row in received:
+            singles.append((decoder.detect(row), decoder.last_pe_expansions))
+        batch = decoder.decode_batch(received)
+        for (one, _pes), fused in zip(singles, batch):
+            assert np.array_equal(one.indices, fused.indices)
+            assert one.metric == fused.metric
+            assert one.stats.batches == fused.stats.batches
+            assert one.stats.radius_trace == fused.stats.radius_trace
+        # The per-PE counts are the last frame's.
+        assert decoder.last_pe_expansions == singles[-1][1]
+
     def test_requires_prepare(self):
         decoder = PartitionedSphereDecoder(MIMOSystem(3, 3).constellation)
         with pytest.raises(RuntimeError):
