@@ -97,10 +97,11 @@ class BatchTrace:
 class DecodeStats:
     """Work performed by one ``detect`` call of a tree-search detector.
 
-    Aggregation across frames goes through :meth:`merge`, which derives
-    the per-field rule from the dataclass definition itself: numeric
-    fields sum and list fields concatenate unless the field declares a
-    ``merge`` metadata override (``max_list_size`` keeps the maximum).
+    Aggregation across frames goes through :meth:`merge_all`
+    (:meth:`merge` is its two-record case), which derives the per-field
+    rule from the dataclass definition itself: numeric fields sum and
+    list fields concatenate unless the field declares a ``merge``
+    metadata override (``max_list_size`` keeps the maximum).
     Adding a field therefore never silently drops it from aggregates —
     ``tests/test_detector_base.py`` asserts every field round-trips.
 
@@ -169,49 +170,44 @@ class DecodeStats:
 
     def merge(self, other: "DecodeStats") -> "DecodeStats":
         """Aggregate two stats records (e.g. across Monte Carlo frames)."""
-        merged: dict[str, object] = {}
-        for f in fields(self):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            rule = f.metadata.get("merge")
-            if rule is None:
-                if isinstance(mine, (int, float, list, BatchTrace)):
-                    rule = "sum"  # numeric add / sequence concatenation
-                else:
-                    raise TypeError(
-                        f"DecodeStats.{f.name}: no default merge rule for "
-                        f"{type(mine).__name__}; declare one via "
-                        "field(metadata={'merge': ...})"
-                    )
-            if rule == "sum":
-                merged[f.name] = mine + theirs
-            elif rule == "max":
-                merged[f.name] = max(mine, theirs)
-            else:
-                raise TypeError(
-                    f"DecodeStats.{f.name}: unknown merge rule {rule!r}"
-                )
-        return type(self)(**merged)
+        return type(self).merge_all((self, other))
 
     @classmethod
     def merge_all(cls, stats: Iterable["DecodeStats"]) -> "DecodeStats":
         """Fold many stats records into one in linear time.
 
-        Equivalent to chaining :meth:`merge` pairwise left-to-right but
-        without the quadratic sequence re-concatenation — the form the
-        Monte Carlo engine and the process-sharded sweep runner use to
-        aggregate thousands of per-frame records.
+        The one fold behind :meth:`merge` and the Monte Carlo points'
+        ``aggregate_stats``: equivalent to chaining pairwise merges left
+        to right, without re-copying the growing traces per record. A
+        field with no ``merge`` metadata that is not a number, a list or
+        a :class:`BatchTrace`, or with an unknown rule, raises
+        :class:`TypeError`.
         """
         merged = cls()
-        total: dict[str, object] = {
-            f.name: getattr(merged, f.name) for f in fields(cls)
-        }
+        total: dict[str, object] = {}
+        maxima: set[str] = set()
+        for f in fields(cls):
+            value = total[f.name] = getattr(merged, f.name)
+            rule = f.metadata.get("merge")
+            if rule is None and not isinstance(value, (int, float, list, BatchTrace)):
+                raise TypeError(
+                    f"{cls.__name__}.{f.name}: no default merge rule for "
+                    f"{type(value).__name__}; declare one via "
+                    "field(metadata={'merge': ...})"
+                )
+            if rule == "max":
+                maxima.add(f.name)
+            elif rule not in (None, "sum"):
+                raise TypeError(
+                    f"{cls.__name__}.{f.name}: unknown merge rule {rule!r}"
+                )
         for st in stats:
-            for f in fields(cls):
-                value = getattr(st, f.name)
-                rule = f.metadata.get("merge")
-                if rule == "max":
-                    total[f.name] = max(total[f.name], value)
+            for name in total:
+                value = getattr(st, name)
+                if name in maxima:
+                    total[name] = max(total[name], value)
                 else:
-                    # In place for the fresh lists and trace of ``merged``.
-                    total[f.name] += value
+                    # Numeric add / sequence concatenation, in place for
+                    # the fresh lists and trace of ``merged``.
+                    total[name] += value
         return cls(**total)

@@ -112,10 +112,6 @@ class DetectorSpec:
         kwargs.update(self.params)
         return entry.factory(self.constellation, **kwargs)
 
-    def params_dict(self) -> dict[str, Any]:
-        """The spec's parameter overrides as a plain dict."""
-        return dict(self.params)
-
 
 _REGISTRY: dict[str, DetectorEntry] = {}
 

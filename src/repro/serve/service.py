@@ -437,10 +437,6 @@ class ServeReport:
     def latencies_s(self) -> list[float]:
         return [fr.latency_s for fr in self.results]
 
-    @property
-    def queue_waits_s(self) -> list[float]:
-        return [fr.queue_wait_s for fr in self.results]
-
     def latency_summary(self) -> TimingSummary:
         """p50/p95/p99 etc. over per-frame sojourn times."""
         return summarize(self.latencies_s)

@@ -258,3 +258,24 @@ class TestMergeAll:
     def test_accepts_generator(self):
         total = DecodeStats.merge_all(self._sample(i) for i in range(3))
         assert total.nodes_expanded == 3
+
+    def test_rejects_unmergeable_field(self):
+        """A field with no merge rule raises, as :meth:`merge` does,
+        rather than being concatenated or summed."""
+
+        @dataclass
+        class TaggedStats(DecodeStats):
+            label: str = ""
+
+        with pytest.raises(TypeError, match="no default merge rule"):
+            TaggedStats.merge_all([TaggedStats(label="a"), TaggedStats(label="b")])
+
+    def test_rejects_unknown_rule(self):
+        @dataclass
+        class OddStats(DecodeStats):
+            extra: int = field(default=0, metadata={"merge": "median"})
+
+        with pytest.raises(TypeError, match="unknown merge rule"):
+            OddStats.merge_all([OddStats(extra=1)])
+        with pytest.raises(TypeError, match="unknown merge rule"):
+            OddStats(extra=1).merge(OddStats(extra=2))
