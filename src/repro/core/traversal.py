@@ -697,6 +697,8 @@ class PartitionedPolicy(_PooledTreePolicy):
         self.last_sync_events = 0
 
     def solve(self, engine, r, ybar, noise_var, stats, tracer, frame):
+        """The radius shell's :meth:`_PooledTreePolicy.solve`, with the
+        frame's PE counts reset first."""
         self.last_pe_expansions = [0] * self.n_pes
         self.last_sync_events = 0
         return super().solve(engine, r, ybar, noise_var, stats, tracer, frame)
@@ -765,9 +767,10 @@ class PartitionedPolicy(_PooledTreePolicy):
         # Deal best-first round-robin, each PE's lowest PD on top.
         frontier.sort()
         stacks = [frontier[pe::n_pes][::-1] for pe in range(n_pes)]
+        waiting = len(frontier)  # nodes on all stacks
         pe_exps = self.last_pe_expansions
         rounds = 0
-        while any(stacks):
+        while waiting:
             rounds += 1
             if self.max_rounds is not None and rounds > self.max_rounds:
                 truncated = 1
@@ -776,6 +779,7 @@ class PartitionedPolicy(_PooledTreePolicy):
                 if not stack:
                     continue
                 pd, row = stack.pop()
+                waiting -= 1
                 k = lv[row]
                 if pd >= bound:
                     pops[k] += 1
@@ -809,8 +813,11 @@ class PartitionedPolicy(_PooledTreePolicy):
                             stack.append((child[c], len(lv)))
                             lv.append(k - 1)
                             paths.append(path + (c,))
-                    pruned += p - (len(stack) - before)
-                max_list = max(max_list, sum(map(len, stacks)))
+                    pushed = len(stack) - before
+                    waiting += pushed
+                    pruned += p - pushed
+                if waiting > max_list:
+                    max_list = waiting
         self._fold_round(
             engine, stats, p, n_tx, lv, chain.from_iterable(stacks), levels,
             pools, pops, nodes=sum(pools), cmacs=cmacs,

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.radius import ESCALATION_FACTOR, InfiniteRadius, NoiseScaledRadius
+from repro.core.stats import DecodeStats
+from repro.core.traversal import DfsPolicy, PartitionedPolicy, TraversalEngine
 from repro.detectors.engine import EngineDetector
 from repro.detectors.ml import MLDetector
 from repro.detectors.partitioned import PartitionedSphereDecoder
+from repro.detectors.sphere import SphereDecoder
 from repro.mimo.system import MIMOSystem
-from repro.obs import PHASE_SPAN, Tracer, use_tracer
+from repro.obs import NULL_TRACER, PHASE_SPAN, Tracer, use_tracer
 
 
 def run_pair(system, decoder, snr_db, seed):
@@ -76,6 +79,47 @@ class TestExactness:
         trace = result.stats.radius_trace
         assert trace[1] == trace[0] * ESCALATION_FACTOR
         assert result.stats.radius_updates == 1
+
+    @pytest.mark.parametrize("n_pes", [1, 3, 16])
+    def test_linf_engine_matches_sorted_dfs(self, n_pes):
+        """On a TraversalEngine under the linf metric the partitioned
+        search is exact like the sorted DFS: same optimal metric."""
+        system = MIMOSystem(4, 4, "16qam")
+        frame = system.random_frame(10.0, np.random.default_rng(n_pes))
+        q, r = np.linalg.qr(frame.channel)
+        ybar = q.conj().T @ frame.received
+        bounds = []
+        for policy in (DfsPolicy(), PartitionedPolicy(n_pes=n_pes)):
+            engine = TraversalEngine(
+                system.constellation, policy,
+                radius_policy=InfiniteRadius(), metric="linf",
+            )
+            _, bound = engine.solve(r, ybar, 0.0, DecodeStats(), NULL_TRACER)
+            bounds.append(bound)
+        assert bounds[0] == bounds[1]
+
+    @pytest.mark.parametrize("n_pes", [1, 2])
+    def test_ties_break_as_in_the_sorted_dfs(self, n_pes):
+        """Equal child PDs keep the sorted DFS's order: on an identity
+        channel with zero receive values at the top two levels, the
+        first leaf found (and so the returned point) is the DFS's."""
+        const = MIMOSystem(3, 3, "4qam").constellation
+        channel = np.eye(3, dtype=complex)
+        received = np.array([const.points[2], 0.0, 0.0])
+        results = []
+        for decoder in (
+            SphereDecoder(const, strategy="dfs", radius_policy=InfiniteRadius()),
+            PartitionedSphereDecoder(
+                const, n_pes=n_pes, radius_policy=InfiniteRadius()
+            ),
+        ):
+            decoder.prepare(channel)
+            results.append(decoder.detect(received))
+        dfs, par = results
+        assert np.array_equal(par.indices, dfs.indices)
+        if n_pes == 1:
+            assert par.stats.batches == dfs.stats.batches
+            assert par.stats.radius_trace == dfs.stats.radius_trace
 
     def test_single_level_system(self):
         system = MIMOSystem(1, 3, "4qam")
@@ -170,27 +214,6 @@ class TestContract:
         (solve,) = tracer.spans("sd.solve")
         assert solve.args["strategy"] == "partitioned"
         assert stats.gemm_calls > len(tracer.events)
-
-    def test_decode_batch_matches_detect(self):
-        system = MIMOSystem(5, 5, "4qam")
-        rng = np.random.default_rng(8)
-        channel = system.channel_model.draw_channel(rng)
-        received = np.stack(
-            [system.random_frame(6.0, rng, channel=channel).received for _ in range(4)]
-        )
-        decoder = PartitionedSphereDecoder(system.constellation, n_pes=3)
-        decoder.prepare(channel, noise_var=system.noise_var(6.0))
-        singles = []
-        for row in received:
-            singles.append((decoder.detect(row), decoder.last_pe_expansions))
-        batch = decoder.decode_batch(received)
-        for (one, _pes), fused in zip(singles, batch):
-            assert np.array_equal(one.indices, fused.indices)
-            assert one.metric == fused.metric
-            assert one.stats.batches == fused.stats.batches
-            assert one.stats.radius_trace == fused.stats.radius_trace
-        # The per-PE counts are the last frame's.
-        assert decoder.last_pe_expansions == singles[-1][1]
 
     def test_requires_prepare(self):
         decoder = PartitionedSphereDecoder(MIMOSystem(3, 3).constellation)
