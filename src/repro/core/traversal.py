@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import abc
 import heapq
-from itertools import chain, product
+from itertools import product
 from time import perf_counter
 from typing import NamedTuple
 
@@ -100,7 +100,7 @@ def _level_sweep(engine, n_tx, stats, select, tracer=None):
     """One root-to-leaves level sweep, shared by BFS, K-best and FSD.
 
     Yields one :class:`ExpandRequest` per level and books the level's
-    expansion in ``stats`` and the engine's level accumulator.
+    expansion in ``stats``.
     ``select(level, n_tx, child_pds, stats)`` returns the survivors
     ``(keep_n, keep_c, pds)`` — parent rows, child columns, PDs — and
     books its own prunes, or returns ``None`` to end the sweep empty.
@@ -127,13 +127,7 @@ def _level_sweep(engine, n_tx, stats, select, tracer=None):
         stats.gemm_flops += (FLOPS_PER_CMAC * (n_tx - 1 - level) + norm_flops) * width
         if engine.record_trace:
             stats.batches.append(level, width)
-        pruned_before = stats.nodes_pruned
         kept = select(level, n_tx, child_pds, stats)
-        acc = engine.level_acc
-        if acc is not None:
-            acc.nodes[level] += width
-            acc.exps[level] += 1
-            acc.pruned[level] += stats.nodes_pruned - pruned_before
         if kept is None:
             return None
         keep_n, keep_c, pds = kept
@@ -169,72 +163,6 @@ class TraversalPolicy(abc.ABC):
         raise NotImplementedError(
             f"{type(self).__name__} is not an ExpandRequest generator"
         )
-
-
-class LevelAccumulator:
-    """Per-level traversal totals, kept hot-path-cheap.
-
-    Three flat integer lists indexed by tree level: nodes expanded,
-    expansion (GEMM batch) count, and nodes pruned. The sweeps add to
-    them once per level, the leaf-first loops once per round
-    (:func:`_fold_levels`); the detector layer copies the totals into
-    labelled registry counters once per ``detect`` or ``decode_batch``.
-    Per-level *generated* is not tracked — it is exactly
-    ``nodes * constellation.order``.
-    """
-
-    __slots__ = ("nodes", "exps", "pruned")
-
-    def __init__(self, n_levels: int) -> None:
-        self.nodes = [0] * n_levels
-        self.exps = [0] * n_levels
-        self.pruned = [0] * n_levels
-
-
-def _fold_levels(acc, lv, queue, levels, pools, pops, order, n_tx, leaves):
-    """Fold one leaf-first search round's per-level rows into ``acc``.
-
-    ``levels``/``pools`` hold the level and node count of every
-    expansion (``pools`` is ``None`` when every expansion is a single
-    node), ``pops`` the per-level count of nodes pruned on pop (DFS;
-    ``None`` for Best-FS, which never pops a node outside the sphere),
-    and ``queue`` the ``(pd, row)`` entries still waiting when the round
-    ended (``lv[row]`` is a row's level). Every node admitted at a level
-    was expanded, pruned on pop or is still waiting, so the children
-    admitted at ``level - 1`` — all produced by expansions at ``level``
-    (the root is at ``n_tx - 1``, never a child) — number the three
-    together; level-0 expansions send their children to leaf acceptance
-    instead, ``leaves`` of which survived. A level without expansions
-    admitted no children below it, so its prunes are its pop-prunes and
-    one formula serves every level. Only the expansion lists and the
-    leftover queue are scanned, never the admitted nodes. Totals match
-    per-expansion accounting exactly.
-    """
-    exps = [0] * n_tx
-    if pools is None:
-        for level in levels:
-            exps[level] += 1
-        nodes = exps
-    else:
-        nodes = [0] * n_tx
-        for level, b in zip(levels, pools):
-            exps[level] += 1
-            nodes[level] += b
-    if pops is None:
-        pops = [0] * n_tx
-    waiting = [0] * n_tx
-    for _pd, row in queue:
-        waiting[lv[row]] += 1
-    a_nodes, a_exps, a_pruned = acc.nodes, acc.exps, acc.pruned
-    survived = leaves
-    for level in range(n_tx):
-        n = nodes[level]
-        q = pops[level]
-        a_nodes[level] += n
-        a_exps[level] += exps[level]
-        a_pruned[level] += n * order - survived + q
-        # Nodes admitted at this level: children the level above kept.
-        survived = n + q + waiting[level]
 
 
 class _PooledTreePolicy(TraversalPolicy):
@@ -315,16 +243,17 @@ class _PooledTreePolicy(TraversalPolicy):
 
     @staticmethod
     def _fold_round(
-        engine, stats, order, n_tx, lv, queue, levels, pools, pops, *,
+        engine, stats, order, levels, pools, *,
         nodes, cmacs, pruned, leaves, radii, max_list, truncated, gemm_s,
     ):
         """Fold one round's local counters into ``stats``, once.
 
-        ``lv``/``queue``/``levels``/``pools``/``pops`` as in
-        :func:`_fold_levels`; ``nodes`` is the number of nodes expanded
-        and ``pruned`` every prune, pop-prunes included. The FLOP count
-        uses the sweeps' formulas: one CMAC per assigned symbol of every
-        pool row, one NORM per child.
+        ``levels``/``pools`` hold the level and node count of every
+        expansion (``pools`` is ``None`` when every expansion is a single
+        node); ``nodes`` is the number of nodes expanded and ``pruned``
+        every prune, pop-prunes included. The FLOP count uses the
+        sweeps' formulas: one CMAC per assigned symbol of every pool
+        row, one NORM per child.
         """
         stats.nodes_expanded += nodes
         stats.nodes_generated += nodes * order
@@ -342,11 +271,6 @@ class _PooledTreePolicy(TraversalPolicy):
         if engine.record_trace:
             stats.batches.extend(
                 levels, [1] * len(levels) if pools is None else pools
-            )
-        if engine.level_acc is not None:
-            _fold_levels(
-                engine.level_acc, lv, queue, levels, pools, pops, order, n_tx,
-                leaves,
             )
 
 
@@ -493,9 +417,9 @@ class BestFirstPolicy(_PooledTreePolicy):
                 truncated = 1
                 break
         self._fold_round(
-            engine, stats, p, n_tx, lv, heap, levels, pools, None,
-            nodes=n_nodes, cmacs=cmacs, pruned=pruned, leaves=leaves,
-            radii=radii, max_list=max_list, truncated=truncated, gemm_s=gemm_s,
+            engine, stats, p, levels, pools, nodes=n_nodes, cmacs=cmacs,
+            pruned=pruned, leaves=leaves, radii=radii, max_list=max_list,
+            truncated=truncated, gemm_s=gemm_s,
         )
         if best is not None:
             row, c = best
@@ -537,8 +461,7 @@ class DfsPolicy(_PooledTreePolicy):
 
         Nodes are rows of two lists, ``lv`` (the level their children
         assign) and ``paths`` (root-first index tuples); the LIFO holds
-        ``(pd, row)``. Pop-prunes are counted per level where they
-        happen.
+        ``(pd, row)``.
         """
         pts, rows, diag, ybar = frame
         p = len(pts)
@@ -554,7 +477,6 @@ class DfsPolicy(_PooledTreePolicy):
         paths = [()]
         stack = [(0.0, 0)]
         levels: list[int] = []  # level of every expansion, in order
-        pops = [0] * n_tx  # nodes pruned on pop, per level
         radii: list[float] = []
         pruned = leaves = cmacs = max_list = truncated = 0
         gemm_s = 0.0
@@ -563,7 +485,7 @@ class DfsPolicy(_PooledTreePolicy):
             pd, row = stack.pop()
             if pd >= bound:
                 # Admitted inside an older, looser sphere — prune on pop.
-                pops[lv[row]] += 1
+                pruned += 1
                 continue
             k = lv[row]
             path = paths[row]
@@ -632,9 +554,8 @@ class DfsPolicy(_PooledTreePolicy):
                 truncated = 1
                 break
         self._fold_round(
-            engine, stats, p, n_tx, lv, stack, levels, None, pops,
-            nodes=len(levels), cmacs=cmacs, pruned=pruned + sum(pops),
-            leaves=leaves, radii=radii, max_list=max_list,
+            engine, stats, p, levels, None, nodes=len(levels), cmacs=cmacs,
+            pruned=pruned, leaves=leaves, radii=radii, max_list=max_list,
             truncated=truncated, gemm_s=gemm_s,
         )
         if best is not None:
@@ -727,7 +648,6 @@ class PartitionedPolicy(_PooledTreePolicy):
         paths = [()]
         levels: list[int] = []  # level of every expansion, in order
         pools: list[int] = []  # its node count
-        pops = [0] * n_tx  # nodes pruned on pop, per level
         radii: list[float] = []
         pruned = leaves = cmacs = max_list = truncated = 0
         gemm_s = 0.0
@@ -780,10 +700,10 @@ class PartitionedPolicy(_PooledTreePolicy):
                     continue
                 pd, row = stack.pop()
                 waiting -= 1
-                k = lv[row]
                 if pd >= bound:
-                    pops[k] += 1
+                    pruned += 1
                     continue
+                k = lv[row]
                 path = paths[row]
                 t0 = perf()
                 child = []
@@ -819,10 +739,9 @@ class PartitionedPolicy(_PooledTreePolicy):
                 if waiting > max_list:
                     max_list = waiting
         self._fold_round(
-            engine, stats, p, n_tx, lv, chain.from_iterable(stacks), levels,
-            pools, pops, nodes=sum(pools), cmacs=cmacs,
-            pruned=pruned + sum(pops), leaves=leaves, radii=radii,
-            max_list=max_list, truncated=truncated, gemm_s=gemm_s,
+            engine, stats, p, levels, pools, nodes=sum(pools), cmacs=cmacs,
+            pruned=pruned, leaves=leaves, radii=radii, max_list=max_list,
+            truncated=truncated, gemm_s=gemm_s,
         )
         if best is not None:
             row, c = best
@@ -1036,15 +955,6 @@ class TraversalEngine:
         raises).
     record_trace:
         Keep the per-expansion :class:`BatchTrace` in the stats.
-
-    When :attr:`level_acc` is set to a :class:`LevelAccumulator` sized
-    to the tree depth (the detector layer does this when a metrics
-    registry is live), every
-    policy folds per-level traversal totals into it — nodes expanded,
-    expansion batches and nodes pruned per tree level. The detector
-    copies it into labelled registry counters once per ``detect`` or
-    ``decode_batch``. ``None`` (the default) costs one attribute read
-    per sweep level or search round.
     """
 
     def __init__(
@@ -1071,8 +981,6 @@ class TraversalEngine:
                 f"metrics, got {self.metric.name!r}"
             )
         self.record_trace = record_trace
-        #: Optional per-level traversal accumulator (see class docstring).
-        self.level_acc: LevelAccumulator | None = None
 
     def solve_gen(self, r, ybar, noise_var, stats, tracer):
         """The sweep policy's generator for one frame (see lockstep)."""

@@ -31,11 +31,7 @@ from repro.core.gemm import ChannelKernel
 from repro.core.lattice import LatticeRepresentation, resolve_lattice
 from repro.core.metric import PartialDistanceMetric
 from repro.core.radius import RadiusPolicy
-from repro.core.traversal import (
-    LevelAccumulator,
-    TraversalEngine,
-    TraversalPolicy,
-)
+from repro.core.traversal import TraversalEngine, TraversalPolicy
 from repro.detectors.base import DecodeStats, DetectionResult, Detector
 from repro.mimo.constellation import Constellation
 from repro.mimo.preprocessing import (
@@ -58,46 +54,36 @@ ORDERINGS = ("natural", "sqrd")
 #: seconds-scaled buckets.
 FRONTIER_BUCKETS = exponential_buckets(1.0, 2.0, 21)
 
-#: Per-level ``traversal.*`` counters, in the order the flush writes them.
-_LEVEL_COUNTERS = ("nodes_expanded", "expansions", "nodes_generated", "nodes_pruned")
-
 
 class _DetectorSeries:
     """The registry series a detector writes, bound once per registry
     and detector name (:meth:`MetricsRegistry.bundle`).
 
     Every series is bound with ``labels(...)``, so a flush builds no
-    label key; per-level series are bound the first time a level shows
-    up.
+    label key.
     """
 
     def __init__(self, metrics, detector: str) -> None:
-        self.registry, self.detector = metrics, detector
         counter, histogram = metrics.counter, metrics.histogram
-        self.frames = counter("detector.frames").labels(detector=detector)
-        self.leaves = counter("traversal.leaves_reached").labels(detector=detector)
-        self.flops = counter("traversal.gemm_flops").labels(detector=detector)
+        #: ``detector.frames`` and the six ``traversal.*`` counters, in
+        #: the order :meth:`EngineDetector._flush_traversal_metrics`
+        #: writes them.
+        self.counts = tuple(
+            counter(name).labels(detector=detector)
+            for name in (
+                "detector.frames",
+                "traversal.nodes_expanded",
+                "traversal.expansions",
+                "traversal.nodes_generated",
+                "traversal.nodes_pruned",
+                "traversal.leaves_reached",
+                "traversal.gemm_flops",
+            )
+        )
         self.seconds = histogram("detector.decode_seconds").labels(detector=detector)
         self.frontier = histogram(
             "traversal.frontier_peak", edges=FRONTIER_BUCKETS
         ).labels(detector=detector)
-        #: Per tree level, its ``traversal.*`` series in
-        #: :data:`_LEVEL_COUNTERS` order.
-        self.levels: list[tuple] = []
-
-    def bind_levels(self, n_levels: int) -> list[tuple]:
-        """The per-level series of levels ``0 .. n_levels - 1``."""
-        levels = self.levels
-        for level in range(len(levels), n_levels):
-            levels.append(
-                tuple(
-                    self.registry.counter(f"traversal.{name}").labels(
-                        detector=self.detector, level=str(level)
-                    )
-                    for name in _LEVEL_COUNTERS
-                )
-            )
-        return levels
 
 
 class EngineDetector(Detector):
@@ -212,9 +198,7 @@ class EngineDetector(Detector):
                 )
         stats.wall_time_s = timer.elapsed
         if series is not None:
-            self._flush_traversal_metrics(
-                series, self.engine.level_acc, [stats], timer.elapsed
-            )
+            self._flush_traversal_metrics(series, [stats], timer.elapsed)
         return self._fold_back(received, incumbent, stats)
 
     def solve(
@@ -240,11 +224,7 @@ class EngineDetector(Detector):
         # external callers may pass a different R (e.g. the quantised-R
         # ablation), which gets its own validated kernel.
         kernel = self._kernel if self._prepared and r is self._qr.r else None
-        engine = self.engine
-        engine.level_acc = (
-            LevelAccumulator(r.shape[1]) if current_metrics().enabled else None
-        )
-        incumbent, bound = engine.solve(
+        incumbent, bound = self.engine.solve(
             r, ybar, noise_var, stats, current_tracer(), kernel=kernel
         )
         return incumbent, bound, stats
@@ -282,7 +262,6 @@ class EngineDetector(Detector):
         series = self._metric_series()
         timer = Timer()
         stats_list = [DecodeStats() for _ in range(n_frames)]
-        engine = self.engine
         with current_tracer().span(
             f"{self.trace_root}.decode_batch",
             detector=self.name,
@@ -296,19 +275,13 @@ class EngineDetector(Detector):
                         for row in received
                     ]
                 )
-                engine.level_acc = (
-                    None if series is None
-                    else LevelAccumulator(self._qr.r.shape[1])
-                )
-                outcomes, _info = engine.solve_batch(
+                outcomes, _info = self.engine.solve_batch(
                     self._qr.r, ybars, self._noise_var, stats_list,
                     kernel=self._kernel,
                 )
         per_frame_s = timer.elapsed / n_frames
         if series is not None:
-            self._flush_traversal_metrics(
-                series, engine.level_acc, stats_list, per_frame_s
-            )
+            self._flush_traversal_metrics(series, stats_list, per_frame_s)
         results: list[DetectionResult] = []
         for row, (incumbent, _bound), stats in zip(received, outcomes, stats_list):
             stats.wall_time_s = per_frame_s
@@ -325,40 +298,33 @@ class EngineDetector(Detector):
         return metrics.bundle(_DetectorSeries, self.name)
 
     def _flush_traversal_metrics(
-        self, series, acc, stats_list, frame_seconds: float
+        self, series, stats_list, frame_seconds: float
     ) -> None:
         """Copy one ``detect``'s or ``decode_batch``'s counts into the registry.
 
         The single place a decode's :class:`DecodeStats` reach the
         metrics registry, run once per call after the decode timer has
-        stopped. ``acc`` is the engine's :class:`LevelAccumulator`: it
-        becomes per-level ``traversal.*`` counters. Per-level
-        *generated* is ``nodes * order`` (every expansion emits one
-        child per constellation point); prune *rate* per level is
-        derived at read time as ``pruned / generated``. Each frame adds
-        one frontier-peak and one ``frame_seconds`` decode-time
-        observation.
+        stopped: the frame count and six ``traversal.*`` totals, one
+        series each per detector (``expansions`` sums ``gemm_calls``;
+        per-level work stays readable from ``DecodeStats.batches``).
+        Each frame adds one frontier-peak and one ``frame_seconds``
+        decode-time observation.
         """
-        if acc is not None:
-            order = self.engine.constellation.order
-            rows = series.bind_levels(len(acc.exps))
-            for row, n, e, q in zip(rows, acc.nodes, acc.exps, acc.pruned):
-                # A level with neither expansions nor prunes books
-                # nothing; nodes_pruned only when there were prunes.
-                if q:
-                    inc_each(row, (n, e, n * order, q))
-                elif e:
-                    inc_each(row, (n, e, n * order))
         frontier, seconds = series.frontier, series.seconds
-        leaves = flops = 0
+        nodes = exps = generated = pruned = leaves = flops = 0
         for stats in stats_list:
             frontier.observe(stats.max_list_size)
             seconds.observe(frame_seconds)
+            nodes += stats.nodes_expanded
+            exps += stats.gemm_calls
+            generated += stats.nodes_generated
+            pruned += stats.nodes_pruned
             leaves += stats.leaves_reached
             flops += stats.gemm_flops
-        series.frames.inc(len(stats_list))
-        series.leaves.inc(leaves)
-        series.flops.inc(flops)
+        inc_each(
+            series.counts,
+            (len(stats_list), nodes, exps, generated, pruned, leaves, flops),
+        )
 
     def _fold_back(
         self,

@@ -54,24 +54,21 @@ def span_metrics(tracer: Tracer) -> dict[str, TimingSummary]:
 
 
 def counter_rows(snapshot: "MetricsSnapshot") -> dict[str, float]:
-    """Counter totals by series, per-level series summed.
-
-    The ``level`` label is the vocabulary's only per-tree-level label;
-    folding it keeps a summary table to one row per detector and
-    counter (``traversal.nodes_expanded{detector=sd}``). Sorted by key.
-    """
-    rows: dict[str, float] = {}
-    for (name, key), value in snapshot.counters.items():
-        flat = format_series_key(name, tuple(kv for kv in key if kv[0] != "level"))
-        rows[flat] = rows.get(flat, 0.0) + value
-    return dict(sorted(rows.items()))
+    """Counter totals by series (``traversal.nodes_expanded{detector=sd}``),
+    sorted by key."""
+    return dict(
+        sorted(
+            (format_series_key(name, key), value)
+            for (name, key), value in snapshot.counters.items()
+        )
+    )
 
 
 def traversal_rates(snapshot: "MetricsSnapshot") -> dict[str, float]:
     """Nodes expanded per decode second, by detector.
 
-    Divides each detector's ``traversal.nodes_expanded`` total (all
-    levels) by the sum of its ``detector.decode_seconds`` histogram —
+    Divides each detector's ``traversal.nodes_expanded`` total by the
+    sum of its ``detector.decode_seconds`` histogram —
     the host-throughput figure the traversal loops optimise. Detectors
     without recorded decode time are omitted.
     """
@@ -608,8 +605,8 @@ class HistogramHandle(_Instrument):
 # ---------------------------------------------------------------------------
 
 #: Series-count ceiling; far above legitimate use (detector × SNR ×
-#: level × shard for a large sweep is a few thousand) but low enough to
-#: catch a per-frame label before it eats the heap.
+#: shard for a large sweep is a few thousand) but low enough to catch a
+#: per-frame label before it eats the heap.
 DEFAULT_MAX_SERIES = 50_000
 
 

@@ -144,17 +144,6 @@ class TestMetrics:
     def test_counter_totals(self):
         assert counter_rows(sample_registry().snapshot()) == {"nodes": 10.0}
 
-    def test_counter_rows_sum_levels(self):
-        registry = MetricsRegistry()
-        nodes = registry.counter("traversal.nodes_expanded")
-        nodes.inc(4, detector="sd", level="0")
-        nodes.inc(6, detector="sd", level="1")
-        nodes.inc(1, detector="bfs", level="0")
-        assert counter_rows(registry.snapshot()) == {
-            "traversal.nodes_expanded{detector=bfs}": 1.0,
-            "traversal.nodes_expanded{detector=sd}": 10.0,
-        }
-
     def test_format_metrics_table(self):
         text = format_metrics(
             sample_tracer(), sample_registry(), title="unit test"

@@ -301,15 +301,23 @@ class TestPrometheusExport:
         assert "repro_lat_count 3" in text
 
 
+#: The ``traversal.*`` counters an engine detector's flush writes.
+TRAVERSAL_COUNTERS = (
+    "traversal.nodes_expanded",
+    "traversal.expansions",
+    "traversal.nodes_generated",
+    "traversal.nodes_pruned",
+    "traversal.leaves_reached",
+    "traversal.gemm_flops",
+)
+
+
 class TestTraversalAccountingConsistency:
     """Registry traversal totals must equal DecodeStats exactly.
 
-    DFS and best-first fold their per-level accumulator rows once per
-    search round from the scalar loops' level/pool lists
-    (``traversal._fold_levels``). Both must reproduce the search's own
-    exact counters — the trace timeline is sampled, the metrics are
-    not — and a ``decode_batch`` must book the same rows as a per-frame
-    ``detect`` loop.
+    The flush sums each call's ``DecodeStats`` into one series per
+    counter and detector, so a ``decode_batch`` must book the same rows
+    as a per-frame ``detect`` loop.
     """
 
     @staticmethod
@@ -368,7 +376,7 @@ class TestTraversalAccountingConsistency:
                 decoder.prepare(channel, noise_var=noise_var)
                 decode(decoder)
             snap = m.snapshot()
-            levels = {
+            counters = {
                 key: value
                 for key, value in snap.counters.items()
                 if key[0].startswith("traversal.")
@@ -378,22 +386,15 @@ class TestTraversalAccountingConsistency:
                 for key, hist in snap.histograms.items()
                 if key[0] == "traversal.frontier_peak"
             }
-            return levels, peaks
+            return counters, peaks
 
         per_frame = rows(lambda d: [d.detect(row) for row in received])
         batched = rows(lambda d: d.decode_batch(received))
         assert per_frame == batched
-        levels, peaks = per_frame
-        names = {name for name, _labels in levels}
-        assert names == {
-            "traversal.nodes_expanded",
-            "traversal.expansions",
-            "traversal.nodes_generated",
-            "traversal.nodes_pruned",
-            "traversal.leaves_reached",
-            "traversal.gemm_flops",
-        }
-        assert len(levels) > len(names)  # one row per level, not totals
+        counters, peaks = per_frame
+        names = {name for name, _labels in counters}
+        assert names == set(TRAVERSAL_COUNTERS)
+        assert len(counters) == len(names)  # one row per counter
         assert sum(sum(counts) for counts in peaks.values()) == len(received)
 
     def test_dfs_never_reaches_the_expand_request_path(self, monkeypatch):
@@ -482,6 +483,10 @@ class TestRegistryConformance:
     @pytest.mark.parametrize("kind", ENGINE_KINDS)
     def test_series_equal_decode_stats(self, kind, path):
         name, results, snap = _decode_block(kind, path)
+        # Each traversal counter is one series per detector, no level.
+        for counter in TRAVERSAL_COUNTERS:
+            keys = [key for n, key in snap.counters if n == counter]
+            assert keys == [(("detector", name),)], counter
 
         def total(series):
             return sum(
