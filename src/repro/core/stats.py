@@ -9,7 +9,7 @@ compatibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -47,9 +47,7 @@ class BatchTrace:
     the ``i``-th expansion batch, in the order the search ran them.
     Producers append plain Python ints to the columns, so recording a
     trace builds no per-event object; iterating yields
-    :class:`BatchEvent` records for readers. ``+`` and ``+=``
-    concatenate, which is how :meth:`DecodeStats.merge` and
-    :meth:`DecodeStats.merge_all` fold traces.
+    :class:`BatchEvent` records for readers.
     """
 
     levels: list[int] = field(default_factory=list)
@@ -84,35 +82,14 @@ class BatchTrace:
     def __iter__(self) -> Iterator[BatchEvent]:
         return map(BatchEvent, self.levels, self.pools)
 
-    def __add__(self, other: "BatchTrace") -> "BatchTrace":
-        return BatchTrace(self.levels + other.levels, self.pools + other.pools)
-
-    def __iadd__(self, other: "BatchTrace") -> "BatchTrace":
-        self.levels += other.levels
-        self.pools += other.pools
-        return self
-
 
 @dataclass
 class DecodeStats:
     """Work performed by one ``detect`` call of a tree-search detector.
 
-    Aggregation across frames goes through :meth:`merge_all`
-    (:meth:`merge` is its two-record case), which derives the per-field
-    rule from the dataclass definition itself: numeric fields sum and
-    list fields concatenate unless the field declares a ``merge``
-    metadata override (``max_list_size`` keeps the maximum).
-    Adding a field therefore never silently drops it from aggregates —
-    ``tests/test_detector_base.py`` asserts every field round-trips.
-
-    Merging is **order-independent** for every scalar field (sums and
-    maxima commute and associate), so cross-process aggregation needs no
-    global frame order: ``a.merge(b)`` equals ``b.merge(a)`` field-wise
-    except for the sequence fields (``batches``, ``radius_trace``), which
-    concatenate left-to-right. Callers that shard frames across workers
-    therefore merge worker results in deterministic shard order (see
-    :mod:`repro.mimo.parallel_mc`) so the concatenated traces reproduce
-    the serial order exactly.
+    One record per frame; readers that want totals sum the fields they
+    need over the frames (the metrics registry's ``traversal.*``
+    counters are such sums, written by the detector shell).
     """
 
     nodes_expanded: int = 0
@@ -122,7 +99,7 @@ class DecodeStats:
     radius_updates: int = 0
     gemm_calls: int = 0
     gemm_flops: int = 0
-    max_list_size: int = field(default=0, metadata={"merge": "max"})
+    max_list_size: int = 0
     wall_time_s: float = 0.0
     #: Seconds spent inside the GEMM + NORM arithmetic
     #: (:meth:`repro.core.gemm.ChannelKernel.expand`, or the
@@ -167,47 +144,3 @@ class DecodeStats:
         if self.wall_time_s <= 0.0:
             return 0.0
         return min(self.gemm_time_s / self.wall_time_s, 1.0)
-
-    def merge(self, other: "DecodeStats") -> "DecodeStats":
-        """Aggregate two stats records (e.g. across Monte Carlo frames)."""
-        return type(self).merge_all((self, other))
-
-    @classmethod
-    def merge_all(cls, stats: Iterable["DecodeStats"]) -> "DecodeStats":
-        """Fold many stats records into one in linear time.
-
-        The one fold behind :meth:`merge` and the Monte Carlo points'
-        ``aggregate_stats``: equivalent to chaining pairwise merges left
-        to right, without re-copying the growing traces per record. A
-        field with no ``merge`` metadata that is not a number, a list or
-        a :class:`BatchTrace`, or with an unknown rule, raises
-        :class:`TypeError`.
-        """
-        merged = cls()
-        total: dict[str, object] = {}
-        maxima: set[str] = set()
-        for f in fields(cls):
-            value = total[f.name] = getattr(merged, f.name)
-            rule = f.metadata.get("merge")
-            if rule is None and not isinstance(value, (int, float, list, BatchTrace)):
-                raise TypeError(
-                    f"{cls.__name__}.{f.name}: no default merge rule for "
-                    f"{type(value).__name__}; declare one via "
-                    "field(metadata={'merge': ...})"
-                )
-            if rule == "max":
-                maxima.add(f.name)
-            elif rule not in (None, "sum"):
-                raise TypeError(
-                    f"{cls.__name__}.{f.name}: unknown merge rule {rule!r}"
-                )
-        for st in stats:
-            for name in total:
-                value = getattr(st, name)
-                if name in maxima:
-                    total[name] = max(total[name], value)
-                else:
-                    # Numeric add / sequence concatenation, in place for
-                    # the fresh lists and trace of ``merged``.
-                    total[name] += value
-        return cls(**total)

@@ -66,10 +66,6 @@ class SnrPoint:
         """Mean wall-clock decode time per frame (this host, not the FPGA)."""
         return self.decode_time_s / self.frames if self.frames else float("nan")
 
-    def aggregate_stats(self) -> DecodeStats:
-        """Sum of all per-frame search statistics at this point."""
-        return DecodeStats.merge_all(self.frame_stats)
-
     def mean_nodes_expanded(self) -> float:
         """Average tree nodes expanded per frame (NaN for linear detectors)."""
         if not self.frame_stats:

@@ -118,6 +118,21 @@ class TestWorkloadSweep:
             )
             assert isinstance(row["real_time_fpga"], bool)
 
+    def test_truncated_frames_counts_truncated_frames(self):
+        """A node cap small enough to cut some searches short: each row
+        counts its point's frames whose search was truncated."""
+        workload = run_workload_sweep(
+            6, "4qam", snrs=[4.0, 20.0], channels=2, frames_per_channel=3,
+            seed=1, max_nodes=8,
+        )
+        rows = time_rows(workload)
+        points = workload.sweep.points
+        counts = [sum(st.truncated > 0 for st in p.frame_stats) for p in points]
+        assert [row["truncated_frames"] for row in rows] == counts
+        assert sum(counts) > 0
+        # Some point truncates part of its frames, not none or all.
+        assert any(0 < c < p.frames for c, p in zip(counts, points))
+
     def test_decode_time_falls_with_snr(self):
         """The headline shape of Figs. 6/8/9/10 on a small system."""
         workload = run_workload_sweep(

@@ -99,9 +99,8 @@ class TestStatsCollection:
         sweep = engine.run(lambda: SphereDecoder(const), [10.0])
         point = sweep.points[0]
         assert len(point.frame_stats) == point.frames
-        agg = point.aggregate_stats()
-        assert agg.nodes_expanded > 0
-        assert agg.gemm_calls > 0
+        assert sum(st.nodes_expanded for st in point.frame_stats) > 0
+        assert sum(st.gemm_calls for st in point.frame_stats) > 0
 
     def test_linear_detector_has_no_stats(self):
         system = _system()
