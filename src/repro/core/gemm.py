@@ -25,6 +25,8 @@ so platform cost models can translate work into time.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.core.metric import PartialDistanceMetric, resolve_metric
@@ -48,6 +50,16 @@ def _stacked_gemv(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     return np.einsum("bm,m->b", matrix, vector)
 
 
+@functools.lru_cache(maxsize=None)
+def _path_heads(n_tx: int, order: int) -> tuple:
+    """``heads[k][c] = ((n_tx-1-k)*order + c,)`` (see
+    :meth:`ChannelKernel.scalar_tables`), one table per shape."""
+    return tuple(
+        tuple(((n_tx - 1 - k) * order + c,) for c in range(order))
+        for k in range(n_tx)
+    )
+
+
 class ChannelKernel:
     """Per-channel partial-distance kernel shared by every frame of a
     fading block.
@@ -65,8 +77,9 @@ class ChannelKernel:
     prepared for (default ℓ₂); a search asking a prebuilt kernel for a
     different metric raises.
 
-    :meth:`scalar_tables` hands the leaf-first scalar loops the same
-    tables as Python lists, built on first use and kept for the block.
+    :meth:`scalar_tables` hands the leaf-first scalar loops per-channel
+    lookup tables built from the same values: the ``R[k, j] * omega``
+    products, the diagonal points as float pairs and the path offsets.
     """
 
     __slots__ = ("n_tx", "points", "diag_points", "rows", "metric", "_scalar_tables")
@@ -93,21 +106,46 @@ class ChannelKernel:
         self.rows = [r[k, k + 1 :] for k in range(self.n_tx)]
         self._scalar_tables = None
 
-    def scalar_tables(self) -> tuple[list, list, list]:
-        """``(points, rows, diag_points)`` as lists of Python complexes.
+    def scalar_tables(self) -> tuple[list, list, tuple]:
+        """``(cross, diag, heads)``: the leaf-first loops' per-channel tables.
 
-        ``.tolist()`` copies of the arrays :meth:`expand` indexes, so the
-        leaf-first scalar loops (Best-FS, DFS) see the same values
-        without per-node NumPy dispatch. The points are cast to
-        complex128 first, exactly as :func:`_stacked_gemv` casts real
-        PAM points inside ``einsum``.
+        Built on first use and kept for the block (the detector shell
+        builds them at ``prepare``). With ``M = n_tx``, ``P`` points and
+        the root-relative path offset ``off(j, s) = (M-1-j)*P + s`` of
+        symbol ``s`` at level ``j``:
+
+        ``cross[k][off(j, s)]``
+            ``pts[s] * R[k, j]`` for every ``j > k``, each a Python
+            complex product (not a NumPy broadcast, whose bits nothing
+            pins) of ``pts``, the points cast to complex128 as
+            :func:`_stacked_gemv` casts real PAM points inside
+            ``einsum``, and ``R[k, j]`` read from ``rows[k]``. A node's
+            interference at level ``k`` is then one lookup-add per
+            assigned symbol, ``acc = acc + cross[k][o]`` from a zero
+            start over its leaf-first offsets (level ``k+1`` first):
+            the ascending-level order of :meth:`expand`'s ``einsum``.
+        ``diag[k][c]``
+            ``diag_points[k, c]`` as a ``(real, imag)`` float pair, for
+            a NORM step on floats (complex subtraction is componentwise).
+        ``heads[k][c]``
+            ``(off(k, c),)``, the offset a child assigning symbol ``c``
+            at level ``k`` puts in front of its parent's path. It
+            depends only on ``(M, P)`` and is shared by every kernel of
+            that shape.
         """
         tables = self._scalar_tables
         if tables is None:
+            pts = self.points.astype(np.complex128).tolist()
             tables = self._scalar_tables = (
-                self.points.astype(np.complex128).tolist(),
-                [row.tolist() for row in self.rows],
-                self.diag_points.tolist(),
+                [
+                    [w * rkj for rkj in reversed(row.tolist()) for w in pts]
+                    for row in self.rows
+                ],
+                [
+                    [(d.real, d.imag) for d in level]
+                    for level in self.diag_points.tolist()
+                ],
+                _path_heads(self.n_tx, len(pts)),
             )
         return tables
 

@@ -102,13 +102,14 @@ class DecodeStats:
     max_list_size: int = 0
     wall_time_s: float = 0.0
     #: Seconds spent inside the GEMM + NORM arithmetic
-    #: (:meth:`repro.core.gemm.ChannelKernel.expand`, or the
-    #: child-PD arithmetic of the Best-FS / DFS scalar loops); the
+    #: (:meth:`repro.core.gemm.ChannelKernel.expand`, or the child-PD
+    #: arithmetic of the leaf-first scalar loops: one table lookup-add
+    #: per assigned symbol and the float-pair NORM per child); the
     #: rest of ``wall_time_s`` is host-side search bookkeeping. Under
     #: fused batch decoding the shared GEMM time is split evenly across
     #: the batch's frames, mirroring ``wall_time_s``. The scalar loops
-    #: time each expansion's child-PD loop, so scheduling, pruning and
-    #: admission stay outside it.
+    #: time each expansion's child-PD loop, so scheduling, pruning,
+    #: admission and the table build at ``prepare`` stay outside it.
     gemm_time_s: float = 0.0
     truncated: int = 0
     #: One entry per expansion batch; recorded only when the decoder

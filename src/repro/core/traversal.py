@@ -15,9 +15,14 @@ are evaluated*. This module is that separation made concrete:
       split over cooperating processing entities, section V) are
       leaf-first searches. Their pools are a node or a few, too small
       to amortise a GEMM call, so each evaluates its own partial
-      distances in one scalar loop over Python lists with
+      distances in one scalar loop over the channel's lookup tables
+      (:meth:`~repro.core.gemm.ChannelKernel.scalar_tables`): one
+      lookup-add of a tabled ``R[k, j] * omega`` product per assigned
+      symbol and a NORM step on float pairs, in
       :meth:`~repro.core.gemm.ChannelKernel.expand`'s order of
-      operations, bit-identical to it. Their batches decode frame by
+      operations and bit-identical to it. A node's state (PD, level,
+      leaf-first path offsets) lives in its heap or stack entry and is
+      freed when the entry is popped. Their batches decode frame by
       frame.
     * :class:`BfsPolicy` — level-synchronous frontier sweep (the GPU
       baseline of Arfaoui et al., one GEMM per level) — plus
@@ -175,12 +180,11 @@ class _PooledTreePolicy(TraversalPolicy):
     since a larger radius can only expand the workload — and a Babai
     fallback when every escalation came back empty.
 
-    Each round is one call of ``_search``: a scalar loop over Python
-    lists, floats and complexes fed by
-    :meth:`ChannelKernel.scalar_tables`, whose arithmetic follows
-    :meth:`ChannelKernel.expand`'s order of operations, so every
-    decision, metric, counter and trace is bit-identical to the GEMM
-    path. Only the ℓ₂ and ℓ∞ metrics are supported.
+    Each round is one call of ``_search``: a scalar loop over the
+    tables of :meth:`ChannelKernel.scalar_tables`, whose arithmetic
+    follows :meth:`ChannelKernel.expand`'s order of operations, so
+    every decision, metric, counter and trace is bit-identical to the
+    GEMM path. Only the ℓ₂ and ℓ∞ metrics are supported.
     """
 
     #: Strategy label used in ``sd.solve`` span args and detector attrs.
@@ -235,10 +239,16 @@ class _PooledTreePolicy(TraversalPolicy):
     def _search(self, engine, frame, n_tx, bound, incumbent, stats):
         """One full tree exploration under the given initial bound.
 
-        ``frame`` is ``(points, rows, diag_points, ybar)`` as Python
-        lists. Returns the best complete solution found (ascending-level
-        indices) and its metric, or ``(incumbent, bound)`` unchanged
-        when the sphere is empty.
+        ``frame`` is ``(cross, diag, heads, ybar)``: the channel's
+        :meth:`ChannelKernel.scalar_tables` and the frame's rotated
+        receive vector as Python complexes. A node's path is the tuple
+        of its assigned symbols' offsets, leaf-first (level ``k+1``
+        first), so its level-``k`` interference is the left fold
+        ``acc = acc + cross[k][o]`` over it and a child assigning ``c``
+        at level ``k`` extends it as ``heads[k][c] + path``. Returns the
+        best complete solution found (ascending-level indices, decoded
+        from the leaf's offsets) and its metric, or
+        ``(incumbent, bound)`` unchanged when the sphere is empty.
         """
 
     @staticmethod
@@ -300,75 +310,68 @@ class BestFirstPolicy(_PooledTreePolicy):
     def _search(self, engine, frame, n_tx, bound, incumbent, stats):
         """One best-first round.
 
-        Nodes are rows of three lists, ``lv`` (the level their children
-        assign), ``pds`` and ``paths`` (root-first index tuples). The
-        heap holds ``(pd, row)``: rows number nodes in admission order,
-        so keys are unique and the pop order is fixed. A pool's child
-        PDs land row-major in one flat list.
+        A node is its heap entry ``(pd, row, level, path)``: ``level``
+        is the level its children assign and ``path`` its leaf-first
+        offset tuple (:meth:`ChannelKernel.scalar_tables`). ``row``
+        numbers entries in admission order, so keys are unique, the pop
+        order is fixed and comparisons never reach ``level`` or
+        ``path``. A pool's child PDs land row-major in one flat list.
         """
-        pts, rows, diag, ybar = frame
-        p = len(pts)
+        cross, diag, heads, ybar = frame
+        p = len(heads[0])
         linf = type(engine.metric) is LInfinityMetric
         pool_size = self.pool_size
-        children = range(p)
         cap = (
             None if self.max_nodes is None
             else self.max_nodes - stats.nodes_expanded
         )
         heappop, heappush = heapq.heappop, heapq.heappush
         perf = perf_counter
-        lv = [n_tx - 1]
-        pds = [0.0]
-        paths = [()]
-        heap = [(0.0, 0)]
+        heap = [(0.0, 0, n_tx - 1, ())]
+        rows = 1  # heap entries admitted so far
         levels: list[int] = []  # level of every expansion, in order
         pools: list[int] = []  # its node count
         radii: list[float] = []
         n_nodes = pruned = leaves = cmacs = max_list = truncated = 0
         gemm_s = 0.0
-        best = None  # (row, child) of the best leaf this round
+        best = None  # (path, child) of the best leaf this round
         while heap:
             top = heap[0]
             if top[0] >= bound:
                 break  # heap is PD-ordered: nothing left can improve
             heappop(heap)
-            k = lv[top[1]]
-            pool = [top[1]]
+            k = top[2]
+            pool = [top]
             while heap and len(pool) < pool_size:
-                pd, row = heap[0]
-                if pd >= bound or lv[row] != k:
+                top = heap[0]
+                if top[0] >= bound or top[2] != k:
                     break
                 heappop(heap)
-                pool.append(row)
+                pool.append(top)
             b = len(pool)
-            rk = rows[k]
+            tk = cross[k]
             dk = diag[k]
             yk = ybar[k]
             t0 = perf()
             child = []
-            for row in pool:
-                path = paths[row]
-                pd = pds[row]
-                if path:
-                    # einsum order: zero start, ascending levels k+1 .. M-1.
-                    acc = 0j
-                    for s, rkj in zip(reversed(path), rk):
-                        acc = acc + pts[s] * rkj
-                    u = yk - acc
-                else:
-                    u = yk
+            for pd, _row, _level, path in pool:
+                # einsum order: zero start, ascending levels k+1 .. M-1.
+                acc = 0j
+                for o in path:
+                    acc = acc + tk[o]
+                u = yk - acc
+                ur = u.real
+                ui = u.imag
                 if linf:
-                    for dc in dk:
-                        e = u - dc
-                        er = abs(e.real)
-                        ei = abs(e.imag)
+                    for dr, di in dk:
+                        er = abs(ur - dr)
+                        ei = abs(ui - di)
                         inc = er if er > ei else ei
                         child.append(pd if pd > inc else inc)
                 else:
-                    for dc in dk:
-                        e = u - dc
-                        er = e.real
-                        ei = e.imag
+                    for dr, di in dk:
+                        er = ur - dr
+                        ei = ui - di
                         child.append(pd + (er * er + ei * ei))
             gemm_s += perf() - t0
             levels.append(k)
@@ -392,25 +395,24 @@ class BestFirstPolicy(_PooledTreePolicy):
                 pruned += b * p - n_in
                 if v_best < bound:
                     bound = v_best
-                    best = (pool[i_best // p], i_best % p)
+                    best = (pool[i_best // p][3], i_best % p)
                     radii.append(bound)
             else:
-                # Row-major admission (pool row, then child) fixes
-                # the row numbers, and with them the heap's pop order.
-                before = len(lv)
+                # Row-major admission (pool row, then child) fixes the
+                # admission counter, and with it the heap's pop order.
+                before = rows
+                hk = heads[k]
                 k -= 1
                 i = 0
-                for row in pool:
-                    path = paths[row]
-                    for c in children:
+                for entry in pool:
+                    path = entry[3]
+                    for head in hk:
                         v = child[i]
                         i += 1
                         if v < bound:
-                            heappush(heap, (v, len(lv)))
-                            lv.append(k)
-                            pds.append(v)
-                            paths.append(path + (c,))
-                pruned += b * p - (len(lv) - before)
+                            heappush(heap, (v, rows, k, head + path))
+                            rows += 1
+                pruned += b * p - (rows - before)
                 if len(heap) > max_list:
                     max_list = len(heap)
             if cap is not None and n_nodes >= cap:
@@ -422,8 +424,7 @@ class BestFirstPolicy(_PooledTreePolicy):
             truncated=truncated, gemm_s=gemm_s,
         )
         if best is not None:
-            row, c = best
-            incumbent = np.array((c,) + paths[row][::-1], dtype=np.int64)
+            incumbent = _decision(*best, p)
         return incumbent, bound
 
 
@@ -459,12 +460,12 @@ class DfsPolicy(_PooledTreePolicy):
     def _search(self, engine, frame, n_tx, bound, incumbent, stats):
         """One DFS round.
 
-        Nodes are rows of two lists, ``lv`` (the level their children
-        assign) and ``paths`` (root-first index tuples); the LIFO holds
-        ``(pd, row)``.
+        A node is its stack entry ``(pd, level, path)``: ``level`` is
+        the level its children assign and ``path`` its leaf-first
+        offset tuple (:meth:`ChannelKernel.scalar_tables`).
         """
-        pts, rows, diag, ybar = frame
-        p = len(pts)
+        cross, diag, heads, ybar = frame
+        p = len(heads[0])
         linf = type(engine.metric) is LInfinityMetric
         natural = self.child_ordering == "natural"
         children = range(p)
@@ -473,44 +474,38 @@ class DfsPolicy(_PooledTreePolicy):
             else self.max_nodes - stats.nodes_expanded
         )
         perf = perf_counter
-        lv = [n_tx - 1]
-        paths = [()]
-        stack = [(0.0, 0)]
+        stack = [(0.0, n_tx - 1, ())]
         levels: list[int] = []  # level of every expansion, in order
         radii: list[float] = []
         pruned = leaves = cmacs = max_list = truncated = 0
         gemm_s = 0.0
-        best = None  # (row, child) of the best leaf this round
+        best = None  # (path, child) of the best leaf this round
         while stack:
-            pd, row = stack.pop()
+            pd, k, path = stack.pop()
             if pd >= bound:
                 # Admitted inside an older, looser sphere — prune on pop.
                 pruned += 1
                 continue
-            k = lv[row]
-            path = paths[row]
+            tk = cross[k]
             t0 = perf()
-            if path:
-                # einsum order: zero start, ascending levels k+1 .. M-1.
-                acc = 0j
-                for s, rkj in zip(reversed(path), rows[k]):
-                    acc = acc + pts[s] * rkj
-                u = ybar[k] - acc
-            else:
-                u = ybar[k]
+            # einsum order: zero start, ascending levels k+1 .. M-1.
+            acc = 0j
+            for o in path:
+                acc = acc + tk[o]
+            u = ybar[k] - acc
+            ur = u.real
+            ui = u.imag
             child = []
             if linf:
-                for dc in diag[k]:
-                    e = u - dc
-                    er = abs(e.real)
-                    ei = abs(e.imag)
+                for dr, di in diag[k]:
+                    er = abs(ur - dr)
+                    ei = abs(ui - di)
                     inc = er if er > ei else ei
                     child.append(pd if pd > inc else inc)
             else:
-                for dc in diag[k]:
-                    e = u - dc
-                    er = e.real
-                    ei = e.imag
+                for dr, di in diag[k]:
+                    er = ur - dr
+                    ei = ui - di
                     child.append(pd + (er * er + ei * ei))
             gemm_s += perf() - t0
             levels.append(k)
@@ -531,7 +526,7 @@ class DfsPolicy(_PooledTreePolicy):
                 pruned += p - n_in
                 if v_best < bound:
                     bound = v_best
-                    best = (row, c_best)
+                    best = (path, c_best)
                     radii.append(bound)
             else:
                 # Push worst-first so the best child tops the LIFO.
@@ -540,13 +535,12 @@ class DfsPolicy(_PooledTreePolicy):
                     else sorted(children, key=child.__getitem__)
                 )
                 before = len(stack)
+                hk = heads[k]
                 k -= 1
                 for c in reversed(order):
                     v = child[c]
                     if v < bound:
-                        stack.append((v, len(lv)))
-                        lv.append(k)
-                        paths.append(path + (c,))
+                        stack.append((v, k, hk[c] + path))
                 pruned += p - (len(stack) - before)
                 if len(stack) > max_list:
                     max_list = len(stack)
@@ -559,28 +553,36 @@ class DfsPolicy(_PooledTreePolicy):
             truncated=truncated, gemm_s=gemm_s,
         )
         if best is not None:
-            row, c = best
-            incumbent = np.array((c,) + paths[row][::-1], dtype=np.int64)
+            incumbent = _decision(*best, p)
         return incumbent, bound
 
 
-def _append_child_pds(child, pts, rk, dk, yk, path, pd, linf):
+def _append_child_pds(child, tk, dk, yk, path, pd, linf):
     """Append one node's child PDs to ``child``, with the Best-FS / DFS
-    loops' arithmetic (:meth:`ChannelKernel.expand`'s order)."""
-    if path:
-        acc = 0j
-        for s, rkj in zip(reversed(path), rk):
-            acc = acc + pts[s] * rkj
-        yk = yk - acc
-    for dc in dk:
-        e = yk - dc
+    loops' arithmetic (:meth:`ChannelKernel.expand`'s order) on the
+    level's ``cross`` and ``diag`` tables."""
+    acc = 0j
+    for o in path:
+        acc = acc + tk[o]
+    u = yk - acc
+    ur = u.real
+    ui = u.imag
+    for dr, di in dk:
+        er = ur - dr
+        ei = ui - di
         if linf:
-            er = abs(e.real)
-            ei = abs(e.imag)
+            er = abs(er)
+            ei = abs(ei)
             inc = er if er > ei else ei
             child.append(pd if pd > inc else inc)
         else:
-            child.append(pd + (e.real * e.real + e.imag * e.imag))
+            child.append(pd + (er * er + ei * ei))
+
+
+def _decision(path, c, order):
+    """Ascending-level indices of the leaf that assigns ``c`` at level 0
+    below a node with leaf-first offsets ``path``."""
+    return np.array([c] + [o % order for o in path], dtype=np.int64)
 
 
 class PartitionedPolicy(_PooledTreePolicy):
@@ -634,51 +636,50 @@ class PartitionedPolicy(_PooledTreePolicy):
     def _search(self, engine, frame, n_tx, bound, incumbent, stats):
         """One partitioned round.
 
-        Nodes are rows of ``lv`` (the level their children assign) and
-        ``paths`` (root-first index tuples); the frontier and the PE
-        stacks hold ``(pd, row)``, rows numbered in admission order.
+        The partitioning frontier holds one level's nodes as
+        ``(pd, row, path)``, ``row`` an admission counter that makes the
+        best-first deal's sort keys unique; the PE stacks hold the
+        sorted DFS's ``(pd, level, path)`` entries. ``path`` is the
+        leaf-first offset tuple (:meth:`ChannelKernel.scalar_tables`).
         """
-        pts, rows, diag, ybar = frame
-        p = len(pts)
+        cross, diag, heads, ybar = frame
+        p = len(heads[0])
         linf = type(engine.metric) is LInfinityMetric
         n_pes = self.n_pes
         children = range(p)
         perf = perf_counter
-        lv = [n_tx - 1]
-        paths = [()]
         levels: list[int] = []  # level of every expansion, in order
         pools: list[int] = []  # its node count
         radii: list[float] = []
         pruned = leaves = cmacs = max_list = truncated = 0
         gemm_s = 0.0
-        best = None  # (row, child) of the best leaf this round
+        best = None  # (path, child) of the best leaf this round
         # Partitioning: expand the whole frontier, one level at a time.
-        frontier = [(0.0, 0)]
+        frontier = [(0.0, 0, ())]
+        rows = 1  # frontier entries admitted so far
         k = n_tx - 1
         while True:
             pool, frontier, child = frontier, [], []
             t0 = perf()
-            for pd, row in pool:
-                _append_child_pds(
-                    child, pts, rows[k], diag[k], ybar[k], paths[row], pd, linf
-                )
+            for pd, _row, path in pool:
+                _append_child_pds(child, cross[k], diag[k], ybar[k], path, pd, linf)
             gemm_s += perf() - t0
             levels.append(k)
             pools.append(len(pool))
             cmacs += len(pool) * (n_tx - 1 - k)
-            for v, ((_pd, row), c) in zip(child, product(pool, children)):
+            hk = heads[k]
+            for v, ((_pd, _row, path), c) in zip(child, product(pool, children)):
                 if v >= bound:
                     continue
                 if k == 0:
                     # Leaves are accepted in order, each a new bound.
                     leaves += 1
                     bound = v
-                    best = (row, c)
+                    best = (path, c)
                     radii.append(v)
                 else:
-                    frontier.append((v, len(lv)))
-                    lv.append(k - 1)
-                    paths.append(paths[row] + (c,))
+                    frontier.append((v, rows, hk[c] + path))
+                    rows += 1
             # ``leaves`` stays 0 until the last level, which admits none.
             pruned += len(pool) * p - len(frontier) - leaves
             if k == 0 or len(frontier) >= n_pes or not frontier:
@@ -686,7 +687,10 @@ class PartitionedPolicy(_PooledTreePolicy):
             k -= 1
         # Deal best-first round-robin, each PE's lowest PD on top.
         frontier.sort()
-        stacks = [frontier[pe::n_pes][::-1] for pe in range(n_pes)]
+        stacks = [
+            [(pd, k - 1, path) for pd, _row, path in frontier[pe::n_pes][::-1]]
+            for pe in range(n_pes)
+        ]
         waiting = len(frontier)  # nodes on all stacks
         pe_exps = self.last_pe_expansions
         rounds = 0
@@ -698,18 +702,14 @@ class PartitionedPolicy(_PooledTreePolicy):
             for pe, stack in enumerate(stacks):
                 if not stack:
                     continue
-                pd, row = stack.pop()
+                pd, k, path = stack.pop()
                 waiting -= 1
                 if pd >= bound:
                     pruned += 1
                     continue
-                k = lv[row]
-                path = paths[row]
                 t0 = perf()
                 child = []
-                _append_child_pds(
-                    child, pts, rows[k], diag[k], ybar[k], path, pd, linf
-                )
+                _append_child_pds(child, cross[k], diag[k], ybar[k], path, pd, linf)
                 gemm_s += perf() - t0
                 levels.append(k)
                 pools.append(1)
@@ -722,17 +722,16 @@ class PartitionedPolicy(_PooledTreePolicy):
                     v = min(child)  # its first index is np.argmin's
                     if v < bound:
                         bound = v
-                        best = (row, child.index(v))
+                        best = (path, child.index(v))
                         radii.append(v)
                         self.last_sync_events += 1
                 else:
                     # Push worst-first so the best child tops the LIFO.
                     before = len(stack)
+                    hk = heads[k]
                     for c in reversed(sorted(children, key=child.__getitem__)):
                         if child[c] < bound:
-                            stack.append((child[c], len(lv)))
-                            lv.append(k - 1)
-                            paths.append(path + (c,))
+                            stack.append((child[c], k - 1, hk[c] + path))
                     pushed = len(stack) - before
                     waiting += pushed
                     pruned += p - pushed
@@ -744,8 +743,7 @@ class PartitionedPolicy(_PooledTreePolicy):
             truncated=truncated, gemm_s=gemm_s,
         )
         if best is not None:
-            row, c = best
-            incumbent = np.array((c,) + paths[row][::-1], dtype=np.int64)
+            incumbent = _decision(*best, p)
         return incumbent, bound
 
 
@@ -970,10 +968,12 @@ class TraversalEngine:
         self.policy = policy
         self.radius_policy = radius_policy
         self.metric = resolve_metric(metric)
-        # Decided once per engine: ``isinstance`` against an ABC costs a
-        # Python-level ``__instancecheck__`` call.
-        self._leaf_first = isinstance(policy, _PooledTreePolicy)
-        if self._leaf_first and type(self.metric) not in (
+        #: Whether the policy is a leaf-first scalar loop (Best-FS, DFS,
+        #: partitioned), which reads :meth:`ChannelKernel.scalar_tables`.
+        #: Decided once per engine: ``isinstance`` against an ABC costs a
+        #: Python-level ``__instancecheck__`` call.
+        self.leaf_first = isinstance(policy, _PooledTreePolicy)
+        if self.leaf_first and type(self.metric) not in (
             L2SquaredMetric, LInfinityMetric,
         ):
             raise ValueError(
@@ -998,7 +998,7 @@ class TraversalEngine:
         """
         kernel = self._channel_kernel(r, kernel)
         ybar = check_vector(ybar, "ybar", length=kernel.n_tx)
-        if not self._leaf_first:
+        if not self.leaf_first:
             outcomes, _calls = self._drive_sweeps(
                 r, ybar[None, :], noise_var, [stats], tracer, kernel
             )
@@ -1018,7 +1018,7 @@ class TraversalEngine:
         ``kernel`` as in :meth:`solve`.
         """
         kernel = self._channel_kernel(r, kernel)
-        if not self._leaf_first:
+        if not self.leaf_first:
             outcomes, calls = self._drive_sweeps(
                 r, ybars, noise_var, stats_list, NULL_TRACER, kernel
             )

@@ -173,11 +173,14 @@ class EngineDetector(Detector):
         )
         # One per-channel kernel for the whole fading block: R is shared
         # by every frame, so triangularity validation and the per-level
-        # diag/row tables are computed here once instead of per frame.
+        # tables are computed here once instead of per frame — for a
+        # leaf-first search, its scalar lookup tables too.
         engine = self.engine
         self._kernel = ChannelKernel(
             self._qr.r, engine.constellation, metric=engine.metric
         )
+        if engine.leaf_first:
+            self._kernel.scalar_tables()
         self._noise_var = self.lattice.scale_noise(noise_var)
         self._prepared = True
 
