@@ -108,7 +108,8 @@ def _level_sweep(engine, n_tx, stats, select, tracer=None):
     expansion in ``stats``.
     ``select(level, n_tx, child_pds, stats)`` returns the survivors
     ``(keep_n, keep_c, pds)`` — parent rows, child columns, PDs — and
-    books its own prunes, or returns ``None`` to end the sweep empty.
+    books every child it does not keep in ``stats.nodes_pruned``, or
+    returns ``None`` to end the sweep empty.
     Returns the leaf frontier ``(paths, pds)`` with root-first
     ``(L, n_tx)`` paths, or ``None``. Under a ``tracer`` (BFS passes
     its own) each expansion is a ``bfs.level`` span.
@@ -793,6 +794,7 @@ class BfsPolicy(TraversalPolicy):
             if cap is not None and keep_n.size > cap:
                 # K-best truncation: keep the lowest-PD survivors.
                 top = np.argpartition(new_pds, cap)[:cap]
+                stats.nodes_pruned += keep_n.size - cap
                 keep_n, keep_c, new_pds = keep_n[top], keep_c[top], new_pds[top]
                 stats.truncated += 1
             return keep_n, keep_c, new_pds
@@ -913,6 +915,7 @@ class FsdPolicy(_SweepPolicy):
             keep_c = np.tile(np.arange(p), width)
             return keep_n, keep_c, child_pds.ravel().copy()
         # SIC phase: single best child per candidate.
+        stats.nodes_pruned += width * (p - 1)
         keep_n = np.arange(width)
         keep_c = np.argmin(child_pds, axis=1)
         return keep_n, keep_c, child_pds[keep_n, keep_c]

@@ -20,7 +20,10 @@ Both data files are written by ``tools/record_golden.py``.
   ``tests/data/sweep_cases.json``: decisions, counters and traces, the
   sweeps through ``detect`` and ``decode_batch`` with their registry
   series, the list detector's LLRs and list sizes, the partitioned
-  decoder's per-PE expansions and radius broadcasts.
+  decoder's per-PE expansions and radius broadcasts. Every recorded
+  sweep and list frame, and live BFS (capped and not), K-best, FSD and
+  list decodes, book each generated child that does not survive in
+  ``nodes_pruned``.
 * :func:`repro.core.traversal.extend_paths`, the BFS/K-best/FSD
   survivor-path step, against the concatenation it replaced.
 """
@@ -210,6 +213,89 @@ def test_sweep_cases_replay(sweep_cases, family):
 def test_sweep_cases_agree_between_detect_and_batch(sweep_cases):
     """The recorded sweeps decode the same through both entry points."""
     assert record_golden.sweep_disagreements(sweep_cases) == []
+
+
+def _books_every_drop(batches, generated, pruned, leaves) -> bool:
+    """A sweep's children either survive or are booked as pruned.
+
+    Survivors of one level are the next level's batch (a restarted
+    sweep begins again at the root) or, at level 0, the leaves, so
+    ``generated - pruned`` must equal the non-root pools plus
+    ``leaves``.
+    """
+    root = max(level for level, _pool in batches)
+    survivors = sum(pool for level, pool in batches if level != root)
+    return generated - pruned == survivors + leaves
+
+
+def test_recorded_sweeps_book_every_dropped_child(sweep_cases):
+    """Every recorded BFS / K-best / FSD and list frame keeps the
+    prune invariant, capped frontiers and FSD's SIC phase included."""
+    frames = [
+        rec
+        for family in ("sweep", "soft")
+        for case in sweep_cases[family]
+        for entry in ("detect", "batch")
+        for rec in case.get(entry, ())
+    ]
+    assert len(frames) == 1000
+    broken = [
+        i for i, rec in enumerate(frames)
+        if not _books_every_drop(
+            rec["batches"], rec["nodes_generated"], rec["nodes_pruned"],
+            rec["leaves_reached"],
+        )
+    ]
+    assert broken == []
+
+
+def _sweep_detectors(constellation):
+    from repro.core.radius import NoiseScaledRadius
+    from repro.detectors.fsd import FixedComplexityDecoder
+    from repro.detectors.kbest import KBestDecoder
+    from repro.detectors.sd_bfs import GemmBfsDecoder
+    from repro.detectors.soft import SoftOutputSphereDetector
+
+    wide = NoiseScaledRadius(alpha=8.0)
+    return {
+        "bfs": GemmBfsDecoder(constellation, radius_policy=wide),
+        "bfs-capped": GemmBfsDecoder(
+            constellation, radius_policy=wide, max_frontier=3
+        ),
+        "kbest": KBestDecoder(constellation, k=4),
+        "fsd": FixedComplexityDecoder(constellation, rho=1),
+        "list": SoftOutputSphereDetector(
+            constellation, radius_policy=wide, max_list=3
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["bfs", "bfs-capped", "kbest", "fsd", "list"]
+)
+def test_live_sweeps_book_every_dropped_child(name):
+    """The prune invariant on live decodes, through ``detect`` and, for
+    the engine detectors, ``decode_batch``."""
+    system = MIMOSystem(6, 6, "4qam")
+    rng = np.random.default_rng(1)
+    channel = system.channel_model.draw_channel(rng)
+    received = np.stack(
+        [system.random_frame(10.0, rng, channel=channel).received for _ in range(3)]
+    )
+    detector = _sweep_detectors(system.constellation)[name]
+    detector.prepare(channel, noise_var=system.noise_var(10.0))
+    results = [detector.detect(row) for row in received]
+    if name != "list":
+        results += detector.decode_batch(received)
+    for result in results:
+        st_ = result.stats
+        assert _books_every_drop(
+            [(ev.level, ev.pool_size) for ev in st_.batches],
+            st_.nodes_generated, st_.nodes_pruned, st_.leaves_reached,
+        ), name
+    if name in ("bfs-capped", "list"):
+        # The frontier cap was hit, so its drops were exercised.
+        assert any(r.stats.truncated for r in results), name
 
 
 @settings(max_examples=100, deadline=None)
