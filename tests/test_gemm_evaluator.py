@@ -1,7 +1,9 @@
 """Tests for the GEMM partial-distance kernel — the paper's central refactor.
 
 :meth:`ChannelKernel.expand` against a naive textbook PD, its scalar and
-column ``ybar_k`` forms, the lockstep driver's call count and GEMM time,
+column ``ybar_k`` forms, the leaf-first loops' lookup tables
+(:meth:`ChannelKernel.scalar_tables`) against the kernel's own
+arithmetic bit for bit, the lockstep driver's call count and GEMM time,
 and the GEMM calls and FLOPs the sweeps book.
 """
 
@@ -10,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gemm import FLOPS_PER_CMAC, ChannelKernel
+from repro.core.gemm import FLOPS_PER_CMAC, ChannelKernel, _stacked_gemv
+from repro.core.lattice import REAL_LATTICE
 from repro.core.lockstep import ExpandRequest, drive_lockstep
 from repro.core.metric import L2
+from repro.core.traversal import _append_child_pds
 from repro.detectors.kbest import KBestDecoder
 from repro.mimo.channel import ChannelModel
-from repro.mimo.constellation import Constellation
-from repro.mimo.preprocessing import effective_receive, qr_decompose
+from repro.mimo.constellation import Constellation, pam_component
+from repro.mimo.preprocessing import effective_receive, qr_decompose, sorted_qr
 from repro.mimo.system import MIMOSystem
 
 
@@ -215,6 +219,92 @@ def test_property_expand_matches_naive(n, order, seed):
         parent_full = 0.0
     expected = parent_pd + (full - parent_full)
     assert np.allclose(got, expected, rtol=1e-8, atol=1e-9)
+
+
+def _hex(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def _table_case(n_tx, alphabet, factor, seed):
+    """An R factor of ``n_tx`` search levels and the search alphabet.
+
+    ``"pam"`` searches the real lattice of a 16-QAM link (``n_tx`` is
+    rounded up to even); ``"near-singular"`` is plain QR of a channel
+    whose first two columns differ by ~1e-9.
+    """
+    rng = np.random.default_rng(seed)
+    if alphabet == "pam":
+        const = pam_component(Constellation.qam(16))
+        n_ant = (n_tx + 1) // 2
+    else:
+        const = (
+            Constellation.bpsk() if alphabet == "bpsk"
+            else Constellation.qam(int(alphabet.removesuffix("qam")))
+        )
+        n_ant = n_tx
+    h = ChannelModel(n_tx=n_ant, n_rx=n_ant).draw_channel(rng)
+    if factor == "near-singular" and n_ant > 1:
+        h[:, 1] = h[:, 0] + 1e-9 * (
+            rng.standard_normal(n_ant) + 1j * rng.standard_normal(n_ant)
+        )
+    if alphabet == "pam":
+        h = REAL_LATTICE.map_channel(h)
+    r = (sorted_qr(h) if factor == "sqrd" else qr_decompose(h)).r
+    return r, const, rng
+
+
+@given(
+    n_tx=st.integers(min_value=1, max_value=8),
+    alphabet=st.sampled_from(["bpsk", "4qam", "16qam", "64qam", "pam"]),
+    factor=st.sampled_from(["natural", "sqrd", "near-singular"]),
+    metric=st.sampled_from(["l2", "linf"]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_scalar_tables_match_kernel(n_tx, alphabet, factor, metric, seed):
+    """The lookup tables reproduce the kernel's arithmetic bit for bit.
+
+    Every ``cross`` entry is the Python product ``pts[s] * R[k, j]``;
+    at every level, a random node's leaf-first offset fold equals
+    :func:`_stacked_gemv`'s row and its float-pair child PDs equal
+    :meth:`ChannelKernel.expand`'s row.
+    """
+    r, const, rng = _table_case(n_tx, alphabet, factor, seed)
+    kernel = ChannelKernel(r, const, metric=metric)
+    cross, diag, heads = kernel.scalar_tables()
+    m, p = kernel.n_tx, const.order
+    pts = const.points.astype(np.complex128).tolist()
+    rr = np.asarray(r, dtype=np.complex128).tolist()
+    for k in range(m):
+        assert len(cross[k]) == (m - 1 - k) * p
+        for j in range(k + 1, m):
+            for s in range(p):
+                assert _hex(cross[k][(m - 1 - j) * p + s]) == _hex(pts[s] * rr[k][j])
+    for k in range(m):
+        # Root-first symbols (column i assigns level m-1-i), as expand
+        # takes them, and the same path as the loops build it.
+        symbols = [int(x) for x in rng.integers(0, p, m - 1 - k)]
+        path = ()
+        for i, s in enumerate(symbols):
+            path = heads[m - 1 - i][s] + path
+        assert [o % p for o in path] == symbols[::-1]
+        parent = np.asarray([symbols], dtype=np.int64).reshape(1, len(symbols))
+        if symbols:
+            acc = 0j
+            for o in path:
+                acc = acc + cross[k][o]
+            gemv = _stacked_gemv(
+                const.points[parent[:, ::-1]], kernel.rows[k]
+            )[0]
+            assert _hex(acc) == _hex(complex(gemv))
+        pd = float(rng.uniform(0.0, 5.0))
+        yk = complex(rng.standard_normal(), rng.standard_normal())
+        child = []
+        _append_child_pds(
+            child, cross[k], diag[k], yk, path, pd, metric == "linf"
+        )
+        row = kernel.expand(k, parent, np.asarray([pd]), yk)[0]
+        assert [v.hex() for v in child] == [float(v).hex() for v in row]
 
 
 class TestKernelReuse:
